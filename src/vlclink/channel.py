@@ -238,8 +238,8 @@ def apply_channel(streams: np.ndarray, state: ChannelState, rng, sps: int = 1) -
         x = np.stack([_one_pole_lowpass(x[0], a), _one_pole_lowpass(x[1], a)])
     y = state.h @ x
     sigma = math.sqrt(state.n0 / 2.0)
-    noise = rng.standard_normal((2, x.shape[1])) + 1j * rng.standard_normal((2, x.shape[1]))
-    y = y + sigma * noise
+    y.real += sigma * rng.standard_normal(x.shape)
+    y.imag += sigma * rng.standard_normal(x.shape)
     if a is not None and state.equalize:
         y = np.stack([_one_pole_inverse(y[0], a), _one_pole_inverse(y[1], a)])
     return y

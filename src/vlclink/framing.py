@@ -9,11 +9,19 @@ branch 2 does the opposite, so the pilot blocks are time-orthogonal and
 least-squares channel estimation reduces to one correlation per entry.
 Both branches transmit the same preamble simultaneously.
 
-The symbol stream is up-sampled by `sps` (zero stuffing) and shaped with a
-unit-energy root-raised-cosine filter; the receiver applies the matched RRC
-so the cascade sampled at symbol spacing is (truncated) raised cosine.
-Symbol k of a frame starting at sample index `start` is taken from the
-matched-filter output at index `start + (ntaps - 1) + k * sps`.
+The symbol stream is up-sampled by `sps` and shaped with a unit-energy
+root-raised-cosine filter; the receiver applies the matched RRC so the
+cascade sampled at symbol spacing is (truncated) raised cosine.  Symbol k of
+a frame starting at sample index `start` is taken from the matched-filter
+output at index `start + (ntaps - 1) + k * sps`.
+
+Both filters are polyphase (Vaidyanathan, Multirate Systems and Filter
+Banks, 1993): shaping filters the symbols once per output phase instead of
+convolving a zero-stuffed stream, and `matched_filter_downsample` computes
+only the outputs at the symbol instants.  `synchronize` considers only the
+starts that leave room for a whole frame, start <= n - 1 - (n_symbols - 1)
+* sps, and filters only the stream head those starts need.  Both it and
+`matched_filter_downsample` take one (n,) stream or a (2, n) branch pair.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthError, ParameterError, RangeError, SchemeError, SyncNotFound
 
@@ -212,8 +221,6 @@ def add_cp(symbols: np.ndarray, cp_len: int) -> np.ndarray:
     """Prepend the last `cp_len` symbols as a cyclic prefix."""
     symbols = np.asarray(symbols)
     if cp_len < 0 or cp_len >= symbols.size:
-        if cp_len == 0:
-            return symbols.copy()
         raise LengthError(f"cp_len {cp_len} must be in [0, {symbols.size})")
     if cp_len == 0:
         return symbols.copy()
@@ -224,16 +231,50 @@ def remove_cp(symbols: np.ndarray, cp_len: int) -> np.ndarray:
     """Drop the first `cp_len` symbols; inverse of add_cp."""
     symbols = np.asarray(symbols)
     if cp_len < 0 or cp_len >= symbols.size:
-        if cp_len == 0:
-            return symbols.copy()
         raise LengthError(f"cp_len {cp_len} must be in [0, {symbols.size})")
     return symbols[cp_len:].copy()
 
 
+def _tap_bank(taps: np.ndarray, sps: int) -> np.ndarray:
+    """Taps zero-padded to whole symbols: row j of the (ceil(ntaps/sps), sps)
+    result is taps[j*sps : (j+1)*sps], so column p is the phase-p sub-filter."""
+    depth = -(-taps.size // sps)
+    bank = np.zeros(depth * sps)
+    bank[: taps.size] = taps
+    return bank.reshape(depth, sps)
+
+
+def _real_parts(x: np.ndarray, lead: int, width: int) -> np.ndarray:
+    """(..., 2, width) real array: x.real and x.imag from index `lead`, else 0."""
+    parts = np.zeros(x.shape[:-1] + (2, width))
+    m = min(x.shape[-1], width - lead)
+    parts[..., 0, lead : lead + m] = x.real[..., :m]
+    parts[..., 1, lead : lead + m] = x.imag[..., :m]
+    return parts
+
+
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """Inverse of `_real_parts` over the whole width."""
+    out = np.empty(parts.shape[:-2] + parts.shape[-1:], dtype=np.complex128)
+    out.real = parts[..., 0, :]
+    out.imag = parts[..., 1, :]
+    return out
+
+
 def _upsample_and_shape(symbols: np.ndarray, spec: FrameSpec) -> np.ndarray:
-    up = np.zeros(symbols.size * spec.sps, dtype=np.complex128)
-    up[:: spec.sps] = symbols
-    return np.convolve(up, _spec_taps(spec))
+    """Polyphase interpolation: equal to convolving the zero-stuffed stream.
+
+    Output sample q*sps + p is sum_j symbols[q - j] * taps[j*sps + p], so
+    phase p filters the symbols with `taps[p::sps]`; the bank rows are
+    reversed to match a sliding window.  Works on the last axis of (..., n).
+    """
+    bank = _tap_bank(_spec_taps(spec), spec.sps)[::-1]
+    depth = bank.shape[0]
+    n = symbols.shape[-1]
+    padded = _real_parts(symbols, depth - 1, n + 2 * (depth - 1))
+    phases = sliding_window_view(padded, depth, axis=-1) @ bank   # (..., 2, n + depth - 1, sps)
+    samples = _complex(phases.reshape(phases.shape[:-2] + (-1,)))
+    return samples[..., : n * spec.sps + spec.ntaps - 1]
 
 
 def build_frame(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> TxFrame:
@@ -265,65 +306,95 @@ def build_frame(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> TxFra
         blocks.append(add_cp(payload_syms[b], spec.cp_len))
         symbols[b] = np.concatenate(blocks)
 
-    samples = np.stack([_upsample_and_shape(symbols[b], spec) for b in range(2)])
+    samples = _upsample_and_shape(symbols, spec)
     return TxFrame(branch_samples=samples, branch_symbols=symbols, layout=spec.layout())
 
 
 def matched_filter_downsample(
     samples: np.ndarray, spec: FrameSpec, start: int, n_symbols: int | None = None
 ) -> np.ndarray:
-    """RRC matched filter, then decimation at symbol instants after `start`."""
+    """RRC matched filter evaluated only at the symbol instants after `start`.
+
+    `samples` is one (n,) stream or a (2, n) pair of branches; the result has
+    the same leading shape.  Symbol k is the full-convolution output at index
+    `start + ntaps - 1 + k*sps`, i.e. the window `samples[start + k*sps :
+    start + k*sps + ntaps]` (zero past the end) times the reversed taps,
+    computed polyphase: with the stream after `start` cut into blocks of
+    `sps` samples, symbol k is sum_j block[k + j] . bank[j].  Raises
+    RangeError when `start` lies outside the stream or fewer than
+    `n_symbols` symbol instants follow it.
+    """
     samples = np.asarray(samples, dtype=np.complex128)
-    if samples.ndim != 1:
-        raise LengthError("matched_filter_downsample expects a 1-D sample stream")
-    if not 0 <= start < max(samples.size, 1):
-        raise RangeError(f"start {start} outside stream of {samples.size} samples")
-    z = np.convolve(samples, _spec_taps(spec))
-    first = start + spec.ntaps - 1
-    available = (z.size - 1 - first) // spec.sps + 1 if z.size > first else 0
+    if samples.ndim not in (1, 2):
+        raise LengthError("matched_filter_downsample expects an (n,) or (2, n) sample stream")
+    n = samples.shape[-1]
+    if not 0 <= start < max(n, 1):
+        raise RangeError(f"start {start} outside stream of {n} samples")
+    available = (n - 1 - start) // spec.sps + 1 if n > start else 0
     if n_symbols is None:
         n_symbols = available
-    if n_symbols > available:
+    if not 0 <= n_symbols <= available:
         raise RangeError(f"stream holds {available} symbols after start, need {n_symbols}")
-    idx = first + spec.sps * np.arange(n_symbols)
-    return z[idx]
+    if n_symbols == 0:
+        return np.empty(samples.shape[:-1] + (0,), dtype=np.complex128)
+    sps = spec.sps
+    bank = _tap_bank(_spec_taps(spec)[::-1], sps)
+    depth = bank.shape[0]
+    n_blocks = n_symbols + depth - 1
+    parts = _real_parts(samples[..., start:], 0, n_blocks * sps)
+    blocks = parts.reshape(parts.shape[:-1] + (n_blocks, sps))
+    windows = sliding_window_view(blocks, depth, axis=-2)   # (..., 2, n_symbols, sps, depth)
+    return _complex(np.einsum("...kpj,jp->...k", windows, bank))
 
 
-def _sync_metric(samples: np.ndarray, spec: FrameSpec) -> tuple[int, float]:
-    """Best frame-start candidate and its normalised correlation in [0, 1]."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    pre = preamble_symbols(spec)
-    z = np.convolve(samples, _spec_taps(spec))
-    # Symbol-spaced template over the matched-filter output.
-    tpl = np.zeros((pre.size - 1) * spec.sps + 1, dtype=np.complex128)
-    tpl[:: spec.sps] = pre
-    if z.size < tpl.size:
-        raise RangeError("stream shorter than one preamble")
-    # np.correlate(z, tpl)[j] = sum_m z[j+m] conj(tpl[m])
-    corr = np.abs(np.correlate(z, tpl))
-    ones = np.zeros(tpl.size)
-    ones[:: spec.sps] = 1.0
-    energy = np.correlate(np.abs(z) ** 2, ones).real
-    offset = spec.ntaps - 1
-    if corr.size <= offset:
-        raise RangeError("stream shorter than one preamble")
-    corr = corr[offset:]
-    energy = energy[offset:]
+def _best_start(stream: np.ndarray, spec: FrameSpec, last: int) -> tuple[int, float]:
+    """Preamble peak over starts 0..last of one branch, and its metric in [0, 1].
+
+    The metric at start s is |sum_k z_k pre_k| / sqrt(P * sum_k |z_k|^2) with
+    z_k the matched-filter output at `s + ntaps - 1 + k*sps`.  Only the stream
+    head those outputs depend on is filtered, and the correlation runs per
+    sample phase against the P preamble symbols.
+    """
+    pre = _cached_mseq(spec.preamble_len)
+    sps, ntaps = spec.sps, spec.ntaps
+    reach = last + (pre.size - 1) * sps + 1   # filter outputs from index ntaps - 1 on
+    head = np.zeros(reach + ntaps - 1, dtype=np.complex128)
+    head[: min(stream.size, head.size)] = stream[: head.size]
+    z = np.convolve(head, _spec_taps(spec), mode="valid")
+    corr = np.empty(last + 1)
+    for p in range(min(sps, last + 1)):
+        corr[p::sps] = np.abs(np.correlate(z[p::sps], pre, mode="valid"))
     peak = int(np.argmax(corr))
-    denom = math.sqrt(max(float(energy[peak]), 1e-300) * pre.size)
-    metric = float(corr[peak]) / denom if denom > 0 else 0.0
+    window = z[peak : peak + (pre.size - 1) * sps + 1 : sps]
+    energy = float(np.vdot(window, window).real)
+    metric = float(corr[peak]) / math.sqrt(max(energy, 1e-300) * pre.size)
     return peak, min(metric, 1.0)
 
 
 def synchronize(samples: np.ndarray, spec: FrameSpec) -> int:
     """Locate the frame start by preamble cross-correlation.
 
-    Returns the sample index of the first preamble symbol.  The peak is
-    selected on the raw correlation magnitude; detection requires the
-    normalised metric at the peak to exceed SYNC_THRESHOLD, so an input with
-    no frame (or a fully blocked link) raises SyncNotFound.
+    `samples` is one (n,) stream or a (2, n) pair of branches.  Returns the
+    sample index of the first preamble symbol.  Only starts that leave room
+    for a whole frame are considered: start <= n - 1 - (n_symbols - 1)*sps,
+    so the returned start always decodes with `matched_filter_downsample`.
+    The peak of each branch is selected on the raw correlation magnitude;
+    with two branches the one with the higher normalised metric wins (branch
+    0 on a tie).  Detection requires that metric to reach SYNC_THRESHOLD, so
+    an input with no frame, a fully blocked link, or a stream shorter than
+    one frame raises SyncNotFound.
     """
-    peak, metric = _sync_metric(samples, spec)
+    samples = np.asarray(samples, dtype=np.complex128)
+    if samples.ndim not in (1, 2):
+        raise LengthError("synchronize expects an (n,) or (2, n) sample stream")
+    last = samples.shape[-1] - 1 - (spec.n_symbols - 1) * spec.sps
+    if last < 0:
+        raise SyncNotFound(f"stream of {samples.shape[-1]} samples is shorter than one frame")
+    best, metric = 0, -1.0
+    for stream in samples.reshape(-1, samples.shape[-1]):
+        peak, m = _best_start(stream, spec, last)
+        if m > metric:
+            best, metric = peak, m
     if metric < SYNC_THRESHOLD:
         raise SyncNotFound(f"best correlation {metric:.3f} below threshold {SYNC_THRESHOLD}")
-    return peak
+    return best

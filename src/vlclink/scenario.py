@@ -37,17 +37,15 @@ from .errors import (
     ParameterError,
     ParseError,
     SingularMatrix,
-    SyncNotFound,
     ValidationError,
 )
 from .framing import (
     FrameSpec,
-    SYNC_THRESHOLD,
-    _sync_metric,
     build_frame,
     matched_filter_downsample,
     pilot_symbols,
     remove_cp,
+    synchronize,
 )
 from .metrics import LinkReport, error_free_efficiency, write_report_block
 from .modem import qam_demap, qam_map
@@ -381,15 +379,8 @@ def _run_frame(
     tx = np.concatenate([lead, frame.branch_samples, tail], axis=1)
     rx = apply_channel(tx, ChannelState(h=h_eff, n0=N0), noise_rng, sps=spec.sps)
 
-    idx0, m0 = _sync_metric(rx[0], spec)
-    idx1, m1 = _sync_metric(rx[1], spec)
-    if max(m0, m1) < SYNC_THRESHOLD:
-        raise SyncNotFound(f"no preamble found (metrics {m0:.3f}, {m1:.3f})")
-    start = idx0 if m0 >= m1 else idx1
-
-    symbols = np.stack(
-        [matched_filter_downsample(rx[j], spec, start, spec.n_symbols) for j in range(2)]
-    )
+    start = synchronize(rx, spec)
+    symbols = matched_filter_downsample(rx, spec, start, spec.n_symbols)
     lay = frame.layout
     n_p = spec.pilot_len
     segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)

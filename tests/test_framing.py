@@ -28,6 +28,7 @@ from vlclink import (
     synchronize,
 )
 from vlclink.channel import ChannelState, apply_channel
+from vlclink.framing import SYNC_THRESHOLD, _best_start, _upsample_and_shape
 
 SPEC = FrameSpec()
 
@@ -240,3 +241,150 @@ class TestSynchronize:
 
         assert hit_rate(mean_power, 300) >= 0.99
         assert hit_rate(1.0, 1000) >= 0.98
+
+
+# Reference front end: full convolutions over the whole stream and a sync
+# search over every start.  The production code filters only the samples its
+# output depends on; these tests pin it to the reference.
+
+
+def ref_matched_filter(samples, spec, start, n_symbols):
+    z = np.convolve(samples, rrc_taps(spec.rolloff, spec.sps, spec.rrc_span))
+    return z[start + spec.ntaps - 1 + spec.sps * np.arange(n_symbols)]
+
+
+def ref_sync_metric(samples, spec):
+    """Best start over the whole stream and its normalised correlation."""
+    pre = preamble_symbols(spec)
+    z = np.convolve(samples, rrc_taps(spec.rolloff, spec.sps, spec.rrc_span))
+    tpl = np.zeros((pre.size - 1) * spec.sps + 1, dtype=complex)
+    tpl[:: spec.sps] = pre
+    ones = np.zeros(tpl.size)
+    ones[:: spec.sps] = 1.0
+    offset = spec.ntaps - 1
+    corr = np.abs(np.correlate(z, tpl))[offset:]
+    energy = np.correlate(np.abs(z) ** 2, ones).real[offset:]
+    peak = int(np.argmax(corr))
+    return peak, min(float(corr[peak]) / math.sqrt(max(float(energy[peak]), 1e-300) * pre.size), 1.0)
+
+
+def ref_synchronize(streams, spec):
+    """Two-branch rule: raw-correlation argmax per branch, branch 0 on ties."""
+    (i0, m0), (i1, m1) = (ref_sync_metric(s, spec) for s in streams)
+    if max(m0, m1) < SYNC_THRESHOLD:
+        return None
+    return i0 if m0 >= m1 else i1
+
+
+SMALL = FrameSpec(payload_len=256)
+
+
+def received(spec, seed, h, n0):
+    """A frame at a random offset, through `h`; noise-free when n0 is None."""
+    rng = make_rng(seed)
+    _, payload = make_payload(rng, 16, spec, "SM")
+    frame = build_frame(payload, spec, "SM")
+    offset = int(rng.integers(0, 600))
+    tx = np.concatenate(
+        [np.zeros((2, offset), complex), frame.branch_samples, np.zeros((2, 63), complex)], axis=1
+    )
+    h = np.asarray(h, dtype=complex)
+    if n0 is None:
+        return offset, h @ tx
+    return offset, apply_channel(tx, ChannelState(h=h, n0=n0), seed)
+
+
+class TestFrontEndEquivalence:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("clean", [[1.0, 0.3], [0.2, 0.9]], None),
+            ("0dB", [[1.0, 0.3], [0.2, 0.9]], 0.25),
+            ("branch-blocked", [[1.0, 0.3], [0.0, 0.0]], 0.25),
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_synchronize_matches_reference(self, case, seed):
+        _, h, n0 = case
+        offset, rx = received(SMALL, seed, h, n0)
+        ref = ref_synchronize(rx, SMALL)
+        last = rx.shape[1] - 1 - (SMALL.n_symbols - 1) * SMALL.sps
+        assert ref is not None and ref <= last  # the reference decodes this frame
+        assert synchronize(rx, SMALL) == ref == offset
+        for j in range(2):
+            peak, metric = ref_sync_metric(rx[j], SMALL)
+            if peak <= last:
+                got_peak, got_metric = _best_start(rx[j], SMALL, last)
+                assert got_peak == peak
+                assert got_metric == pytest.approx(metric, rel=1e-9)
+
+    def test_synchronize_matches_reference_at_default_size(self):
+        offset, rx = received(SPEC, 99, [[1.0, 0.4], [0.4, 1.0]], 1.0)
+        assert synchronize(rx, SPEC) == ref_synchronize(rx, SPEC) == offset
+
+    def test_start_without_room_for_a_frame_is_not_chosen(self):
+        # The stream ends one symbol before the frame's last symbol instant,
+        # so the last decodable start lies one symbol before the frame, where
+        # the preamble does not correlate.  The full-stream reference still
+        # peaks at the frame.
+        _, payload = make_payload(make_rng(9), 4, SMALL, "SM")
+        tx = build_frame(payload, SMALL, "SM").branch_samples
+        offset = 100
+        stream = np.concatenate([np.zeros((2, offset), complex), tx], axis=1)
+        stream = stream[:, : offset + (SMALL.n_symbols - 2) * SMALL.sps + 1]
+        assert ref_synchronize(stream, SMALL) == offset
+        with pytest.raises(SyncNotFound):
+            synchronize(stream, SMALL)
+
+    def test_equal_metrics_pick_branch_zero(self):
+        # Branch 1 carries the same frame one symbol later: the normalised
+        # metrics tie exactly and the peaks differ.
+        _, payload = make_payload(make_rng(10), 4, SMALL, "SM")
+        tx = build_frame(payload, SMALL, "SM").branch_samples[0]
+        pad = np.zeros(200, complex)
+        early = np.concatenate([pad[:100], tx, pad])
+        late = np.concatenate([pad[: 100 + SMALL.sps], tx, pad[SMALL.sps :]])
+        assert synchronize(np.stack([early, late]), SMALL) == 100
+        assert synchronize(np.stack([late, early]), SMALL) == 100 + SMALL.sps
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matched_filter_matches_reference(self, seed):
+        rng = make_rng(seed)
+        n = int(rng.integers(200, 2000))
+        x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        start = int(rng.integers(0, n))
+        available = (n - 1 - start) // SMALL.sps + 1
+        for count in (available, int(rng.integers(0, available + 1)), 0):
+            got = matched_filter_downsample(x, SMALL, start, count)
+            assert got.shape == (2, count)
+            for j in range(2):
+                ref = ref_matched_filter(x[j], SMALL, start, count)
+                np.testing.assert_allclose(got[j], ref, rtol=1e-12)
+                np.testing.assert_allclose(
+                    matched_filter_downsample(x[j], SMALL, start, count), ref, rtol=1e-12
+                )
+
+    @pytest.mark.parametrize("spec", [SPEC, FrameSpec(sps=3, rrc_span=6), FrameSpec(sps=8, rolloff=1.0)])
+    def test_shaping_matches_zero_stuffed_convolution(self, spec):
+        rng = make_rng(5)
+        symbols = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
+        got = _upsample_and_shape(symbols, spec)
+        taps = rrc_taps(spec.rolloff, spec.sps, spec.rrc_span)
+        for b in range(2):
+            up = np.zeros(symbols.shape[1] * spec.sps, dtype=complex)
+            up[:: spec.sps] = symbols[b]
+            np.testing.assert_allclose(got[b], np.convolve(up, taps), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (64,), (2, 64), (2, (SPEC.n_symbols - 1) * SPEC.sps)])
+    def test_stream_shorter_than_frame_raises_sync_not_found(self, shape):
+        with pytest.raises(SyncNotFound):
+            synchronize(np.ones(shape, complex), SPEC)
+
+    def test_shortest_decodable_stream(self):
+        # One frame's worth of symbol instants: start 0 is the only candidate.
+        _, payload = make_payload(make_rng(8), 4, SPEC, "SM")
+        samples = build_frame(payload, SPEC, "SM").branch_samples
+        stream = samples[:, : (SPEC.n_symbols - 1) * SPEC.sps + 1]
+        assert synchronize(stream, SPEC) == 0
+        assert matched_filter_downsample(stream, SPEC, 0, SPEC.n_symbols).shape == (2, SPEC.n_symbols)
