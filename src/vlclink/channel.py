@@ -33,6 +33,7 @@ __all__ = [
     "occlusion_factor",
     "channel_matrix",
     "apply_channel",
+    "awgn",
 ]
 
 Point = tuple[float, float]
@@ -219,27 +220,49 @@ def _one_pole_inverse(y: np.ndarray, a: float) -> np.ndarray:
     return x
 
 
-def apply_channel(streams: np.ndarray, state: ChannelState, rng, sps: int = 1) -> np.ndarray:
+def awgn(shape: tuple[int, ...], n0: float, rng: np.random.Generator) -> np.ndarray:
+    """Zero-mean complex Gaussian noise of variance n0 per sample.
+
+    Draws every real part of `shape` first, then every imaginary part, each
+    scaled by sqrt(n0/2).  A pre-drawn array is what `apply_channel` takes as
+    `noise`, so callers that share one noise realisation draw it once.
+    """
+    sigma = math.sqrt(n0 / 2.0)
+    w = np.empty(shape, dtype=np.complex128)
+    np.multiply(rng.standard_normal(shape), sigma, out=w.real)
+    np.multiply(rng.standard_normal(shape), sigma, out=w.imag)
+    return w
+
+
+def apply_channel(
+    streams: np.ndarray, state: ChannelState, rng=None, sps: int = 1, noise: np.ndarray | None = None
+) -> np.ndarray:
     """Mix two branch streams through the channel and add AWGN.
 
     y_j[n] = sum_i h[j][i] x_i[n] + w_j[n], with w zero-mean complex Gaussian
-    of variance n0 per sample.  `rng` is an int seed or a numpy Generator;
-    output is bit-identical for a given seed.  `sps` converts the optional
-    low-pass corner from cycles/symbol to cycles/sample.
+    of variance n0 per sample.  Give exactly one of `rng`, an int seed or a
+    numpy Generator that `awgn` draws w from, and `noise`, a w already drawn
+    by `awgn` for the same shape (read, not modified).  Output is
+    bit-identical for a given seed.  `sps` converts the optional low-pass
+    corner from cycles/symbol to cycles/sample.
     """
     x = np.asarray(streams, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] < 1:
         raise ParameterError("streams must have shape (2, n)")
-    if not isinstance(rng, np.random.Generator):
-        rng = make_rng(rng)
+    if (rng is None) == (noise is None):
+        raise ParameterError("give exactly one of rng and noise")
+    if noise is None:
+        if not isinstance(rng, np.random.Generator):
+            rng = make_rng(rng)
+        noise = awgn(x.shape, state.n0, rng)
+    elif noise.shape != x.shape:
+        raise ParameterError(f"noise has shape {noise.shape}, streams {x.shape}")
     a = None
     if state.f3db_norm is not None:
         a = math.exp(-2.0 * math.pi * state.f3db_norm / sps)
         x = np.stack([_one_pole_lowpass(x[0], a), _one_pole_lowpass(x[1], a)])
     y = state.h @ x
-    sigma = math.sqrt(state.n0 / 2.0)
-    y.real += sigma * rng.standard_normal(x.shape)
-    y.imag += sigma * rng.standard_normal(x.shape)
+    y += noise
     if a is not None and state.equalize:
         y = np.stack([_one_pole_inverse(y[0], a), _one_pole_inverse(y[1], a)])
     return y

@@ -15,7 +15,7 @@ list is documented in the README; unknown keys are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import IO
 
@@ -30,7 +30,7 @@ from .adapt import (
     parse_mode,
     predicted_ber,
 )
-from .channel import ChannelState, Geometry, Obstacle, apply_channel, channel_matrix
+from .channel import ChannelState, Geometry, Obstacle, apply_channel, awgn, channel_matrix
 from .errors import (
     BadCode,
     CalibrationImpossible,
@@ -72,6 +72,7 @@ P_TOTAL_REF = 2.0    # receiver-side power argument under the folded-amplitude c
 LEAD_PAD = 257       # noise-only samples before each frame, so sync is exercised
 TAIL_PAD = 63
 _MAX_FRAMES_PER_POSITION = 256
+MAX_GRID_POINTS = 10_000   # cap on sweep positions and on BER-sweep SNR points
 
 _ROLE_BITS = 11
 _ROLE_NOISE = 12
@@ -154,11 +155,18 @@ class ScenarioConfig:
         )
 
     def positions(self) -> np.ndarray:
-        return np.arange(
-            self.positions_start,
-            self.positions_stop + self.positions_step / 2.0,
-            self.positions_step,
-        )
+        return _grid(self.positions_start, self.positions_step, self.positions_stop)
+
+
+def _grid(start: float, step: float, stop: float) -> np.ndarray:
+    """start, start + step, ... up to stop inclusive (to half a step)."""
+    return np.arange(start, stop + step / 2.0, step)
+
+
+def _grid_points(start: float, step: float, stop: float) -> float:
+    """Length of `_grid(start, step, stop)` as np.arange computes it, without building it."""
+    span = (stop + step / 2.0 - start) / step
+    return math.ceil(span) if math.isfinite(span) else math.inf
 
 
 # key -> (attribute, type, validator, description)
@@ -263,6 +271,8 @@ def parse_config(text: str) -> ScenarioConfig:
             parsed: object = typ(value) if typ is not str else value
         except ValueError:
             raise ValidationError(canonical, f"cannot parse {value!r} as {typ.__name__}") from None
+        if typ is float and not math.isfinite(parsed):
+            raise ValidationError(canonical, f"value {value!r} is not finite")
         _check_range(canonical, rule, parsed)
         values[attr] = parsed
     cfg = ScenarioConfig(**values)
@@ -279,6 +289,13 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
         raise ValidationError("frame.cp_len", "must be smaller than payload_len")
     if cfg.bersweep_snr_start > cfg.bersweep_snr_stop:
         raise ValidationError("bersweep.snr_start", "start must be <= stop")
+    for key, start, step, stop in (
+        ("sweep.positions.step", cfg.positions_start, cfg.positions_step, cfg.positions_stop),
+        ("bersweep.snr_step", cfg.bersweep_snr_start, cfg.bersweep_snr_step, cfg.bersweep_snr_stop),
+    ):
+        points = _grid_points(start, step, stop)
+        if points > MAX_GRID_POINTS:
+            raise ValidationError(key, f"grid of {points:.4g} points exceeds the cap of {MAX_GRID_POINTS}")
     try:
         cfg.frame_spec()
         cfg.geometry(obstacle_x=0.0)
@@ -348,10 +365,15 @@ class FrameResult:
     detected: np.ndarray   # payload symbols after ZF / MRC, one row per stream
 
 
-def _frame_seeds(pos_seed: int, frame_idx: int) -> tuple[np.random.Generator, np.random.Generator]:
-    bits_rng = make_rng(np.random.SeedSequence((pos_seed, frame_idx, _ROLE_BITS)))
-    noise_rng = make_rng(np.random.SeedSequence((pos_seed, frame_idx, _ROLE_NOISE)))
-    return bits_rng, noise_rng
+def _bits_rng(seed: tuple[int, ...], frame_idx: int) -> np.random.Generator:
+    """Payload-bit source of frame `frame_idx`; fresh for every chain run."""
+    return make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_BITS)))
+
+
+def _frame_noise(spec: FrameSpec, seed: tuple[int, ...], frame_idx: int) -> np.ndarray:
+    """Receiver noise of frame `frame_idx`, shaped like the padded (2, n) stream."""
+    rng = make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_NOISE)))
+    return awgn((2, LEAD_PAD + spec.n_samples + TAIL_PAD), N0, rng)
 
 
 def _run_frame(
@@ -359,9 +381,13 @@ def _run_frame(
     h_eff: np.ndarray,
     spec: FrameSpec,
     bits_rng: np.random.Generator,
-    noise_rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> FrameResult:
-    """One frame through the whole chain: build, channel, sync, estimate, detect."""
+    """One frame through the whole chain: build, channel, sync, estimate, detect.
+
+    `noise` is the frame's receiver noise from `_frame_noise`; it is read, not
+    modified, so runs that share a frame index share one draw.
+    """
     n_bits = mode.bits_per_symbol * spec.payload_len
     if mode.scheme == "SM":
         tx_bits = bits_rng.integers(0, 2, size=2 * n_bits)
@@ -377,7 +403,7 @@ def _run_frame(
     lead = np.zeros((2, LEAD_PAD), dtype=np.complex128)
     tail = np.zeros((2, TAIL_PAD), dtype=np.complex128)
     tx = np.concatenate([lead, frame.branch_samples, tail], axis=1)
-    rx = apply_channel(tx, ChannelState(h=h_eff, n0=N0), noise_rng, sps=spec.sps)
+    rx = apply_channel(tx, ChannelState(h=h_eff, n0=N0), sps=spec.sps, noise=noise)
 
     start = synchronize(rx, spec)
     symbols = matched_filter_downsample(rx, spec, start, spec.n_symbols)
@@ -424,75 +450,69 @@ def _run_frame(
     )
 
 
-def _simulate_position(
-    config: ScenarioConfig,
-    h_norm: np.ndarray,
-    p_total: float,
-    position_cm: float,
-    pos_seed: int,
-    fixed_mode: Mode | None,
-) -> LinkReport:
-    """Run frames at one obstacle position; fixed mode or adaptive when None.
+@dataclass
+class _Run:
+    """One of the three runs at a position: its controller or fixed mode, and its tallies."""
 
-    The first SETTLING_FRAMES frames are transmitted but excluded from the
-    report; measurement then continues until both the frames_per_position
-    budget and the payload_bits budget are met.
-    """
-    spec = config.frame_spec()
-    policy = config.policy()
-    h_eff = math.sqrt(p_total / 2.0) * h_norm
-    state: ControllerState | None = new_controller(policy) if fixed_mode is None else None
-
-    min_measured = config.frames_per_position - SETTLING_FRAMES
-    measured_frames = 0
-    bits_total = 0
-    errors_total = 0
-    err_power = 0.0
-    ref_power = 0.0
-    snr_records: list[tuple[str, tuple[float, ...]]] = []
+    fixed_mode: Mode | None
+    controller: ControllerState | None = None
+    measured_frames: int = 0
+    bits: int = 0
+    errors: int = 0
+    err_power: float = 0.0
+    ref_power: float = 0.0
+    snr_records: list[tuple[str, tuple[float, ...]]] = field(default_factory=list)
     last_mode: Mode | None = None
+    done: bool = False
 
-    frame_idx = 0
-    while True:
-        mode = state.pending if state is not None else fixed_mode
-        bits_rng, noise_rng = _frame_seeds(pos_seed, frame_idx)
-        result = _run_frame(mode, h_eff, spec, bits_rng, noise_rng)
-        if state is not None:
-            controller_step(state, result.est, P_TOTAL_REF, N0, policy)
+    @property
+    def mode(self) -> Mode:
+        """The mode this run transmits its next frame in."""
+        return self.controller.pending if self.controller is not None else self.fixed_mode
+
+    def record(self, frame_idx: int, result: FrameResult, config: ScenarioConfig, policy: AdaptPolicy) -> None:
+        """Account one frame sent in `result.mode`, then apply the stop rule.
+
+        The first SETTLING_FRAMES frames are transmitted but excluded from the
+        report; measurement then continues until both the frames_per_position
+        budget and the payload_bits budget are met.
+        """
+        if self.controller is not None:
+            controller_step(self.controller, result.est, P_TOTAL_REF, N0, policy)
         if frame_idx >= SETTLING_FRAMES:
-            measured_frames += 1
-            bits_total += result.bits
-            errors_total += result.errors
-            err_power += result.err_power
-            ref_power += result.ref_power
-            last_mode = mode
-            if mode.scheme == "SM" and result.sm_snrs is not None:
-                snr_records.append(("SM", result.sm_snrs))
-            elif mode.scheme == "SD":
-                snr_records.append(("SD", (result.sd_snr,)))
-        frame_idx += 1
-        if measured_frames >= min_measured and bits_total >= config.payload_bits:
-            break
-        if frame_idx > _MAX_FRAMES_PER_POSITION:
-            raise RuntimeError(f"position {position_cm}: frame budget exhausted")
+            self.measured_frames += 1
+            self.bits += result.bits
+            self.errors += result.errors
+            self.err_power += result.err_power
+            self.ref_power += result.ref_power
+            self.last_mode = result.mode
+            if result.mode.scheme == "SM" and result.sm_snrs is not None:
+                self.snr_records.append(("SM", result.sm_snrs))
+            elif result.mode.scheme == "SD":
+                self.snr_records.append(("SD", (result.sd_snr,)))
+        self.done = (
+            self.measured_frames >= config.frames_per_position - SETTLING_FRAMES
+            and self.bits >= config.payload_bits
+        )
 
-    ber = errors_total / bits_total
-    matching = [snr for scheme, snr in snr_records if scheme == last_mode.scheme]
-    if matching:
-        mean_lin = np.mean(np.asarray(matching), axis=0)
-        snrs_db = tuple(10.0 * math.log10(v) for v in mean_lin)
-    else:
-        snrs_db = ()
-    return LinkReport(
-        position_cm=position_cm,
-        mode=last_mode,
-        bits_sent=bits_total,
-        bit_errors=errors_total,
-        ber=ber,
-        eff_bshz=error_free_efficiency(last_mode, ber, policy.ber_tgt),
-        snrs_db=snrs_db,
-        evm=math.sqrt(err_power / ref_power) if ref_power > 0 else 0.0,
-    )
+    def report(self, position_cm: float, policy: AdaptPolicy) -> LinkReport:
+        ber = self.errors / self.bits
+        matching = [snr for scheme, snr in self.snr_records if scheme == self.last_mode.scheme]
+        if matching:
+            mean_lin = np.mean(np.asarray(matching), axis=0)
+            snrs_db = tuple(10.0 * math.log10(v) for v in mean_lin)
+        else:
+            snrs_db = ()
+        return LinkReport(
+            position_cm=position_cm,
+            mode=self.last_mode,
+            bits_sent=self.bits,
+            bit_errors=self.errors,
+            ber=ber,
+            eff_bshz=error_free_efficiency(self.last_mode, ber, policy.ber_tgt),
+            snrs_db=snrs_db,
+            evm=math.sqrt(self.err_power / self.ref_power) if self.ref_power > 0 else 0.0,
+        )
 
 
 @dataclass
@@ -514,7 +534,13 @@ def run_position(
     """Reports (adaptive, fixed SM-64, fixed SD-64) for one sweep position.
 
     Seeded per position, so any single position reproduces its sweep rows
-    bit-exactly without running the others.
+    bit-exactly without running the others.  The three runs step in lockstep
+    and share per-frame seeds, so frame index k carries the same noise and
+    the same payload-bit stream in each of them.  The noise is drawn once per
+    frame index while any run is active, and the frame chain runs once per
+    distinct mode among the active runs; its result, which depends only on
+    (mode, h_eff, spec, seeds), goes to every run in that mode.  A run that has
+    not met its budgets after _MAX_FRAMES_PER_POSITION frame indices raises.
     """
     positions = config.positions()
     if not 0 <= index < positions.size:
@@ -523,10 +549,26 @@ def run_position(
         p_total = _transmit_p_total(config)
     x = float(positions[index])
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=x))
-    pos_seed = config.base_seed + index
-    adaptive = _simulate_position(config, h_norm, p_total, x, pos_seed, None)
-    sm64 = _simulate_position(config, h_norm, p_total, x, pos_seed, Mode("SM", 64))
-    sd64 = _simulate_position(config, h_norm, p_total, x, pos_seed, Mode("SD", 64))
+    h_eff = math.sqrt(p_total / 2.0) * h_norm
+    spec = config.frame_spec()
+    policy = config.policy()
+    seed = (config.base_seed + index,)
+    runs = (_Run(None, new_controller(policy)), _Run(Mode("SM", 64)), _Run(Mode("SD", 64)))
+    for frame_idx in range(_MAX_FRAMES_PER_POSITION):
+        active = [run for run in runs if not run.done]
+        if not active:
+            break
+        noise = _frame_noise(spec, seed, frame_idx)
+        results: dict[Mode, FrameResult] = {}
+        for run in active:
+            mode = run.mode
+            if mode not in results:
+                results[mode] = _run_frame(mode, h_eff, spec, _bits_rng(seed, frame_idx), noise)
+            run.record(frame_idx, results[mode], config, policy)
+        del noise, results   # only one frame index's noise is alive at a time
+    if not all(run.done for run in runs):
+        raise RuntimeError(f"position {x}: frame budget of {_MAX_FRAMES_PER_POSITION} frames exhausted")
+    adaptive, sm64, sd64 = (run.report(x, policy) for run in runs)
     return adaptive, sm64, sd64
 
 
@@ -606,9 +648,8 @@ def measure_mode_ber(
     bits = 0
     frame_idx = 0
     while bits == 0 or (errors < min_errors and bits < max_bits):
-        bits_rng = make_rng(np.random.SeedSequence(seed_tuple + (frame_idx, _ROLE_BITS)))
-        noise_rng = make_rng(np.random.SeedSequence(seed_tuple + (frame_idx, _ROLE_NOISE)))
-        result = _run_frame(mode, h_eff, spec, bits_rng, noise_rng)
+        noise = _frame_noise(spec, seed_tuple, frame_idx)
+        result = _run_frame(mode, h_eff, spec, _bits_rng(seed_tuple, frame_idx), noise)
         errors += result.errors
         bits += result.bits
         frame_idx += 1
@@ -624,11 +665,7 @@ def run_ber_sweep(config: ScenarioConfig) -> list[BerSweepRow]:
     """
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=None))
     est_true = _true_estimate(h_norm)
-    grid = np.arange(
-        config.bersweep_snr_start,
-        config.bersweep_snr_stop + config.bersweep_snr_step / 2.0,
-        config.bersweep_snr_step,
-    )
+    grid = _grid(config.bersweep_snr_start, config.bersweep_snr_step, config.bersweep_snr_stop)
     rows: list[BerSweepRow] = []
     curves = list(product(("SD", "SM"), (4, 16, 64, 256)))
     for curve_idx, (scheme, order) in enumerate(curves):

@@ -18,6 +18,7 @@ from vlclink import (
     occlusion_factor,
     svd2,
 )
+from vlclink.channel import awgn
 
 DEFAULT_OBS = Obstacle(diameter_cm=4.5, z_cm=109.0, x_cm=0.0)
 
@@ -165,3 +166,43 @@ class TestApplyChannel:
         state = ChannelState(h=np.eye(2, dtype=complex), n0=1e-30, f3db_norm=0.05, equalize=False)
         y = apply_channel(x, state, 5, sps=4)
         assert not np.allclose(y, x, atol=0.1)
+
+
+class TestNoisePath:
+    H = np.array([[0.9, 0.05j], [0.1, 1.1 - 0.2j]], dtype=complex)
+
+    def streams(self):
+        rng = make_rng(21)
+        return rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
+
+    def test_seeded_draw_matches_in_place_formula(self):
+        # real parts (2, n) first, then imaginary parts, each scaled by sigma
+        x = self.streams()
+        state = ChannelState(h=self.H, n0=0.7)
+        want = self.H @ x
+        rng = make_rng(31)
+        sigma = math.sqrt(0.7 / 2.0)
+        want.real += sigma * rng.standard_normal(x.shape)
+        want.imag += sigma * rng.standard_normal(x.shape)
+        assert np.array_equal(apply_channel(x, state, 31), want)
+
+    def test_predrawn_noise_matches_seeded_draw(self):
+        x = self.streams()
+        state = ChannelState(h=self.H, n0=0.7)
+        noise = awgn(x.shape, 0.7, make_rng(31))
+        kept = noise.copy()
+        assert np.array_equal(apply_channel(x, state, noise=noise), apply_channel(x, state, 31))
+        assert np.array_equal(noise, kept)   # shared draws are read, not modified
+
+    def test_needs_exactly_one_noise_source(self):
+        x = self.streams()
+        state = ChannelState(h=self.H, n0=0.7)
+        with pytest.raises(ParameterError):
+            apply_channel(x, state)
+        with pytest.raises(ParameterError):
+            apply_channel(x, state, 3, noise=awgn(x.shape, 0.7, make_rng(3)))
+
+    def test_noise_shape_must_match(self):
+        x = self.streams()
+        with pytest.raises(ParameterError):
+            apply_channel(x, ChannelState(h=self.H, n0=0.7), noise=awgn((2, 299), 0.7, make_rng(3)))

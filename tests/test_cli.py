@@ -81,3 +81,14 @@ class TestErrors:
 
     def test_negative_seed(self, fast_config):
         assert main(["calibrate", "--config", fast_config, "--seed", "-1"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "text",
+        ["snr_db = nan\n", "snr_db = inf\n", "calibrate.margin_db = nan\n", "sweep.positions.start = -inf\n",
+         "sweep.positions.step = 1e-9\n"],
+    )
+    def test_non_finite_or_oversized_is_config_error(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err

@@ -1,0 +1,231 @@
+"""Lockstep blockage positions against the sequential three-run reference.
+
+`run_position` steps the adaptive, fixed SM-64 and fixed SD-64 runs together,
+draws each frame index's noise once and runs the frame chain once per
+distinct mode.  The reference below is the loop it replaced: each run on its
+own, frame after frame, drawing its own noise with the former in-place
+formula.  Both must give identical reports, compared with exact equality.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from vlclink import Mode, ScenarioConfig, calibrate, channel_matrix, parse_config, run_blockage_sweep, run_position
+from vlclink import scenario
+from vlclink.adapt import controller_step, new_controller
+from vlclink.metrics import LinkReport, error_free_efficiency
+from vlclink.numerics import make_rng
+from vlclink.scenario import (
+    LEAD_PAD,
+    N0,
+    P_TOTAL_REF,
+    SETTLING_FRAMES,
+    TAIL_PAD,
+    _ROLE_BITS,
+    _ROLE_NOISE,
+    _run_frame,
+)
+
+# Adaptive run alternates SM-16 and SM-64 inside its measured window.
+SWITCHING_TEXT = """
+frame.payload_len = 1024
+sweep.payload_bits = 30000
+sweep.positions.start = 1
+sweep.positions.stop = 1
+base_seed = 14
+"""
+
+BUDGET_TEXT = """
+frame.payload_len = 16
+sweep.payload_bits = 1000000000
+sweep.positions.start = 0
+sweep.positions.stop = 0
+"""
+
+SMALL_SWEEP_TEXT = """
+frame.payload_len = 512
+frame.pilot_len = 16
+sweep.positions.start = -5
+sweep.positions.stop = 5
+sweep.payload_bits = 4000
+base_seed = 3
+"""
+
+
+def reference_noise(spec, pos_seed, frame_idx):
+    """The former draw: all real parts, then all imaginary parts, each times sigma."""
+    rng = make_rng(np.random.SeedSequence((pos_seed, frame_idx, _ROLE_NOISE)))
+    shape = (2, LEAD_PAD + spec.n_samples + TAIL_PAD)
+    sigma = math.sqrt(N0 / 2.0)
+    w = np.empty(shape, dtype=np.complex128)
+    w.real = sigma * rng.standard_normal(shape)
+    w.imag = sigma * rng.standard_normal(shape)
+    return w
+
+
+def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, fixed_mode, used):
+    """The sequential single-run loop; appends each simulated (frame index, mode) to `used`."""
+    spec = config.frame_spec()
+    policy = config.policy()
+    h_eff = math.sqrt(p_total / 2.0) * h_norm
+    state = new_controller(policy) if fixed_mode is None else None
+
+    min_measured = config.frames_per_position - SETTLING_FRAMES
+    measured_frames = 0
+    bits_total = 0
+    errors_total = 0
+    err_power = 0.0
+    ref_power = 0.0
+    snr_records = []
+    last_mode = None
+
+    frame_idx = 0
+    while True:
+        mode = state.pending if state is not None else fixed_mode
+        bits_rng = make_rng(np.random.SeedSequence((pos_seed, frame_idx, _ROLE_BITS)))
+        result = _run_frame(mode, h_eff, spec, bits_rng, reference_noise(spec, pos_seed, frame_idx))
+        used.append((frame_idx, mode))
+        if state is not None:
+            controller_step(state, result.est, P_TOTAL_REF, N0, policy)
+        if frame_idx >= SETTLING_FRAMES:
+            measured_frames += 1
+            bits_total += result.bits
+            errors_total += result.errors
+            err_power += result.err_power
+            ref_power += result.ref_power
+            last_mode = mode
+            if mode.scheme == "SM" and result.sm_snrs is not None:
+                snr_records.append(("SM", result.sm_snrs))
+            elif mode.scheme == "SD":
+                snr_records.append(("SD", (result.sd_snr,)))
+        frame_idx += 1
+        if measured_frames >= min_measured and bits_total >= config.payload_bits:
+            break
+        if frame_idx > 256:
+            raise RuntimeError(f"position {position_cm}: frame budget exhausted")
+
+    ber = errors_total / bits_total
+    matching = [snr for scheme, snr in snr_records if scheme == last_mode.scheme]
+    if matching:
+        mean_lin = np.mean(np.asarray(matching), axis=0)
+        snrs_db = tuple(10.0 * math.log10(v) for v in mean_lin)
+    else:
+        snrs_db = ()
+    return LinkReport(
+        position_cm=position_cm,
+        mode=last_mode,
+        bits_sent=bits_total,
+        bit_errors=errors_total,
+        ber=ber,
+        eff_bshz=error_free_efficiency(last_mode, ber, policy.ber_tgt),
+        snrs_db=snrs_db,
+        evm=math.sqrt(err_power / ref_power) if ref_power > 0 else 0.0,
+    )
+
+
+def reference_run_position(config, index, p_total):
+    """(reports, per-run lists of simulated (frame index, mode)) from the sequential loop."""
+    x = float(config.positions()[index])
+    h_norm, _ = channel_matrix(config.geometry(obstacle_x=x))
+    pos_seed = config.base_seed + index
+    reports, used = [], []
+    for fixed_mode in (None, Mode("SM", 64), Mode("SD", 64)):
+        used.append([])
+        reports.append(reference_simulate_position(config, h_norm, p_total, x, pos_seed, fixed_mode, used[-1]))
+    return tuple(reports), used
+
+
+@pytest.fixture(scope="module")
+def default_p_total():
+    return calibrate(ScenarioConfig())
+
+
+def assert_same_reports(config, index, p_total):
+    got = run_position(config, index, p_total=p_total)
+    want, used = reference_run_position(config, index, p_total)
+    assert got == want   # LinkReport equality: every float compared exactly
+    return want, used
+
+
+class TestMatchesSequentialReference:
+    @pytest.mark.parametrize("index", [13, 0], ids=["shadowed-x0", "clear-x-65"])
+    def test_default_positions(self, index, default_p_total):
+        assert_same_reports(ScenarioConfig(), index, default_p_total)
+
+    def test_adaptive_changes_mode_inside_measured_window(self):
+        cfg = parse_config(SWITCHING_TEXT)
+        _, used = assert_same_reports(cfg, 0, calibrate(cfg))
+        measured = {mode for frame_idx, mode in used[0] if frame_idx >= SETTLING_FRAMES}
+        assert len(measured) > 1
+        assert Mode("SM", 64) in measured   # shares chain runs with the fixed SM-64 run
+
+    def test_runs_end_at_different_frame_indices(self, default_p_total):
+        _, used = assert_same_reports(ScenarioConfig(), 0, default_p_total)
+        ends = [run[-1][0] for run in used]
+        assert len(set(ends)) == 3
+
+    def test_bit_budget_met_exactly(self):
+        # two measured SM-64 frames of 512 symbols carry exactly 12288 bits
+        cfg = parse_config(SMALL_SWEEP_TEXT + "sweep.payload_bits = 12288\n")
+        _, used = assert_same_reports(cfg, 1, calibrate(cfg))
+        assert used[1][-1][0] == SETTLING_FRAMES + 1
+
+
+class TestSharedWork:
+    @pytest.mark.parametrize("index", range(3))
+    def test_one_noise_draw_per_frame_index_one_chain_run_per_mode(self, index, monkeypatch):
+        cfg = parse_config(SMALL_SWEEP_TEXT)
+        p_total = calibrate(cfg)
+        _, used = reference_run_position(cfg, index, p_total)
+        want_indices = {frame_idx for run in used for frame_idx, _ in run}
+        want_pairs = {pair for run in used for pair in run}
+
+        pos_seed = cfg.base_seed + index
+        noise_draws, bits_frames, chain_runs = [], [], []
+        real_make_rng, real_run_frame = scenario.make_rng, scenario._run_frame
+
+        def spy_make_rng(seed):
+            seed_tuple, frame_idx, role = seed.entropy[:-2], seed.entropy[-2], seed.entropy[-1]
+            assert tuple(seed_tuple) == (pos_seed,)
+            (noise_draws if role == _ROLE_NOISE else bits_frames).append(frame_idx)
+            return real_make_rng(seed)
+
+        def spy_run_frame(mode, *args):
+            chain_runs.append((bits_frames[-1], mode))
+            return real_run_frame(mode, *args)
+
+        monkeypatch.setattr(scenario, "make_rng", spy_make_rng)
+        monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
+        run_position(cfg, index, p_total=p_total)
+
+        assert sorted(noise_draws) == sorted(want_indices)
+        assert sorted(chain_runs, key=lambda p: (p[0], p[1].name)) == sorted(
+            want_pairs, key=lambda p: (p[0], p[1].name)
+        )
+        assert len(chain_runs) < sum(len(run) for run in used)
+
+    def test_single_position_reproduces_sweep_rows(self):
+        cfg = parse_config(SMALL_SWEEP_TEXT)
+        res = run_blockage_sweep(cfg)
+        assert len(res.adaptive) == 3
+        for index in range(3):
+            rows = (res.adaptive[index], res.fixed_sm64[index], res.fixed_sd64[index])
+            assert run_position(cfg, index) == rows
+
+
+class TestFrameBudget:
+    def test_unreachable_budget_stops_at_256_frame_indices(self, monkeypatch):
+        cfg = parse_config(BUDGET_TEXT)
+        noise_indices = []
+        real_frame_noise = scenario._frame_noise
+
+        def spy_frame_noise(spec, seed, frame_idx):
+            noise_indices.append(frame_idx)
+            return real_frame_noise(spec, seed, frame_idx)
+
+        monkeypatch.setattr(scenario, "_frame_noise", spy_frame_noise)
+        with pytest.raises(RuntimeError, match="frame budget"):
+            run_position(cfg, 0)
+        assert noise_indices == list(range(256))

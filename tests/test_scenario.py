@@ -22,7 +22,7 @@ from vlclink import (
 )
 from vlclink.adapt import predicted_ber
 from vlclink.receiver import stream_snrs
-from vlclink.scenario import N0, _true_estimate
+from vlclink.scenario import MAX_GRID_POINTS, N0, _grid, _grid_points, _true_estimate
 
 # small scenario for fast plumbing tests: short payload, single position
 FAST_TEXT = """
@@ -78,6 +78,57 @@ class TestParseConfig:
             parse_config("geometry.obstacle_z = 300\n")
         with pytest.raises(ValidationError):
             parse_config("sweep.positions.start = 10\nsweep.positions.stop = 0\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "snr_db = nan",
+            "snr_db = inf",
+            "snr_db = -Infinity",
+            "calibrate.margin_db = nan",
+            "sweep.positions.start = -inf",
+            "geometry.led_sep = inf",
+            "bersweep.snr_stop = NaN",
+        ],
+    )
+    def test_non_finite_floats_rejected(self, line):
+        with pytest.raises(ValidationError) as err:
+            parse_config(line + "\n")
+        assert "not finite" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("sweep.positions.step = 1e-9\n", "sweep.positions.step"),
+            ("bersweep.snr_step = 1e-6\n", "bersweep.snr_step"),
+            # the half-step overshoot of stop overflows to inf
+            ("sweep.positions.stop = 1.7e308\nsweep.positions.step = 1e308\n", "sweep.positions.step"),
+        ],
+    )
+    def test_oversized_grids_rejected_at_parse_time(self, text, key):
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert err.value.key == key
+
+    def test_grid_at_the_cap_accepted(self):
+        cfg = parse_config(f"sweep.positions.start = 0\nsweep.positions.stop = {MAX_GRID_POINTS - 1}\n"
+                           "sweep.positions.step = 1\n")
+        assert _grid_points(cfg.positions_start, cfg.positions_step, cfg.positions_stop) == MAX_GRID_POINTS
+        with pytest.raises(ValidationError):
+            parse_config(f"sweep.positions.start = 0\nsweep.positions.stop = {MAX_GRID_POINTS}\n"
+                         "sweep.positions.step = 1\n")
+
+    @pytest.mark.parametrize(
+        "start, step, stop",
+        [(-65.0, 5.0, 65.0), (8.0, 2.0, 34.0), (0.0, 0.1, 1.0), (-1.0, 0.3, 2.0), (3.0, 7.0, 3.0), (0.0, 1e-3, 0.7)],
+    )
+    def test_grid_points_counts_as_arange_does(self, start, step, stop):
+        assert _grid_points(start, step, stop) == _grid(start, step, stop).size
+
+    def test_default_grid_sizes(self):
+        cfg = ScenarioConfig()
+        assert cfg.positions().size == 27
+        assert _grid_points(cfg.bersweep_snr_start, cfg.bersweep_snr_step, cfg.bersweep_snr_stop) == 14
 
     def test_mode_names_validated(self):
         cfg = parse_config("policy.initial = sd-16\n")
