@@ -60,10 +60,8 @@ from .framing import (
 )
 from .metrics import (
     LinkReport,
-    count_ber,
     dump_constellation,
     error_free_efficiency,
-    spectral_efficiency,
 )
 from .modem import (
     Constellation,
@@ -75,7 +73,7 @@ from .modem import (
     qam_map,
     snr_from_evm,
 )
-from .numerics import Svd2, gaussian_pair, inv2, make_rng, qfunc, svd2
+from .numerics import Svd2, inv2, make_rng, qfunc, svd2
 from .receiver import (
     ChannelEstimate,
     StreamSnrs,

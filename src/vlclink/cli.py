@@ -1,11 +1,13 @@
 """Command-line front end.
 
-    vlclink ber-sweep      --config PATH --seed N --out PATH
-    vlclink blockage-sweep --config PATH --seed N --out PATH
+    vlclink ber-sweep      --config PATH --seed N --out PATH --jobs N
+    vlclink blockage-sweep --config PATH --seed N --out PATH --jobs N
     vlclink calibrate      --config PATH --seed N --out PATH
 
 Exit codes: 0 on success, 2 on a config error, 3 on a runtime error.
 Without --config all defaults apply; without --out results go to stdout.
+--jobs sets the sweep's worker threads (default: the usable CPUs); the output
+is the same for every value.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", metavar="PATH", help="key=value config file")
         cmd.add_argument("--seed", type=int, metavar="N", help="override base_seed")
         cmd.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+        if name != "calibrate":
+            cmd.add_argument(
+                "--jobs",
+                type=int,
+                metavar="N",
+                help="worker threads, at most the usable CPUs and the sweep's tasks (default: usable CPUs)",
+            )
     return parser
 
 
@@ -53,6 +62,8 @@ def _load(args) -> ScenarioConfig:
         if args.seed < 0:
             raise ValidationError("base_seed", "must be >= 0")
         cfg = replace(cfg, base_seed=args.seed)
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        raise ValidationError("--jobs", "must be >= 1")
     return cfg
 
 
@@ -75,9 +86,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         buf = io.StringIO()
         if args.command == "ber-sweep":
-            write_ber_csv(run_ber_sweep(cfg), buf)
+            write_ber_csv(run_ber_sweep(cfg, jobs=args.jobs), buf)
         elif args.command == "blockage-sweep":
-            write_blockage_csv(run_blockage_sweep(cfg), buf)
+            write_blockage_csv(run_blockage_sweep(cfg, jobs=args.jobs), buf)
         else:
             p_total = calibrate(cfg)
             buf.write(f"p_total_linear={p_total:.6f}\n")

@@ -166,7 +166,10 @@ def mseq(length: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cached_mseq(length: int) -> np.ndarray:
-    return mseq(length)
+    """`mseq(length)`, shared by every caller and every thread, so read-only."""
+    seq = mseq(length)
+    seq.flags.writeable = False
+    return seq
 
 
 def preamble_symbols(spec: FrameSpec) -> np.ndarray:
@@ -210,7 +213,10 @@ def rrc_taps(rolloff: float, sps: int, span: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cached_taps(rolloff: float, sps: int, span: int) -> np.ndarray:
-    return rrc_taps(rolloff, sps, span)
+    """`rrc_taps(...)`, shared by every caller and every thread, so read-only."""
+    taps = rrc_taps(rolloff, sps, span)
+    taps.flags.writeable = False
+    return taps
 
 
 def _spec_taps(spec: FrameSpec) -> np.ndarray:
@@ -272,8 +278,12 @@ def _upsample_and_shape(symbols: np.ndarray, spec: FrameSpec) -> np.ndarray:
     depth = bank.shape[0]
     n = symbols.shape[-1]
     padded = _real_parts(symbols, depth - 1, n + 2 * (depth - 1))
-    phases = sliding_window_view(padded, depth, axis=-1) @ bank   # (..., 2, n + depth - 1, sps)
-    samples = _complex(phases.reshape(phases.shape[:-2] + (-1,)))
+    windows = sliding_window_view(padded, depth, axis=-1)   # (..., 2, n + depth - 1, depth)
+    samples = np.empty(symbols.shape[:-1] + ((n + depth - 1) * spec.sps,), dtype=np.complex128)
+    phases = samples.shape[:-1] + (n + depth - 1, spec.sps)
+    # The phase outputs go straight into the real and imaginary parts.
+    np.matmul(windows[..., 0, :, :], bank, out=samples.real.reshape(phases))
+    np.matmul(windows[..., 1, :, :], bank, out=samples.imag.reshape(phases))
     return samples[..., : n * spec.sps + spec.ntaps - 1]
 
 

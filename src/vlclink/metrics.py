@@ -1,4 +1,4 @@
-"""BER accounting, spectral efficiency, and CSV dumps.
+"""Link reports, error-free efficiency, and CSV dumps.
 
 CSV schemas (comma separated, '.' decimal, header row mandatory):
 
@@ -15,13 +15,11 @@ from typing import IO, Iterable
 import numpy as np
 
 from .adapt import Mode, encode_mode
-from .errors import LengthError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "LinkReport",
     "REPORT_HEADER",
-    "count_ber",
-    "spectral_efficiency",
     "error_free_efficiency",
     "dump_constellation",
     "format_report_row",
@@ -43,23 +41,6 @@ class LinkReport:
     eff_bshz: float
     snrs_db: tuple[float, ...]
     evm: float
-
-
-def count_ber(tx_bits, rx_bits) -> tuple[int, int, float]:
-    """Hamming distance between two bit streams and the resulting BER."""
-    tx = np.asarray(tx_bits, dtype=np.int64).ravel()
-    rx = np.asarray(rx_bits, dtype=np.int64).ravel()
-    if tx.size != rx.size:
-        raise LengthError(f"tx has {tx.size} bits, rx has {rx.size}")
-    if tx.size == 0:
-        raise LengthError("bit streams must be non-empty")
-    errors = int(np.count_nonzero(tx != rx))
-    return errors, tx.size, errors / tx.size
-
-
-def spectral_efficiency(mode: Mode) -> float:
-    """b/s/Hz of a mode: log2(M), doubled under spatial multiplexing."""
-    return mode.efficiency
 
 
 def error_free_efficiency(mode: Mode, measured_ber: float, ber_tgt: float) -> float:

@@ -45,7 +45,11 @@ def _gray(i: np.ndarray | int):
 
 @dataclass(frozen=True)
 class Constellation:
-    """Lookup tables for one square QAM order."""
+    """Lookup tables for one square QAM order.
+
+    `constellation` caches one instance per order for every caller and every
+    thread, so its arrays are read-only.
+    """
 
     order: int
     bits_per_symbol: int
@@ -70,6 +74,8 @@ def constellation(order: int) -> Constellation:
     icode = codes >> (k // 2)
     qcode = codes & (side - 1)
     points = level_by_code[icode] + 1j * level_by_code[qcode]
+    for table in (level_by_code, points, codes):
+        table.flags.writeable = False
     return Constellation(
         order=order,
         bits_per_symbol=k,

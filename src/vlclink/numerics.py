@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SingularMatrix
 
-__all__ = ["Svd2", "qfunc", "svd2", "inv2", "make_rng", "gaussian_pair"]
+__all__ = ["Svd2", "qfunc", "svd2", "inv2", "make_rng"]
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -28,12 +28,6 @@ def make_rng(seed) -> np.random.Generator:
     share the generator.
     """
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def gaussian_pair(rng: np.random.Generator) -> tuple[float, float]:
-    """Draw two independent standard-normal variates from `rng`."""
-    a, b = rng.standard_normal(2)
-    return float(a), float(b)
 
 
 def _erfc_series(z: float) -> float:

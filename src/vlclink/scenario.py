@@ -15,9 +15,10 @@ list is documented in the README; unknown keys are rejected.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import product
-from typing import IO
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -399,15 +400,21 @@ def _run_frame(
         row = qam_map(tx_bits, mode.order)
         payload = np.stack([row, row])
 
+    # Sweeps run frames on several threads at once, so each frame keeps its
+    # 0/1 bits as int8 and drops its sample-rate arrays as soon as the chain
+    # has no further use for them.
+    tx_bits = tx_bits.astype(np.int8)
     frame = build_frame(payload, spec, mode.scheme)
-    lead = np.zeros((2, LEAD_PAD), dtype=np.complex128)
-    tail = np.zeros((2, TAIL_PAD), dtype=np.complex128)
-    tx = np.concatenate([lead, frame.branch_samples, tail], axis=1)
+    lay = frame.layout
+    tx = np.zeros((2, LEAD_PAD + spec.n_samples + TAIL_PAD), dtype=np.complex128)
+    tx[:, LEAD_PAD : LEAD_PAD + spec.n_samples] = frame.branch_samples
+    del frame
     rx = apply_channel(tx, ChannelState(h=h_eff, n0=N0), sps=spec.sps, noise=noise)
+    del tx
 
     start = synchronize(rx, spec)
     symbols = matched_filter_downsample(rx, spec, start, spec.n_symbols)
-    lay = frame.layout
+    del rx
     n_p = spec.pilot_len
     segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
     est = estimate_channel(segments, pilot_symbols(spec))
@@ -572,22 +579,59 @@ def run_position(
     return adaptive, sm64, sd64
 
 
-def run_blockage_sweep(config: ScenarioConfig) -> BlockageSweepResult:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int | None, tasks: int, cpus: int) -> int:
+    """Threads for `tasks` independent tasks: min(jobs, cpus, tasks), at least 1.
+
+    `jobs=None` asks for one thread per usable CPU.  Clamping to `cpus` and to
+    `tasks` means no input can start more threads than there are CPUs to run
+    them or tasks to give them.
+    """
+    if jobs is not None and jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    return max(1, min(cpus if jobs is None else jobs, cpus, tasks))
+
+
+def _map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """[fn(t) for t in tasks], on `workers` threads, in task order.
+
+    The tasks must be independent.  The frame chain spends its time in numpy
+    kernels that release the interpreter lock, and threads keep every frame
+    in this process, where the caller can count and measure it.  The first
+    failing task in task order raises, as in a serial run, and tasks not yet
+    started are cancelled.
+    """
+    if workers == 1:
+        return list(map(fn, tasks))
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, tasks))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def run_blockage_sweep(config: ScenarioConfig, jobs: int | None = None) -> BlockageSweepResult:
     """Sweep the obstacle across the link, adaptive plus both fixed baselines.
 
     All three runs at a position share per-frame noise seeds, so the baseline
-    comparison sees identical noise realisations.
+    comparison sees identical noise realisations.  Positions are seeded on
+    their own and run on up to `jobs` threads (default: one per usable CPU);
+    the result is the same for every `jobs`.
     """
-    p_total = _transmit_p_total(config)
     positions = config.positions()
-    adaptive: list[LinkReport] = []
-    fixed_sm64: list[LinkReport] = []
-    fixed_sd64: list[LinkReport] = []
-    for index in range(positions.size):
-        rep_a, rep_m, rep_d = run_position(config, index, p_total=p_total)
-        adaptive.append(rep_a)
-        fixed_sm64.append(rep_m)
-        fixed_sd64.append(rep_d)
+    workers = _worker_count(jobs, positions.size, _usable_cpus())
+    p_total = _transmit_p_total(config)
+    reports = _map_tasks(lambda index: run_position(config, index, p_total), range(positions.size), workers)
+    adaptive, fixed_sm64, fixed_sd64 = (list(run) for run in zip(*reports))
     averages = {
         "adaptive": float(np.mean([r.eff_bshz for r in adaptive])),
         "fixed_sm64": float(np.mean([r.eff_bshz for r in fixed_sm64])),
@@ -656,44 +700,52 @@ def measure_mode_ber(
     return errors, bits
 
 
-def run_ber_sweep(config: ScenarioConfig) -> list[BerSweepRow]:
+def run_ber_sweep(config: ScenarioConfig, jobs: int | None = None) -> list[BerSweepRow]:
     """Monte-Carlo BER against theory over the configured SNR grid.
 
     Runs every (scheme, order) pair through the full chain on the
     unobstructed channel; the theory column evaluates the BER prediction at
-    the SNRs implied by the true channel matrix.
+    the SNRs implied by the true channel matrix.  Every (curve, point) is
+    seeded on its own and the points run on up to `jobs` threads (default:
+    one per usable CPU); the rows are the same for every `jobs`.
     """
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=None))
     est_true = _true_estimate(h_norm)
     grid = _grid(config.bersweep_snr_start, config.bersweep_snr_step, config.bersweep_snr_stop)
-    rows: list[BerSweepRow] = []
     curves = list(product(("SD", "SM"), (4, 16, 64, 256)))
-    for curve_idx, (scheme, order) in enumerate(curves):
-        mode = Mode(scheme, order)
-        for point_idx, snr_db in enumerate(grid):
-            p_total = 10.0 ** (snr_db / 10.0)
-            errors, bits = measure_mode_ber(
-                config,
-                mode,
-                p_total,
-                (config.base_seed, _BER_SWEEP_TAG, curve_idx, point_idx),
-                config.bersweep_min_errors,
-                config.bersweep_max_bits,
+    points = [
+        (curve_idx, point_idx, Mode(scheme, order), snr_db, 10.0 ** (snr_db / 10.0))
+        for curve_idx, (scheme, order) in enumerate(curves)
+        for point_idx, snr_db in enumerate(grid)
+    ]
+    workers = _worker_count(jobs, len(points), _usable_cpus())
+
+    def measure(point: tuple) -> tuple[int, int]:
+        curve_idx, point_idx, mode, _, p_total = point
+        return measure_mode_ber(
+            config,
+            mode,
+            p_total,
+            (config.base_seed, _BER_SWEEP_TAG, curve_idx, point_idx),
+            config.bersweep_min_errors,
+            config.bersweep_max_bits,
+        )
+
+    rows: list[BerSweepRow] = []
+    for (_, _, mode, snr_db, p_total), (errors, bits) in zip(points, _map_tasks(measure, points, workers)):
+        theory = predicted_ber(mode, stream_snrs(est_true, p_total, N0, mode.scheme))
+        rows.append(
+            BerSweepRow(
+                scheme=mode.scheme,
+                order=mode.order,
+                snr_db=float(snr_db),
+                ber_mc=errors / bits,
+                ber_theory=theory,
+                bits=bits,
+                errors=errors,
+                eff_bshz=mode.efficiency,
             )
-            snrs = stream_snrs(est_true, p_total, N0, scheme)
-            theory = predicted_ber(mode, snrs)
-            rows.append(
-                BerSweepRow(
-                    scheme=scheme,
-                    order=order,
-                    snr_db=float(snr_db),
-                    ber_mc=errors / bits,
-                    ber_theory=theory,
-                    bits=bits,
-                    errors=errors,
-                    eff_bshz=mode.efficiency,
-                )
-            )
+        )
     return rows
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from vlclink.cli import EXIT_CONFIG, EXIT_OK, main
+from vlclink import cli
+from vlclink.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 FAST = """
 frame.payload_len = 512
@@ -92,3 +93,30 @@ class TestErrors:
         path.write_text(text)
         assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["blockage-sweep", "ber-sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_config_error(self, command, jobs, fast_config, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(cli, "run_blockage_sweep", no_sweep)
+        monkeypatch.setattr(cli, "run_ber_sweep", no_sweep)
+        assert main([command, "--config", fast_config, "--jobs", jobs]) == EXIT_CONFIG
+        assert "config error: --jobs" in capsys.readouterr().err
+
+
+class TestJobs:
+    @pytest.mark.parametrize("command", ["blockage-sweep", "ber-sweep"])
+    def test_jobs_reach_the_sweep(self, command, fast_config, monkeypatch):
+        seen = []
+
+        def record(cfg, jobs):
+            seen.append(jobs)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(cli, "run_blockage_sweep", record)
+        monkeypatch.setattr(cli, "run_ber_sweep", record)
+        assert main([command, "--config", fast_config, "--jobs", "2"]) == EXIT_RUNTIME
+        assert main([command, "--config", fast_config]) == EXIT_RUNTIME
+        assert seen == [2, None]

@@ -4,49 +4,24 @@ import numpy as np
 import pytest
 
 from vlclink import (
-    LengthError,
     Mode,
-    count_ber,
     dump_constellation,
     error_free_efficiency,
     make_rng,
     qam_map,
-    spectral_efficiency,
 )
 from vlclink.metrics import LinkReport, REPORT_HEADER, format_report_row
 
 
-class TestCountBer:
-    def test_identical(self):
-        bits = make_rng(1).integers(0, 2, 1000)
-        assert count_ber(bits, bits) == (0, 1000, 0.0)
-
-    def test_complemented(self):
-        bits = make_rng(2).integers(0, 2, 500)
-        assert count_ber(bits, 1 - bits) == (500, 500, 1.0)
-
-    def test_known_flips(self):
-        bits = np.zeros(1000, dtype=int)
-        rx = bits.copy()
-        rx[[3, 141, 592, 600, 999]] = 1
-        assert count_ber(bits, rx) == (5, 1000, 0.005)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthError):
-            count_ber([0, 1], [0])
-        with pytest.raises(LengthError):
-            count_ber([], [])
-
-
 class TestEfficiency:
     def test_values(self):
-        assert spectral_efficiency(Mode("SM", 64)) == 12
-        assert spectral_efficiency(Mode("SD", 64)) == 6
-        assert spectral_efficiency(Mode("SM", 256)) == 16
+        assert Mode("SM", 64).efficiency == 12
+        assert Mode("SD", 64).efficiency == 6
+        assert Mode("SM", 256).efficiency == 16
 
     def test_doubling_identity(self):
         for order in (4, 16, 64, 256):
-            assert spectral_efficiency(Mode("SM", order)) == 2 * spectral_efficiency(Mode("SD", order))
+            assert Mode("SM", order).efficiency == 2 * Mode("SD", order).efficiency
 
     def test_error_free_thresholding(self):
         assert error_free_efficiency(Mode("SM", 64), 0.0, 1e-3) == 12

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from vlclink import SingularMatrix, gaussian_pair, inv2, make_rng, qfunc, svd2
+from vlclink import SingularMatrix, inv2, make_rng, qfunc, svd2
 
 
 def oracle_q(x: float) -> float:
@@ -129,9 +129,6 @@ class TestRng:
         a = make_rng(31).standard_normal(64)
         b = make_rng(31).standard_normal(64)
         assert np.array_equal(a, b)
-
-    def test_gaussian_pair_determinism(self):
-        assert gaussian_pair(make_rng(7)) == gaussian_pair(make_rng(7))
 
     def test_moments(self):
         rng = make_rng(2024)
