@@ -112,15 +112,12 @@ class ChannelState:
     """Effective symbol-level channel: gain matrix plus noise density.
 
     `h` multiplies the two unit-reference branch streams; `n0` is the noise
-    variance per complex sample.  An optional first-order low-pass models a
-    band-limited emitter; when `equalize` is true its exact one-pole inverse
-    runs at each receive branch after noise injection.
+    variance per complex sample.  The channel is memoryless, so it acts the
+    same on a sample-rate stream and on matched-filter outputs.
     """
 
     h: np.ndarray
     n0: float
-    f3db_norm: float | None = None   # cycles per symbol
-    equalize: bool = True
 
     def __post_init__(self):
         ha = np.asarray(self.h, dtype=np.complex128)
@@ -129,8 +126,6 @@ class ChannelState:
         object.__setattr__(self, "h", ha)
         if not self.n0 > 0:
             raise ParameterError("n0 must be positive")
-        if self.f3db_norm is not None and self.f3db_norm <= 0:
-            raise ParameterError("f3db_norm must be positive when set")
 
 
 def los_gain(tx: Point, rx: Point, lambert_m: float, rx_area_cm2: float, fov_deg: float) -> float:
@@ -202,49 +197,32 @@ def channel_matrix(geometry: Geometry) -> tuple[np.ndarray, float]:
     return h, norm
 
 
-def _one_pole_lowpass(x: np.ndarray, a: float) -> np.ndarray:
-    y = np.empty_like(x)
-    acc = 0.0 + 0.0j
-    b = 1.0 - a
-    for n in range(x.size):
-        acc = b * x[n] + a * acc
-        y[n] = acc
-    return y
+def awgn(shape: tuple[int, ...], n0: float, rng: np.random.Generator, out=None) -> np.ndarray:
+    """Zero-mean complex Gaussian noise of variance n0 per sample, as drawn.
 
-
-def _one_pole_inverse(y: np.ndarray, a: float) -> np.ndarray:
-    x = np.empty_like(y)
-    b = 1.0 - a
-    x[0] = y[0] / b
-    x[1:] = (y[1:] - a * y[:-1]) / b
-    return x
-
-
-def awgn(shape: tuple[int, ...], n0: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero-mean complex Gaussian noise of variance n0 per sample.
-
-    Draws every real part of `shape` first, then every imaginary part, each
-    scaled by sqrt(n0/2).  A pre-drawn array is what `apply_channel` takes as
-    `noise`, so callers that share one noise realisation draw it once.
+    A real (2, *shape) array: every real part, then every imaginary part, each
+    scaled by sqrt(n0/2); drawn into `out`, a float64 buffer of that shape,
+    when given.  It is what `apply_channel` takes as `noise`, so callers that
+    share one noise realisation draw it once.
     """
-    sigma = math.sqrt(n0 / 2.0)
-    w = np.empty(shape, dtype=np.complex128)
-    np.multiply(rng.standard_normal(shape), sigma, out=w.real)
-    np.multiply(rng.standard_normal(shape), sigma, out=w.imag)
-    return w
+    shape = (2,) + tuple(shape)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ParameterError(f"out has shape {out.shape}, noise {shape}")
+    rng.standard_normal(out=out)
+    out *= math.sqrt(n0 / 2.0)
+    return out
 
 
-def apply_channel(
-    streams: np.ndarray, state: ChannelState, rng=None, sps: int = 1, noise: np.ndarray | None = None
-) -> np.ndarray:
+def apply_channel(streams: np.ndarray, state: ChannelState, rng=None, noise=None) -> np.ndarray:
     """Mix two branch streams through the channel and add AWGN.
 
     y_j[n] = sum_i h[j][i] x_i[n] + w_j[n], with w zero-mean complex Gaussian
     of variance n0 per sample.  Give exactly one of `rng`, an int seed or a
     numpy Generator that `awgn` draws w from, and `noise`, a w already drawn
     by `awgn` for the same shape (read, not modified).  Output is
-    bit-identical for a given seed.  `sps` converts the optional low-pass
-    corner from cycles/symbol to cycles/sample.
+    bit-identical for a given seed.
     """
     x = np.asarray(streams, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] < 1:
@@ -255,14 +233,9 @@ def apply_channel(
         if not isinstance(rng, np.random.Generator):
             rng = make_rng(rng)
         noise = awgn(x.shape, state.n0, rng)
-    elif noise.shape != x.shape:
+    elif noise.shape != (2,) + x.shape:
         raise ParameterError(f"noise has shape {noise.shape}, streams {x.shape}")
-    a = None
-    if state.f3db_norm is not None:
-        a = math.exp(-2.0 * math.pi * state.f3db_norm / sps)
-        x = np.stack([_one_pole_lowpass(x[0], a), _one_pole_lowpass(x[1], a)])
     y = state.h @ x
-    y += noise
-    if a is not None and state.equalize:
-        y = np.stack([_one_pole_inverse(y[0], a), _one_pole_inverse(y[1], a)])
+    y.real += noise[0]
+    y.imag += noise[1]
     return y

@@ -20,8 +20,10 @@ Banks, 1993): shaping filters the symbols once per output phase instead of
 convolving a zero-stuffed stream, and `matched_filter_downsample` computes
 only the outputs at the symbol instants.  `synchronize` considers only the
 starts that leave room for a whole frame, start <= n - 1 - (n_symbols - 1)
-* sps, and filters only the stream head those starts need.  Both it and
-`matched_filter_downsample` take one (n,) stream or a (2, n) branch pair.
+* sps, and filters only the stream head those starts need, which is all
+`build_head` shapes.  `matched_filter_frame` gives the noise-free
+matched-filter output at symbol rate, through one phase of the RRC x RRC
+cascade.  Shaping and both matched filters run as banded matrix products.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthError, ParameterError, RangeError, SchemeError, SyncNotFound
 
@@ -45,8 +46,11 @@ __all__ = [
     "rrc_taps",
     "add_cp",
     "remove_cp",
+    "build_symbols",
     "build_frame",
+    "build_head",
     "matched_filter_downsample",
+    "matched_filter_frame",
     "synchronize",
     "SYNC_THRESHOLD",
 ]
@@ -114,14 +118,12 @@ class FrameSpec:
             cp=p + 2 * n,
             payload=p + 2 * n + self.cp_len,
             end=self.n_symbols,
-            sps=self.sps,
-            ntaps=self.ntaps,
         )
 
 
 @dataclass(frozen=True)
 class FrameLayout:
-    """Symbol offsets of each frame segment plus the sample-domain mapping."""
+    """Symbol offsets of each frame segment."""
 
     preamble: int
     pilot1: int
@@ -129,12 +131,6 @@ class FrameLayout:
     cp: int
     payload: int
     end: int
-    sps: int
-    ntaps: int
-
-    def mf_sample_of_symbol(self, k: int, start: int = 0) -> int:
-        """Matched-filter output index that carries symbol k."""
-        return start + self.ntaps - 1 + k * self.sps
 
 
 @dataclass(frozen=True)
@@ -177,10 +173,20 @@ def preamble_symbols(spec: FrameSpec) -> np.ndarray:
 
 
 def pilot_symbols(spec: FrameSpec) -> np.ndarray:
-    """Unit-power BPSK pilots, a cyclic shift of the preamble sequence."""
-    base = np.roll(_cached_mseq(spec.preamble_len), -_PILOT_SHIFT)
-    reps = -(-spec.pilot_len // base.size)
-    return np.tile(base, reps)[: spec.pilot_len].astype(np.complex128)
+    """Unit-power BPSK pilots, a cyclic shift of the preamble sequence.
+
+    Shared by every caller and every thread, so read-only.
+    """
+    return _cached_pilots(spec.preamble_len, spec.pilot_len)
+
+
+@lru_cache(maxsize=None)
+def _cached_pilots(preamble_len: int, pilot_len: int) -> np.ndarray:
+    base = np.roll(_cached_mseq(preamble_len), -_PILOT_SHIFT)
+    reps = -(-pilot_len // base.size)
+    pilots = np.tile(base, reps)[:pilot_len].astype(np.complex128)
+    pilots.flags.writeable = False
+    return pilots
 
 
 def rrc_taps(rolloff: float, sps: int, span: int) -> np.ndarray:
@@ -250,21 +256,49 @@ def _tap_bank(taps: np.ndarray, sps: int) -> np.ndarray:
     return bank.reshape(depth, sps)
 
 
-def _real_parts(x: np.ndarray, lead: int, width: int) -> np.ndarray:
-    """(..., 2, width) real array: x.real and x.imag from index `lead`, else 0."""
-    parts = np.zeros(x.shape[:-1] + (2, width))
-    m = min(x.shape[-1], width - lead)
-    parts[..., 0, lead : lead + m] = x.real[..., :m]
-    parts[..., 1, lead : lead + m] = x.imag[..., :m]
-    return parts
+@lru_cache(maxsize=None)
+def _band_pair(taps: bytes, shape: tuple[int, int], step: int) -> np.ndarray:
+    """Tap matrix of `_block_fir`, (2*chunk, block*m) for (ntaps, m) taps: entry
+    [r, t*m + j] is taps[r - t*step, j] where that row exists, else 0."""
+    f = np.frombuffer(taps).reshape(shape)
+    block = -(-shape[0] // step)
+    r = np.arange(2 * block * step)[:, None] - step * np.arange(block)
+    inside = ((r >= 0) & (r < shape[0]))[..., None]
+    bands = np.where(inside, f[np.clip(r, 0, shape[0] - 1)], 0.0).reshape(2 * block * step, -1)
+    bands.flags.writeable = False
+    return bands
 
 
-def _complex(parts: np.ndarray) -> np.ndarray:
-    """Inverse of `_real_parts` over the whole width."""
-    out = np.empty(parts.shape[:-2] + parts.shape[-1:], dtype=np.complex128)
-    out.real = parts[..., 0, :]
-    out.imag = parts[..., 1, :]
-    return out
+def _block_fir(x: np.ndarray, taps: np.ndarray, step: int, n_out: int) -> np.ndarray:
+    """y[..., k, j] = sum_i x[..., k*step + i] * taps[i, j] for k < n_out; x real, zero past its end.
+
+    Outputs go in blocks of ceil(ntaps/step).  The windows of one block span
+    its chunk of block*step samples and the next, so a block is two matrix
+    products with banded tap matrices.  x is read in place when long enough.
+    """
+    taps = np.ascontiguousarray(taps, dtype=np.float64)
+    bands = _band_pair(taps.tobytes(), taps.shape, step)
+    chunk, block = bands.shape[0] // 2, bands.shape[1] // taps.shape[1]
+    n_blocks = -(-n_out // block)
+    width = (n_blocks + 1) * chunk
+    if x.shape[-1] < width:
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (width - x.shape[-1],))], axis=-1)
+    chunks = x[..., :width].reshape(x.shape[:-1] + (n_blocks + 1, chunk))
+    y = chunks[..., :-1, :] @ bands[:chunk]
+    y += chunks[..., 1:, :] @ bands[chunk:]
+    return y.reshape(x.shape[:-1] + (n_blocks * block, taps.shape[1]))[..., :n_out, :]
+
+
+def _filter_symbols(symbols: np.ndarray, taps: np.ndarray, first: int, n_out: int) -> np.ndarray:
+    """Complex y[..., k, j] = sum_i symbols[..., first + k + i] * taps[i, j] for
+    k < n_out, the (..., n) symbols taken as zero outside 0..n-1."""
+    lead = max(-first, 0)
+    body = symbols[..., max(first, 0) :]
+    parts = np.zeros(symbols.shape[:-1] + (2, lead + body.shape[-1]))
+    parts[..., 0, lead:] = body.real
+    parts[..., 1, lead:] = body.imag
+    y = _block_fir(parts, taps, 1, n_out)
+    return y[..., 0, :, :] + 1j * y[..., 1, :, :]
 
 
 def _upsample_and_shape(symbols: np.ndarray, spec: FrameSpec) -> np.ndarray:
@@ -272,23 +306,16 @@ def _upsample_and_shape(symbols: np.ndarray, spec: FrameSpec) -> np.ndarray:
 
     Output sample q*sps + p is sum_j symbols[q - j] * taps[j*sps + p], so
     phase p filters the symbols with `taps[p::sps]`; the bank rows are
-    reversed to match a sliding window.  Works on the last axis of (..., n).
+    reversed to match a window.  Works on the last axis of (..., n).
     """
     bank = _tap_bank(_spec_taps(spec), spec.sps)[::-1]
-    depth = bank.shape[0]
     n = symbols.shape[-1]
-    padded = _real_parts(symbols, depth - 1, n + 2 * (depth - 1))
-    windows = sliding_window_view(padded, depth, axis=-1)   # (..., 2, n + depth - 1, depth)
-    samples = np.empty(symbols.shape[:-1] + ((n + depth - 1) * spec.sps,), dtype=np.complex128)
-    phases = samples.shape[:-1] + (n + depth - 1, spec.sps)
-    # The phase outputs go straight into the real and imaginary parts.
-    np.matmul(windows[..., 0, :, :], bank, out=samples.real.reshape(phases))
-    np.matmul(windows[..., 1, :, :], bank, out=samples.imag.reshape(phases))
-    return samples[..., : n * spec.sps + spec.ntaps - 1]
+    phases = _filter_symbols(symbols, bank, 1 - bank.shape[0], n + bank.shape[0] - 1)
+    return phases.reshape(symbols.shape[:-1] + (-1,))[..., : n * spec.sps + spec.ntaps - 1]
 
 
-def build_frame(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> TxFrame:
-    """Assemble and pulse-shape one frame for both branches.
+def build_symbols(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> np.ndarray:
+    """Assemble the (2, n_symbols) symbols of one frame for both branches.
 
     `payload_syms` has shape (2, payload_len).  Under SD both rows must be
     identical (the caller provides the repetition); under SM they are the two
@@ -305,19 +332,41 @@ def build_frame(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> TxFra
     if scheme == "SD" and not np.array_equal(payload_syms[0], payload_syms[1]):
         raise SchemeError("SD requires identical payload symbols on both branches")
 
-    pre = preamble_symbols(spec)
-    pilots = pilot_symbols(spec)
-    silence = np.zeros(spec.pilot_len, dtype=np.complex128)
-    symbols = np.empty((2, spec.n_symbols), dtype=np.complex128)
+    lay = spec.layout()
+    symbols = np.zeros((2, spec.n_symbols), dtype=np.complex128)   # silent where not set
+    symbols[:, : lay.pilot1] = preamble_symbols(spec)
+    symbols[0, lay.pilot1 : lay.pilot2] = pilot_symbols(spec)
+    symbols[1, lay.pilot2 : lay.cp] = pilot_symbols(spec)
     for b in range(2):
-        blocks = [pre]
-        blocks.append(pilots if b == 0 else silence)
-        blocks.append(pilots if b == 1 else silence)
-        blocks.append(add_cp(payload_syms[b], spec.cp_len))
-        symbols[b] = np.concatenate(blocks)
+        symbols[b, lay.cp :] = add_cp(payload_syms[b], spec.cp_len)
+    return symbols
 
+
+def build_frame(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> TxFrame:
+    """Assemble (see `build_symbols`) and pulse-shape one frame for both branches."""
+    symbols = build_symbols(payload_syms, spec, scheme)
     samples = _upsample_and_shape(symbols, spec)
     return TxFrame(branch_samples=samples, branch_symbols=symbols, layout=spec.layout())
+
+
+def _sync_reach(spec: FrameSpec, n: int) -> int:
+    """Leading samples of an n-sample stream that `synchronize` reads: the
+    matched-filter span of the preamble at the last admissible start."""
+    last = n - 1 - (spec.n_symbols - 1) * spec.sps
+    return min(n, last + (spec.preamble_len - 1) * spec.sps + spec.ntaps)
+
+
+def build_head(symbols: np.ndarray, spec: FrameSpec, lead: int, stream_len: int) -> np.ndarray:
+    """The head `synchronize` reads of a `stream_len`-sample stream: `lead` zero
+    samples, then the frame `build_frame` shapes from the (..., n_symbols)
+    `symbols`.  Only the symbols that reach the head are shaped."""
+    width = _sync_reach(spec, stream_len)
+    used = min(symbols.shape[-1], -(-(width - lead) // spec.sps))
+    head = np.zeros(symbols.shape[:-1] + (width,), dtype=np.complex128)
+    if used > 0:
+        shaped = _upsample_and_shape(symbols[..., :used], spec)[..., : width - lead]
+        head[..., lead : lead + shaped.shape[-1]] = shaped
+    return head
 
 
 def matched_filter_downsample(
@@ -325,18 +374,17 @@ def matched_filter_downsample(
 ) -> np.ndarray:
     """RRC matched filter evaluated only at the symbol instants after `start`.
 
-    `samples` is one (n,) stream or a (2, n) pair of branches; the result has
-    the same leading shape.  Symbol k is the full-convolution output at index
-    `start + ntaps - 1 + k*sps`, i.e. the window `samples[start + k*sps :
-    start + k*sps + ntaps]` (zero past the end) times the reversed taps,
-    computed polyphase: with the stream after `start` cut into blocks of
-    `sps` samples, symbol k is sum_j block[k + j] . bank[j].  Raises
+    `samples` is an (..., n) array of streams, complex or real; the result
+    has the same leading shape, and real input is filtered in place with a
+    real result.  Symbol k is the full-convolution output at index `start +
+    ntaps - 1 + k*sps`, i.e. the window `samples[start + k*sps : start +
+    k*sps + ntaps]` (zero past the end) times the reversed taps.  Raises
     RangeError when `start` lies outside the stream or fewer than
     `n_symbols` symbol instants follow it.
     """
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.ndim not in (1, 2):
-        raise LengthError("matched_filter_downsample expects an (n,) or (2, n) sample stream")
+    samples = np.asarray(samples)
+    if samples.ndim < 1:
+        raise LengthError("matched_filter_downsample expects an (..., n) sample stream")
     n = samples.shape[-1]
     if not 0 <= start < max(n, 1):
         raise RangeError(f"start {start} outside stream of {n} samples")
@@ -345,16 +393,36 @@ def matched_filter_downsample(
         n_symbols = available
     if not 0 <= n_symbols <= available:
         raise RangeError(f"stream holds {available} symbols after start, need {n_symbols}")
-    if n_symbols == 0:
-        return np.empty(samples.shape[:-1] + (0,), dtype=np.complex128)
-    sps = spec.sps
-    bank = _tap_bank(_spec_taps(spec)[::-1], sps)
-    depth = bank.shape[0]
-    n_blocks = n_symbols + depth - 1
-    parts = _real_parts(samples[..., start:], 0, n_blocks * sps)
-    blocks = parts.reshape(parts.shape[:-1] + (n_blocks, sps))
-    windows = sliding_window_view(blocks, depth, axis=-2)   # (..., 2, n_symbols, sps, depth)
-    return _complex(np.einsum("...kpj,jp->...k", windows, bank))
+    taps = _spec_taps(spec)[::-1, None]
+    if not np.iscomplexobj(samples):
+        return _block_fir(samples[..., start:].astype(np.float64, copy=False), taps, spec.sps, n_symbols)[..., 0]
+    y = _block_fir(np.stack([samples.real, samples.imag])[..., start:], taps, spec.sps, n_symbols)[..., 0]
+    return y[0] + 1j * y[1]
+
+
+@lru_cache(maxsize=None)
+def _cached_cascade(rolloff: float, sps: int, span: int) -> np.ndarray:
+    """The RRC x RRC cascade, 2*span*sps + 1 taps; shared, so read-only."""
+    taps = _cached_taps(rolloff, sps, span)
+    cascade = np.convolve(taps, taps)
+    cascade.flags.writeable = False
+    return cascade
+
+
+def matched_filter_frame(symbols: np.ndarray, spec: FrameSpec, start: int) -> np.ndarray:
+    """Noise-free matched-filter output of a frame at its symbol instants.
+
+    `matched_filter_downsample(stream, spec, s, n_symbols)` of a stream that
+    holds the frame `build_frame` shapes from the (..., n_symbols) `symbols`
+    at sample s - start and zeros elsewhere; `start` may be any integer.  With
+    g the RRC x RRC cascade and c = start + ntaps - 1, symbol k is sum_m
+    symbols[m] * g[(k - m)*sps + c]: the symbols filtered by the phase
+    g[c mod sps :: sps], shifted by c // sps.
+    """
+    c = start + spec.ntaps - 1
+    phase = _cached_cascade(spec.rolloff, spec.sps, spec.rrc_span)[c % spec.sps :: spec.sps]
+    first = c // spec.sps - (phase.size - 1)   # symbol under the first tap of output 0
+    return _filter_symbols(symbols, phase[::-1, None], first, symbols.shape[-1])[..., 0]
 
 
 def _best_start(stream: np.ndarray, spec: FrameSpec, last: int) -> tuple[int, float]:
@@ -381,13 +449,15 @@ def _best_start(stream: np.ndarray, spec: FrameSpec, last: int) -> tuple[int, fl
     return peak, min(metric, 1.0)
 
 
-def synchronize(samples: np.ndarray, spec: FrameSpec) -> int:
+def synchronize(samples: np.ndarray, spec: FrameSpec, stream_len: int | None = None) -> int:
     """Locate the frame start by preamble cross-correlation.
 
     `samples` is one (n,) stream or a (2, n) pair of branches.  Returns the
     sample index of the first preamble symbol.  Only starts that leave room
     for a whole frame are considered: start <= n - 1 - (n_symbols - 1)*sps,
     so the returned start always decodes with `matched_filter_downsample`.
+    Given `stream_len`, `samples` may be just the head of such a stream that
+    sync reads, as `build_head` shapes it.
     The peak of each branch is selected on the raw correlation magnitude;
     with two branches the one with the higher normalised metric wins (branch
     0 on a tie).  Detection requires that metric to reach SYNC_THRESHOLD, so
@@ -397,9 +467,12 @@ def synchronize(samples: np.ndarray, spec: FrameSpec) -> int:
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.ndim not in (1, 2):
         raise LengthError("synchronize expects an (n,) or (2, n) sample stream")
-    last = samples.shape[-1] - 1 - (spec.n_symbols - 1) * spec.sps
+    n = samples.shape[-1] if stream_len is None else stream_len
+    last = n - 1 - (spec.n_symbols - 1) * spec.sps
     if last < 0:
-        raise SyncNotFound(f"stream of {samples.shape[-1]} samples is shorter than one frame")
+        raise SyncNotFound(f"stream of {n} samples is shorter than one frame")
+    if samples.shape[-1] < _sync_reach(spec, n):
+        raise LengthError(f"sync reads {_sync_reach(spec, n)} samples, got {samples.shape[-1]}")
     best, metric = 0, -1.0
     for stream in samples.reshape(-1, samples.shape[-1]):
         peak, m = _best_start(stream, spec, last)

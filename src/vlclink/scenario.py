@@ -42,10 +42,11 @@ from .errors import (
 )
 from .framing import (
     FrameSpec,
-    build_frame,
+    build_head,
+    build_symbols,
     matched_filter_downsample,
+    matched_filter_frame,
     pilot_symbols,
-    remove_cp,
     synchronize,
 )
 from .metrics import LinkReport, error_free_efficiency, write_report_block
@@ -371,10 +372,11 @@ def _bits_rng(seed: tuple[int, ...], frame_idx: int) -> np.random.Generator:
     return make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_BITS)))
 
 
-def _frame_noise(spec: FrameSpec, seed: tuple[int, ...], frame_idx: int) -> np.ndarray:
-    """Receiver noise of frame `frame_idx`, shaped like the padded (2, n) stream."""
+def _frame_noise(spec: FrameSpec, seed: tuple[int, ...], frame_idx: int, out=None) -> np.ndarray:
+    """Receiver noise of frame `frame_idx` over the (2, n) stream as `awgn` draws
+    it, (2, 2, n) real then imaginary parts; into the buffer `out` when given."""
     rng = make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_NOISE)))
-    return awgn((2, LEAD_PAD + spec.n_samples + TAIL_PAD), N0, rng)
+    return awgn((2, LEAD_PAD + spec.n_samples + TAIL_PAD), N0, rng, out=out)
 
 
 def _run_frame(
@@ -387,7 +389,10 @@ def _run_frame(
     """One frame through the whole chain: build, channel, sync, estimate, detect.
 
     `noise` is the frame's receiver noise from `_frame_noise`; it is read, not
-    modified, so runs that share a frame index share one draw.
+    modified, so runs that share a frame index share one draw.  Only the
+    stream head that sync reads passes the channel at sample rate.  The chain
+    is linear and the channel memoryless, so the received symbols are h times
+    the frame's symbol-rate RRC cascade plus the matched-filtered noise.
     """
     n_bits = mode.bits_per_symbol * spec.payload_len
     if mode.scheme == "SM":
@@ -401,26 +406,24 @@ def _run_frame(
         payload = np.stack([row, row])
 
     # Sweeps run frames on several threads at once, so each frame keeps its
-    # 0/1 bits as int8 and drops its sample-rate arrays as soon as the chain
-    # has no further use for them.
+    # 0/1 bits as int8.
     tx_bits = tx_bits.astype(np.int8)
-    frame = build_frame(payload, spec, mode.scheme)
-    lay = frame.layout
-    tx = np.zeros((2, LEAD_PAD + spec.n_samples + TAIL_PAD), dtype=np.complex128)
-    tx[:, LEAD_PAD : LEAD_PAD + spec.n_samples] = frame.branch_samples
-    del frame
-    rx = apply_channel(tx, ChannelState(h=h_eff, n0=N0), sps=spec.sps, noise=noise)
-    del tx
+    tx_symbols = build_symbols(payload, spec, mode.scheme)
+    lay = spec.layout()
+    head = build_head(tx_symbols, spec, LEAD_PAD, noise.shape[-1])
+    rx_head = apply_channel(head, ChannelState(h=h_eff, n0=N0), noise=noise[..., : head.shape[-1]])
+    start = synchronize(rx_head, spec, stream_len=noise.shape[-1])
 
-    start = synchronize(rx, spec)
-    symbols = matched_filter_downsample(rx, spec, start, spec.n_symbols)
-    del rx
+    symbols = h_eff @ matched_filter_frame(tx_symbols, spec, start - LEAD_PAD)
+    mf_noise = matched_filter_downsample(noise, spec, start, spec.n_symbols)
+    symbols.real += mf_noise[0]
+    symbols.imag += mf_noise[1]
+
     n_p = spec.pilot_len
     segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
     est = estimate_channel(segments, pilot_symbols(spec))
 
-    with_cp = symbols[:, lay.cp : lay.end]
-    rx_payload = np.stack([remove_cp(with_cp[j], spec.cp_len) for j in range(2)])
+    rx_payload = symbols[:, lay.payload : lay.end]
 
     if mode.scheme == "SM":
         detected = detect_sm_zf(rx_payload, est)
@@ -561,18 +564,18 @@ def run_position(
     policy = config.policy()
     seed = (config.base_seed + index,)
     runs = (_Run(None, new_controller(policy)), _Run(Mode("SM", 64)), _Run(Mode("SD", 64)))
+    noise = None   # allocated by the first draw, then redrawn in place
     for frame_idx in range(_MAX_FRAMES_PER_POSITION):
         active = [run for run in runs if not run.done]
         if not active:
             break
-        noise = _frame_noise(spec, seed, frame_idx)
+        noise = _frame_noise(spec, seed, frame_idx, out=noise)
         results: dict[Mode, FrameResult] = {}
         for run in active:
             mode = run.mode
             if mode not in results:
                 results[mode] = _run_frame(mode, h_eff, spec, _bits_rng(seed, frame_idx), noise)
             run.record(frame_idx, results[mode], config, policy)
-        del noise, results   # only one frame index's noise is alive at a time
     if not all(run.done for run in runs):
         raise RuntimeError(f"position {x}: frame budget of {_MAX_FRAMES_PER_POSITION} frames exhausted")
     adaptive, sm64, sd64 = (run.report(x, policy) for run in runs)
@@ -691,8 +694,9 @@ def measure_mode_ber(
     errors = 0
     bits = 0
     frame_idx = 0
+    noise = None   # allocated by the first draw, then redrawn in place
     while bits == 0 or (errors < min_errors and bits < max_bits):
-        noise = _frame_noise(spec, seed_tuple, frame_idx)
+        noise = _frame_noise(spec, seed_tuple, frame_idx, out=noise)
         result = _run_frame(mode, h_eff, spec, _bits_rng(seed_tuple, frame_idx), noise)
         errors += result.errors
         bits += result.bits

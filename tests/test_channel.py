@@ -142,31 +142,6 @@ class TestApplyChannel:
         y = apply_channel(x, ChannelState(h=h, n0=1e-30), 3)
         assert np.allclose(y, h @ x, atol=1e-12)
 
-    def test_lowpass_with_equalizer_is_transparent_at_zero_noise(self):
-        from vlclink import FrameSpec, build_frame, matched_filter_downsample, qam_map
-
-        spec = FrameSpec(payload_len=512)
-        rng = make_rng(8)
-        bits = rng.integers(0, 2, size=(2, 2 * 512))
-        payload = np.stack([qam_map(bits[0], 4), qam_map(bits[1], 4)])
-        frame = build_frame(payload, spec, "SM")
-        state = ChannelState(h=np.eye(2, dtype=complex), n0=1e-30, f3db_norm=0.2, equalize=True)
-        y = apply_channel(frame.branch_samples, state, 4, sps=spec.sps)
-        lay = frame.layout
-        syms = matched_filter_downsample(y[0], spec, 0, spec.n_symbols)
-        got = syms[lay.payload : lay.end]
-        err = math.sqrt(
-            float(np.sum(np.abs(got - payload[0]) ** 2) / np.sum(np.abs(payload[0]) ** 2))
-        )
-        assert err < 0.02
-
-    def test_lowpass_without_equalizer_distorts(self):
-        rng = make_rng(9)
-        x = rng.standard_normal((2, 2048)) + 1j * rng.standard_normal((2, 2048))
-        state = ChannelState(h=np.eye(2, dtype=complex), n0=1e-30, f3db_norm=0.05, equalize=False)
-        y = apply_channel(x, state, 5, sps=4)
-        assert not np.allclose(y, x, atol=0.1)
-
 
 class TestNoisePath:
     H = np.array([[0.9, 0.05j], [0.1, 1.1 - 0.2j]], dtype=complex)
@@ -185,6 +160,25 @@ class TestNoisePath:
         want.real += sigma * rng.standard_normal(x.shape)
         want.imag += sigma * rng.standard_normal(x.shape)
         assert np.array_equal(apply_channel(x, state, 31), want)
+
+    def test_awgn_returns_real_then_imaginary_parts_as_drawn(self):
+        # the former complex draw, bit for bit, kept as real parts then imaginary parts
+        rng = make_rng(31)
+        sigma = math.sqrt(0.7 / 2.0)
+        want = np.empty((2, 300), dtype=np.complex128)
+        want.real = sigma * rng.standard_normal((2, 300))
+        want.imag = sigma * rng.standard_normal((2, 300))
+        got = awgn((2, 300), 0.7, make_rng(31))
+        assert got.shape == (2, 2, 300)
+        assert np.array_equal(got[0], want.real)
+        assert np.array_equal(got[1], want.imag)
+
+    def test_awgn_draws_into_out(self):
+        buf = np.full((2, 2, 300), np.nan)
+        assert awgn((2, 300), 0.7, make_rng(31), out=buf) is buf
+        assert np.array_equal(buf, awgn((2, 300), 0.7, make_rng(31)))
+        with pytest.raises(ParameterError):
+            awgn((2, 299), 0.7, make_rng(31), out=buf)
 
     def test_predrawn_noise_matches_seeded_draw(self):
         x = self.streams()
@@ -206,3 +200,6 @@ class TestNoisePath:
         x = self.streams()
         with pytest.raises(ParameterError):
             apply_channel(x, ChannelState(h=self.H, n0=0.7), noise=awgn((2, 299), 0.7, make_rng(3)))
+        complex_noise = np.zeros(x.shape, dtype=np.complex128)
+        with pytest.raises(ParameterError):
+            apply_channel(x, ChannelState(h=self.H, n0=0.7), noise=complex_noise)

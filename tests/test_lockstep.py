@@ -55,14 +55,18 @@ base_seed = 3
 
 
 def reference_noise(spec, pos_seed, frame_idx):
-    """The former draw: all real parts, then all imaginary parts, each times sigma."""
+    """The former draw: all real parts, then all imaginary parts, each times sigma.
+
+    Drawn as complex noise, then handed over as the (2, 2, n) real and
+    imaginary parts that `_run_frame` reads.
+    """
     rng = make_rng(np.random.SeedSequence((pos_seed, frame_idx, _ROLE_NOISE)))
     shape = (2, LEAD_PAD + spec.n_samples + TAIL_PAD)
     sigma = math.sqrt(N0 / 2.0)
     w = np.empty(shape, dtype=np.complex128)
     w.real = sigma * rng.standard_normal(shape)
     w.imag = sigma * rng.standard_normal(shape)
-    return w
+    return np.stack([w.real, w.imag])
 
 
 def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, fixed_mode, used):
@@ -221,9 +225,9 @@ class TestFrameBudget:
         noise_indices = []
         real_frame_noise = scenario._frame_noise
 
-        def spy_frame_noise(spec, seed, frame_idx):
+        def spy_frame_noise(spec, seed, frame_idx, out=None):
             noise_indices.append(frame_idx)
-            return real_frame_noise(spec, seed, frame_idx)
+            return real_frame_noise(spec, seed, frame_idx, out=out)
 
         monkeypatch.setattr(scenario, "_frame_noise", spy_frame_noise)
         with pytest.raises(RuntimeError, match="frame budget"):

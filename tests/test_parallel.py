@@ -28,7 +28,7 @@ from vlclink import (
     write_blockage_csv,
 )
 from vlclink import scenario
-from vlclink.framing import _cached_mseq, _cached_taps
+from vlclink.framing import FrameSpec, _band_pair, _cached_cascade, _cached_mseq, _cached_taps, pilot_symbols
 from vlclink.scenario import _usable_cpus, _worker_count
 
 # The adaptive run at x = 1 (index 0, seed 14) alternates SM-16 and SM-64;
@@ -182,7 +182,14 @@ class TestFailure:
 
 class TestSharedCachesReadOnly:
     def test_framing_caches(self):
-        for table in (_cached_mseq(63), _cached_taps(0.35, 4, 10)):
+        tables = (
+            _cached_mseq(63),
+            _cached_taps(0.35, 4, 10),
+            _cached_cascade(0.35, 4, 10),
+            _band_pair(np.ones(41).tobytes(), (41, 1), 4),
+            pilot_symbols(FrameSpec()),
+        )
+        for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
