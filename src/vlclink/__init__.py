@@ -54,7 +54,6 @@ from .framing import (
     mseq,
     pilot_symbols,
     preamble_symbols,
-    remove_cp,
     rrc_taps,
     synchronize,
 )
@@ -71,7 +70,6 @@ from .modem import (
     evm,
     qam_demap,
     qam_map,
-    snr_from_evm,
 )
 from .numerics import Svd2, inv2, make_rng, qfunc, svd2
 from .receiver import (

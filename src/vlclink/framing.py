@@ -45,10 +45,10 @@ __all__ = [
     "pilot_symbols",
     "rrc_taps",
     "add_cp",
-    "remove_cp",
     "build_symbols",
     "build_frame",
     "build_head",
+    "head_symbols",
     "matched_filter_downsample",
     "matched_filter_frame",
     "synchronize",
@@ -239,14 +239,6 @@ def add_cp(symbols: np.ndarray, cp_len: int) -> np.ndarray:
     return np.concatenate([symbols[-cp_len:], symbols])
 
 
-def remove_cp(symbols: np.ndarray, cp_len: int) -> np.ndarray:
-    """Drop the first `cp_len` symbols; inverse of add_cp."""
-    symbols = np.asarray(symbols)
-    if cp_len < 0 or cp_len >= symbols.size:
-        raise LengthError(f"cp_len {cp_len} must be in [0, {symbols.size})")
-    return symbols[cp_len:].copy()
-
-
 def _tap_bank(taps: np.ndarray, sps: int) -> np.ndarray:
     """Taps zero-padded to whole symbols: row j of the (ceil(ntaps/sps), sps)
     result is taps[j*sps : (j+1)*sps], so column p is the phase-p sub-filter."""
@@ -356,12 +348,19 @@ def _sync_reach(spec: FrameSpec, n: int) -> int:
     return min(n, last + (spec.preamble_len - 1) * spec.sps + spec.ntaps)
 
 
+def head_symbols(spec: FrameSpec, lead: int, stream_len: int) -> int:
+    """Leading frame symbols that reach the head `build_head` shapes, at most
+    n_symbols; the head depends on the frame through these alone."""
+    return max(0, min(spec.n_symbols, -(-(_sync_reach(spec, stream_len) - lead) // spec.sps)))
+
+
 def build_head(symbols: np.ndarray, spec: FrameSpec, lead: int, stream_len: int) -> np.ndarray:
     """The head `synchronize` reads of a `stream_len`-sample stream: `lead` zero
     samples, then the frame `build_frame` shapes from the (..., n_symbols)
-    `symbols`.  Only the symbols that reach the head are shaped."""
+    `symbols`.  Only the first `head_symbols` symbols are read, so `symbols`
+    may hold just those."""
     width = _sync_reach(spec, stream_len)
-    used = min(symbols.shape[-1], -(-(width - lead) // spec.sps))
+    used = min(symbols.shape[-1], head_symbols(spec, lead, stream_len))
     head = np.zeros(symbols.shape[:-1] + (width,), dtype=np.complex128)
     if used > 0:
         shaped = _upsample_and_shape(symbols[..., :used], spec)[..., : width - lead]

@@ -12,6 +12,12 @@ Mapping convention (fixed so results are bit-exact and reproducible):
 
 Under this convention 4-QAM maps bits 00 to (+1+1j)/sqrt(2) and 11 to
 (-1-1j)/sqrt(2).
+
+A k-bit group read this way is the symbol's label, the index into
+`constellation(order).points`.  The frame chain packs its bits into uint8
+labels once, maps and demaps labels, and counts bit errors as the popcount
+of tx XOR rx labels; `qam_map` and `qam_demap` are the bit-level entries
+over the same functions.
 """
 
 from __future__ import annotations
@@ -31,9 +37,12 @@ __all__ = [
     "constellation",
     "qam_map",
     "qam_demap",
+    "pack_labels",
+    "map_labels",
+    "demap_labels",
+    "label_bit_errors",
     "ber_theoretical",
     "evm",
-    "snr_from_evm",
 ]
 
 QAM_ORDERS = (4, 16, 64, 256)
@@ -56,7 +65,6 @@ class Constellation:
     scale: float                # amplitude unit; levels are odd multiples of it
     level_by_code: np.ndarray   # axis amplitude indexed by the axis bit code
     points: np.ndarray          # complex point indexed by the full k-bit label
-    labels: np.ndarray          # identity label list, kept for introspection
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +82,7 @@ def constellation(order: int) -> Constellation:
     icode = codes >> (k // 2)
     qcode = codes & (side - 1)
     points = level_by_code[icode] + 1j * level_by_code[qcode]
-    for table in (level_by_code, points, codes):
+    for table in (level_by_code, points):
         table.flags.writeable = False
     return Constellation(
         order=order,
@@ -82,29 +90,28 @@ def constellation(order: int) -> Constellation:
         scale=scale,
         level_by_code=level_by_code,
         points=points,
-        labels=codes,
     )
 
 
-def _pack_msb_first(bits: np.ndarray) -> np.ndarray:
-    weights = 1 << np.arange(bits.shape[1] - 1, -1, -1)
-    return bits @ weights
+# Set bits of every byte value, for counting bit errors between labels.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+_POPCOUNT.flags.writeable = False
 
 
-def qam_map(bits, order: int) -> np.ndarray:
-    """Map a 0/1 bit sequence onto unit-average-energy QAM symbols."""
-    c = constellation(order)
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1:
-        bits = bits.ravel()
-    k = c.bits_per_symbol
-    if bits.size % k != 0:
-        raise LengthError(f"bit count {bits.size} not divisible by {k}")
-    groups = bits.reshape(-1, k)
-    half = k // 2
-    icode = _pack_msb_first(groups[:, :half])
-    qcode = _pack_msb_first(groups[:, half:])
-    return c.level_by_code[icode] + 1j * c.level_by_code[qcode]
+def pack_labels(bits: np.ndarray, order: int) -> np.ndarray:
+    """uint8 k-bit labels of a 0/1 integer array read k bits at a time, MSB
+    first: the index into `constellation(order).points`.
+
+    The bits are not checked; `qam_map` is the checked entry.
+    """
+    k = constellation(order).bits_per_symbol
+    weights = 1 << np.arange(k - 1, -1, -1)
+    return (bits.reshape(-1, k) @ weights).astype(np.uint8)
+
+
+def map_labels(labels: np.ndarray, order: int) -> np.ndarray:
+    """Constellation points of k-bit labels, same shape as `labels`."""
+    return constellation(order).points[labels]
 
 
 def _axis_indices(x: np.ndarray, c: Constellation) -> np.ndarray:
@@ -112,28 +119,50 @@ def _axis_indices(x: np.ndarray, c: Constellation) -> np.ndarray:
     # index at an exact decision boundary, i.e. the smaller coordinate.
     side = 1 << (c.bits_per_symbol // 2)
     raw = (side - 1 - x / c.scale) / 2.0
-    idx = np.floor(raw + 0.5).astype(np.int64)
-    return np.clip(idx, 0, side - 1)
+    return np.clip(np.floor(raw + 0.5), 0, side - 1).astype(np.uint8)
 
 
-def qam_demap(symbols, order: int) -> np.ndarray:
-    """Hard minimum-distance demap back to bits.
+def demap_labels(symbols: np.ndarray, order: int) -> np.ndarray:
+    """Hard minimum-distance decisions as uint8 k-bit labels, same shape as
+    `symbols`.
 
     Ties at a decision boundary resolve toward the smaller I coordinate,
     then the smaller Q coordinate.
     """
     c = constellation(order)
-    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-    k = c.bits_per_symbol
-    half = k // 2
-    icode = _gray(_axis_indices(symbols.real, c))
-    qcode = _gray(_axis_indices(symbols.imag, c))
-    bits = np.empty((symbols.size, k), dtype=np.int64)
-    for j in range(half):
-        shift = half - 1 - j
-        bits[:, j] = (icode >> shift) & 1
-        bits[:, half + j] = (qcode >> shift) & 1
-    return bits.ravel()
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    labels = _gray(_axis_indices(symbols.real, c))
+    labels <<= c.bits_per_symbol // 2
+    labels |= _gray(_axis_indices(symbols.imag, c))
+    return labels
+
+
+def label_bit_errors(tx: np.ndarray, rx: np.ndarray) -> int:
+    """Bits that differ between two uint8 label arrays of one shape."""
+    return int(np.take(_POPCOUNT, tx ^ rx).sum())
+
+
+def qam_map(bits, order: int) -> np.ndarray:
+    """Map a 0/1 bit sequence onto unit-average-energy QAM symbols."""
+    k = constellation(order).bits_per_symbol
+    bits = np.asarray(bits).ravel()
+    if bits.size % k != 0:
+        raise LengthError(f"bit count {bits.size} not divisible by {k}")
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ParameterError("bits must be 0 or 1")
+    return map_labels(pack_labels(bits.astype(np.int64), order), order)
+
+
+def qam_demap(symbols, order: int) -> np.ndarray:
+    """Hard minimum-distance demap back to bits, k per symbol, MSB first.
+
+    Ties at a decision boundary resolve toward the smaller I coordinate,
+    then the smaller Q coordinate.
+    """
+    labels = demap_labels(np.ravel(symbols), order)
+    k = constellation(order).bits_per_symbol
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint8)
+    return ((labels[:, None] >> shifts) & 1).astype(np.int64).ravel()
 
 
 def ber_theoretical(order: int, snr: float) -> float:
@@ -165,10 +194,3 @@ def evm(rx, ref) -> float:
     if ref_power == 0.0:
         raise ParameterError("reference power is zero")
     return math.sqrt(float(np.sum(np.abs(rx - ref) ** 2)) / ref_power)
-
-
-def snr_from_evm(evm_rms: float) -> float:
-    """Data-aided SNR estimate, 1/EVM^2 in linear units."""
-    if not evm_rms > 0.0:
-        raise ParameterError(f"evm must be positive, got {evm_rms}")
-    return 1.0 / (evm_rms * evm_rms)

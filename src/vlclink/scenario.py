@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import IO, Callable, Sequence
 
@@ -44,13 +45,14 @@ from .framing import (
     FrameSpec,
     build_head,
     build_symbols,
+    head_symbols,
     matched_filter_downsample,
     matched_filter_frame,
     pilot_symbols,
     synchronize,
 )
 from .metrics import LinkReport, error_free_efficiency, write_report_block
-from .modem import qam_demap, qam_map
+from .modem import demap_labels, label_bit_errors, map_labels, pack_labels
 from .numerics import make_rng
 from .receiver import ChannelEstimate, combine_sd_mrc, detect_sm_zf, estimate_channel, stream_snrs
 
@@ -355,16 +357,36 @@ def _transmit_p_total(config: ScenarioConfig) -> float:
 
 @dataclass
 class FrameResult:
+    """What one chain run measured.  The SNRs and the error and reference
+    powers are computed on first read: the BER sweep reads none of them."""
+
     mode: Mode
     bits: int
     errors: int
     est: ChannelEstimate
-    sm_snrs: tuple[float, ...] | None
-    sd_snr: float
-    err_power: float
-    ref_power: float
     sync_index: int
     detected: np.ndarray   # payload symbols after ZF / MRC, one row per stream
+    payload: np.ndarray    # payload symbols sent: (2, n) under SM, the (n,) row under SD
+
+    @cached_property
+    def sm_snrs(self) -> tuple[float, ...] | None:
+        try:
+            return stream_snrs(self.est, P_TOTAL_REF, N0, "SM").snr
+        except SingularMatrix:
+            return None
+
+    @cached_property
+    def sd_snr(self) -> float:
+        return stream_snrs(self.est, P_TOTAL_REF, N0, "SD").snr[0]
+
+    @cached_property
+    def err_power(self) -> float:
+        out = self.detected if self.payload.ndim == 2 else self.detected[0]
+        return float(np.sum(np.abs(out - self.payload) ** 2))
+
+    @cached_property
+    def ref_power(self) -> float:
+        return float(np.sum(np.abs(self.payload) ** 2))
 
 
 def _bits_rng(seed: tuple[int, ...], frame_idx: int) -> np.random.Generator:
@@ -372,11 +394,58 @@ def _bits_rng(seed: tuple[int, ...], frame_idx: int) -> np.random.Generator:
     return make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_BITS)))
 
 
+def _stream_len(spec: FrameSpec) -> int:
+    """Samples per branch of a frame's received stream, padding included."""
+    return LEAD_PAD + spec.n_samples + TAIL_PAD
+
+
 def _frame_noise(spec: FrameSpec, seed: tuple[int, ...], frame_idx: int, out=None) -> np.ndarray:
     """Receiver noise of frame `frame_idx` over the (2, n) stream as `awgn` draws
     it, (2, 2, n) real then imaginary parts; into the buffer `out` when given."""
     rng = make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_NOISE)))
-    return awgn((2, LEAD_PAD + spec.n_samples + TAIL_PAD), N0, rng, out=out)
+    return awgn((2, _stream_len(spec)), N0, rng, out=out)
+
+
+class _FrontEnds:
+    """The mode-independent part of the chain for one sweep task (a position or
+    a BER point), which runs on one thread.
+
+    A frame's front end is its sync head through the channel, the sync start
+    and the matched-filtered noise.  It depends on the frame's symbols only
+    through the first `head_symbols` of them, so the chain runs of one frame
+    index share it per distinct head-symbol block, and the shaped head of the
+    last block is kept across frame indices.  At the defaults that block is
+    preamble and pilots only, the same for every mode and frame; a head that
+    reaches the payload just keys more blocks.
+    """
+
+    def __init__(self, h_eff: np.ndarray, spec: FrameSpec, noise: np.ndarray | None = None):
+        self.state = ChannelState(h=h_eff, n0=N0)
+        self.spec = spec
+        self.noise = noise
+        self.used = head_symbols(spec, LEAD_PAD, _stream_len(spec))
+        self._ends: dict[bytes, tuple[int, np.ndarray]] = {}
+        self._head_key: bytes | None = None
+        self._head: np.ndarray | None = None
+
+    def draw(self, seed: tuple[int, ...], frame_idx: int) -> np.ndarray:
+        """The noise of frame `frame_idx`, drawn into the task's buffer."""
+        self.noise = _frame_noise(self.spec, seed, frame_idx, out=self.noise)
+        self._ends.clear()
+        return self.noise
+
+    def __call__(self, tx_symbols: np.ndarray) -> tuple[int, np.ndarray]:
+        """(sync start, matched-filtered noise) of the frame of `tx_symbols`."""
+        block = tx_symbols[:, : self.used]
+        key = block.tobytes()
+        if key not in self._ends:
+            spec, noise = self.spec, self.noise
+            if key != self._head_key:
+                self._head_key, self._head = key, build_head(block, spec, LEAD_PAD, noise.shape[-1])
+            rx_head = apply_channel(self._head, self.state, noise=noise[..., : self._head.shape[-1]])
+            start = synchronize(rx_head, spec, stream_len=noise.shape[-1])
+            self._ends[key] = (start, matched_filter_downsample(noise, spec, start, spec.n_symbols))
+        return self._ends[key]
 
 
 def _run_frame(
@@ -385,6 +454,7 @@ def _run_frame(
     spec: FrameSpec,
     bits_rng: np.random.Generator,
     noise: np.ndarray,
+    front_ends: _FrontEnds | None = None,
 ) -> FrameResult:
     """One frame through the whole chain: build, channel, sync, estimate, detect.
 
@@ -393,70 +463,44 @@ def _run_frame(
     stream head that sync reads passes the channel at sample rate.  The chain
     is linear and the channel memoryless, so the received symbols are h times
     the frame's symbol-rate RRC cascade plus the matched-filtered noise.
+    `front_ends`, the task's `_FrontEnds` whose current draw `noise` is, lets
+    chain runs share the sync front end; without it the run computes its own.
+    The modem works on k-bit labels, and errors are counted on them.
     """
-    n_bits = mode.bits_per_symbol * spec.payload_len
-    if mode.scheme == "SM":
-        tx_bits = bits_rng.integers(0, 2, size=2 * n_bits)
-        payload = np.stack(
-            [qam_map(tx_bits[:n_bits], mode.order), qam_map(tx_bits[n_bits:], mode.order)]
-        )
-    else:
-        tx_bits = bits_rng.integers(0, 2, size=n_bits)
-        row = qam_map(tx_bits, mode.order)
-        payload = np.stack([row, row])
-
-    # Sweeps run frames on several threads at once, so each frame keeps its
-    # 0/1 bits as int8.
-    tx_bits = tx_bits.astype(np.int8)
-    tx_symbols = build_symbols(payload, spec, mode.scheme)
-    lay = spec.layout()
-    head = build_head(tx_symbols, spec, LEAD_PAD, noise.shape[-1])
-    rx_head = apply_channel(head, ChannelState(h=h_eff, n0=N0), noise=noise[..., : head.shape[-1]])
-    start = synchronize(rx_head, spec, stream_len=noise.shape[-1])
+    rows = 2 if mode.scheme == "SM" else 1
+    tx_labels = pack_labels(
+        bits_rng.integers(0, 2, size=rows * mode.bits_per_symbol * spec.payload_len), mode.order
+    ).reshape(rows, spec.payload_len)
+    sent = map_labels(tx_labels, mode.order)
+    tx_symbols = build_symbols(np.broadcast_to(sent, (2, spec.payload_len)), spec, mode.scheme)
+    if front_ends is None:
+        front_ends = _FrontEnds(h_eff, spec, noise)
+    start, mf_noise = front_ends(tx_symbols)
 
     symbols = h_eff @ matched_filter_frame(tx_symbols, spec, start - LEAD_PAD)
-    mf_noise = matched_filter_downsample(noise, spec, start, spec.n_symbols)
     symbols.real += mf_noise[0]
     symbols.imag += mf_noise[1]
 
+    lay = spec.layout()
     n_p = spec.pilot_len
     segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
     est = estimate_channel(segments, pilot_symbols(spec))
 
     rx_payload = symbols[:, lay.payload : lay.end]
-
     if mode.scheme == "SM":
         detected = detect_sm_zf(rx_payload, est)
-        rx_bits = np.concatenate(
-            [qam_demap(detected[0], mode.order), qam_demap(detected[1], mode.order)]
-        )
-        err_power = float(np.sum(np.abs(detected - payload) ** 2))
-        ref_power = float(np.sum(np.abs(payload) ** 2))
     else:
-        combined = combine_sd_mrc(rx_payload, est)
-        detected = combined[None, :]
-        rx_bits = qam_demap(combined, mode.order)
-        err_power = float(np.sum(np.abs(combined - payload[0]) ** 2))
-        ref_power = float(np.sum(np.abs(payload[0]) ** 2))
-
-    errors = int(np.count_nonzero(tx_bits != rx_bits))
-    try:
-        sm = stream_snrs(est, P_TOTAL_REF, N0, "SM").snr
-    except SingularMatrix:
-        sm = None
-    sd = stream_snrs(est, P_TOTAL_REF, N0, "SD").snr[0]
+        detected = combine_sd_mrc(rx_payload, est)[None, :]
+    errors = label_bit_errors(tx_labels, demap_labels(detected, mode.order))
 
     return FrameResult(
         mode=mode,
-        bits=tx_bits.size,
+        bits=tx_labels.size * mode.bits_per_symbol,
         errors=errors,
         est=est,
-        sm_snrs=sm,
-        sd_snr=sd,
-        err_power=err_power,
-        ref_power=ref_power,
         sync_index=start,
         detected=detected,
+        payload=sent if rows == 2 else sent[0],
     )
 
 
@@ -549,7 +593,8 @@ def run_position(
     the same payload-bit stream in each of them.  The noise is drawn once per
     frame index while any run is active, and the frame chain runs once per
     distinct mode among the active runs; its result, which depends only on
-    (mode, h_eff, spec, seeds), goes to every run in that mode.  A run that has
+    (mode, h_eff, spec, seeds), goes to every run in that mode.  The chain runs
+    of a frame index share its sync front end (see `_FrontEnds`).  A run that has
     not met its budgets after _MAX_FRAMES_PER_POSITION frame indices raises.
     """
     positions = config.positions()
@@ -564,17 +609,17 @@ def run_position(
     policy = config.policy()
     seed = (config.base_seed + index,)
     runs = (_Run(None, new_controller(policy)), _Run(Mode("SM", 64)), _Run(Mode("SD", 64)))
-    noise = None   # allocated by the first draw, then redrawn in place
+    front_ends = _FrontEnds(h_eff, spec)
     for frame_idx in range(_MAX_FRAMES_PER_POSITION):
         active = [run for run in runs if not run.done]
         if not active:
             break
-        noise = _frame_noise(spec, seed, frame_idx, out=noise)
+        noise = front_ends.draw(seed, frame_idx)
         results: dict[Mode, FrameResult] = {}
         for run in active:
             mode = run.mode
             if mode not in results:
-                results[mode] = _run_frame(mode, h_eff, spec, _bits_rng(seed, frame_idx), noise)
+                results[mode] = _run_frame(mode, h_eff, spec, _bits_rng(seed, frame_idx), noise, front_ends)
             run.record(frame_idx, results[mode], config, policy)
     if not all(run.done for run in runs):
         raise RuntimeError(f"position {x}: frame budget of {_MAX_FRAMES_PER_POSITION} frames exhausted")
@@ -694,10 +739,10 @@ def measure_mode_ber(
     errors = 0
     bits = 0
     frame_idx = 0
-    noise = None   # allocated by the first draw, then redrawn in place
+    front_ends = _FrontEnds(h_eff, spec)
     while bits == 0 or (errors < min_errors and bits < max_bits):
-        noise = _frame_noise(spec, seed_tuple, frame_idx, out=noise)
-        result = _run_frame(mode, h_eff, spec, _bits_rng(seed_tuple, frame_idx), noise)
+        noise = front_ends.draw(seed_tuple, frame_idx)
+        result = _run_frame(mode, h_eff, spec, _bits_rng(seed_tuple, frame_idx), noise, front_ends)
         errors += result.errors
         bits += result.bits
         frame_idx += 1

@@ -8,6 +8,7 @@ formula.  Both must give identical reports, compared with exact equality.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from vlclink import Mode, ScenarioConfig, calibrate, channel_matrix, parse_config, run_blockage_sweep, run_position
 from vlclink import scenario
 from vlclink.adapt import controller_step, new_controller
+from vlclink.framing import head_symbols
 from vlclink.metrics import LinkReport, error_free_efficiency
 from vlclink.numerics import make_rng
 from vlclink.scenario import (
@@ -51,6 +53,14 @@ sweep.positions.start = -5
 sweep.positions.stop = 5
 sweep.payload_bits = 4000
 base_seed = 3
+"""
+
+
+# The sync head reaches 12 payload symbols, so modes do not share front ends.
+PILOT8_TEXT = """
+frame.payload_len = 512
+frame.pilot_len = 8
+sweep.payload_bits = 4000
 """
 
 
@@ -233,3 +243,47 @@ class TestFrameBudget:
         with pytest.raises(RuntimeError, match="frame budget"):
             run_position(cfg, 0)
         assert noise_indices == list(range(256))
+
+
+def count_calls(monkeypatch, names):
+    """Counter of calls to each `scenario` function in `names`, from now on."""
+    counts = Counter()
+    for name in names:
+        real = getattr(scenario, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, name, spy)
+    return counts
+
+
+def head_reach(spec):
+    """Frame symbols the sync head is shaped from."""
+    return head_symbols(spec, LEAD_PAD, LEAD_PAD + spec.n_samples + TAIL_PAD)
+
+
+class TestSharedFrontEnd:
+    FRONT_END = ("apply_channel", "synchronize", "matched_filter_downsample")
+
+    @pytest.mark.parametrize("index", [13, 0], ids=["shadowed-x0", "clear-x-65"])
+    def test_one_front_end_per_noise_draw_at_defaults(self, index, default_p_total, monkeypatch):
+        cfg = ScenarioConfig()
+        assert head_reach(cfg.frame_spec()) <= cfg.frame_spec().layout().cp   # preamble and pilots only
+        counts = count_calls(monkeypatch, ("_frame_noise", "_run_frame", "build_head") + self.FRONT_END)
+        run_position(cfg, index, p_total=default_p_total)
+        draws = counts["_frame_noise"]
+        assert all(counts[name] == draws for name in self.FRONT_END)
+        assert counts["_run_frame"] > draws
+        assert counts["build_head"] == 1   # one shaped head for every frame of the position
+
+    @pytest.mark.parametrize("index", [13, 0], ids=["shadowed-x0", "clear-x-65"])
+    def test_head_reaching_the_payload_matches_the_reference(self, index, default_p_total, monkeypatch):
+        cfg = parse_config(PILOT8_TEXT)
+        spec = cfg.frame_spec()
+        assert head_reach(spec) > spec.layout().payload
+        want, _ = reference_run_position(cfg, index, default_p_total)
+        counts = count_calls(monkeypatch, ("_frame_noise", "_run_frame", "synchronize"))
+        assert run_position(cfg, index, p_total=default_p_total) == want
+        assert counts["_frame_noise"] < counts["synchronize"] == counts["_run_frame"]

@@ -19,12 +19,40 @@ from vlclink import (
     make_rng,
     qam_demap,
     qam_map,
-    snr_from_evm,
 )
+from vlclink.modem import demap_labels, label_bit_errors, map_labels, pack_labels
 
 
 def bits_of(label: int, k: int) -> list[int]:
     return [(label >> (k - 1 - j)) & 1 for j in range(k)]
+
+
+def former_map(bits, order):
+    """The bit-level map the label map replaced: per-axis codes into level_by_code."""
+    c = constellation(order)
+    half = c.bits_per_symbol // 2
+    groups = np.asarray(bits, dtype=np.int64).reshape(-1, 2 * half)
+    weights = 1 << np.arange(half - 1, -1, -1)
+    return c.level_by_code[groups[:, :half] @ weights] + 1j * c.level_by_code[groups[:, half:] @ weights]
+
+
+def former_demap(symbols, order):
+    """The bit-level demap the label demap replaced: int64 axis indices, one bit column at a time."""
+    c = constellation(order)
+    k = c.bits_per_symbol
+    half = k // 2
+    side = 1 << half
+
+    def axis_codes(x):
+        idx = np.clip(np.floor((side - 1 - x / c.scale) / 2.0 + 0.5).astype(np.int64), 0, side - 1)
+        return idx ^ (idx >> 1)
+
+    icode, qcode = axis_codes(symbols.real), axis_codes(symbols.imag)
+    bits = np.empty((symbols.size, k), dtype=np.int64)
+    for j in range(half):
+        bits[:, j] = (icode >> (half - 1 - j)) & 1
+        bits[:, half + j] = (qcode >> (half - 1 - j)) & 1
+    return bits.ravel()
 
 
 class TestConstellation:
@@ -47,7 +75,7 @@ class TestConstellation:
         side = int(math.isqrt(order))
         label_by_point = {
             (round(p.real, 12), round(p.imag, 12)): lab
-            for lab, p in zip(c.labels, c.points)
+            for lab, p in zip(range(order), c.points)
         }
         levels = sorted({round(p.real, 12) for p in c.points})
         for fixed in levels:
@@ -72,6 +100,19 @@ class TestMapDemap:
     def test_length_error(self):
         with pytest.raises(LengthError):
             qam_map([0, 1, 0], 4)
+
+    @pytest.mark.parametrize(
+        "bits, order",
+        [([0, 2, 0, 0], 16), ([-1, 0, 0, 0], 16), ([2, 0], 4), ([0.5, 0], 4), ([0, 1, 0, 256], 16)],
+    )
+    def test_rejects_values_other_than_0_and_1(self, bits, order):
+        with pytest.raises(ParameterError):
+            qam_map(bits, order)
+
+    def test_accepts_bool_and_float_bits(self):
+        want = qam_map([1, 0, 0, 1], 16)
+        assert np.array_equal(qam_map(np.array([True, False, False, True]), 16), want)
+        assert np.array_equal(qam_map([1.0, 0.0, 0.0, 1.0], 16), want)
 
     @pytest.mark.parametrize("order", QAM_ORDERS)
     def test_all_labels_round_trip(self, order):
@@ -107,6 +148,62 @@ class TestMapDemap:
         k = int(math.log2(order))
         bits = make_rng(seed).integers(0, 2, size=k * 64)
         assert np.array_equal(qam_demap(qam_map(bits, order), order), bits)
+
+
+class TestLabelChain:
+    """The label-level modem the frame chain runs, against the bit-level forms it replaced."""
+
+    @given(st.sampled_from(QAM_ORDERS), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bit_level_map_demap_and_error_count(self, order, data):
+        c = constellation(order)
+        k = c.bits_per_symbol
+        side = 1 << (k // 2)
+        coordinate = st.one_of(
+            st.floats(-2.0, 2.0),
+            st.sampled_from([0.0, -0.0, 1e9, -1e9]),                  # signed zeros, far off the grid
+            st.integers(-side, side).map(lambda m: m * c.scale),      # decision boundaries at even m
+        )
+        n = data.draw(st.integers(1, 24))
+        bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=k * n, max_size=k * n)))
+        y = np.empty(n, dtype=np.complex128)
+        y.real = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+        y.imag = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+
+        tx = pack_labels(bits, order)
+        assert tx.dtype == np.uint8
+        assert np.array_equal(map_labels(tx, order).view(np.float64), former_map(bits, order).view(np.float64))
+        assert np.array_equal(qam_map(bits, order).view(np.float64), former_map(bits, order).view(np.float64))
+        assert np.array_equal(qam_demap(y, order), former_demap(y, order))
+        rx = demap_labels(y, order)
+        assert label_bit_errors(tx, rx) == np.count_nonzero(qam_demap(y, order) != bits)
+
+    @pytest.mark.parametrize("order", QAM_ORDERS)
+    def test_labels_keep_the_shape_of_two_streams(self, order):
+        k = constellation(order).bits_per_symbol
+        bits = make_rng(order).integers(0, 2, size=2 * k * 16)
+        labels = pack_labels(bits, order).reshape(2, 16)
+        symbols = map_labels(labels, order)
+        assert symbols.shape == (2, 16)
+        assert np.array_equal(demap_labels(symbols, order), labels)
+        assert np.array_equal(symbols.ravel(), qam_map(bits, order))
+
+    @pytest.mark.parametrize("order", QAM_ORDERS)
+    def test_beyond_the_int64_range_decides_the_nearest_corner(self, order):
+        # The former int64 cast wrapped coordinates this large to the opposite corner.
+        c = constellation(order)
+        corners = np.array([complex(1e300, 1e300), complex(-1e300, -1e300), complex(np.inf, -np.inf)])
+        want = np.array([c.points.real.max() + 1j * c.points.imag.max(),
+                         c.points.real.min() + 1j * c.points.imag.min(),
+                         c.points.real.max() + 1j * c.points.imag.min()])
+        assert np.array_equal(map_labels(demap_labels(corners, order), order), want)
+
+    def test_error_count_is_a_popcount(self):
+        tx = np.array([0b000000, 0b111111, 0b101010], dtype=np.uint8)
+        rx = np.array([0b000001, 0b000000, 0b101010], dtype=np.uint8)
+        assert label_bit_errors(tx, rx) == 7
+        every = np.arange(256, dtype=np.uint8)
+        assert label_bit_errors(every, np.zeros(256, dtype=np.uint8)) == 8 * 128
 
 
 class TestBerTheoretical:
@@ -176,11 +273,5 @@ class TestEvm:
         ref = qam_map(rng.integers(0, 2, 2 * 100_000), 4)
         sigma = math.sqrt(1.0 / snr_lin / 2.0)
         rx = ref + sigma * (rng.standard_normal(ref.size) + 1j * rng.standard_normal(ref.size))
-        est_db = 10.0 * math.log10(snr_from_evm(evm(rx, ref)))
+        est_db = 10.0 * math.log10(1.0 / evm(rx, ref) ** 2)
         assert est_db == pytest.approx(15.0, abs=0.3)
-
-    def test_snr_from_evm_values(self):
-        assert snr_from_evm(0.1) == pytest.approx(100.0)
-        assert snr_from_evm(1.0) == pytest.approx(1.0)
-        with pytest.raises(ParameterError):
-            snr_from_evm(0.0)

@@ -196,6 +196,6 @@ class TestSharedCachesReadOnly:
     @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_constellation_tables(self, order):
         c = constellation(order)
-        for table in (c.level_by_code, c.points, c.labels):
+        for table in (c.level_by_code, c.points):
             with pytest.raises(ValueError):
                 table[0] = 0
