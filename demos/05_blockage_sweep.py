@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from vlclink import ScenarioConfig, calibrate, channel_matrix, dump_constellation, run_blockage_sweep
-from vlclink.scenario import _bits_rng, _frame_noise, _run_frame, write_blockage_csv
+from vlclink.scenario import _bits_rng, _FrontEnds, _run_frame, write_blockage_csv
 
 cfg = ScenarioConfig()
 p_total = calibrate(cfg)
@@ -41,7 +41,9 @@ h_norm, _ = channel_matrix(cfg.geometry(obstacle_x=float(result.positions[center
 h_eff = math.sqrt(p_total / 2.0) * h_norm
 spec = cfg.frame_spec()
 seed = (cfg.base_seed + center_index,)
-frame = _run_frame(mode, h_eff, spec, _bits_rng(seed, 2), _frame_noise(spec, seed, 2))
+front_end = _FrontEnds(h_eff, spec)
+front_end.draw(seed, 2)
+frame = _run_frame(mode, _bits_rng(seed, 2), front_end)
 snrs = frame.sm_snrs if frame.sm_snrs is not None else (frame.sd_snr,)
 print(f"\nx = 0 runs {mode.name}; estimated stream SNRs "
       + ", ".join(f"{10*math.log10(s):.1f} dB" for s in snrs))

@@ -10,7 +10,7 @@ Wire code table (normative for dumps and feedback):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,14 +144,11 @@ def select_mode(sm_snrs: StreamSnrs | None, sd_snrs: StreamSnrs, policy: AdaptPo
 class ControllerState:
     """Single-owner feedback state; the pending mode takes effect next frame."""
 
-    current: Mode | None
     pending: Mode
-    frame_index: int = 0
-    history: list[tuple[int, Mode, float]] = field(default_factory=list)
 
 
 def new_controller(policy: AdaptPolicy) -> ControllerState:
-    return ControllerState(current=None, pending=policy.initial)
+    return ControllerState(pending=policy.initial)
 
 
 def controller_step(
@@ -174,11 +171,5 @@ def controller_step(
     except SingularMatrix:
         sm = None
     sd = stream_snrs(est, p_total, n0, "SD")
-    selected = select_mode(sm, sd, policy)
-    chosen_snrs = sm if selected.scheme == "SM" else sd
-    prediction = predicted_ber(selected, chosen_snrs.derated(policy.margin_db))
-    state.history.append((state.frame_index, selected, prediction))
-    state.current = applied
-    state.pending = selected
-    state.frame_index += 1
+    state.pending = select_mode(sm, sd, policy)
     return applied

@@ -8,15 +8,16 @@ therefore sees an effective matrix that already contains the transmit
 amplitude and evaluates its SNR formulas with p_total = 2 (unit symbol energy
 per branch).  `snr_db` in a config means 10 log10(p_total / n0).
 
-Config files are line-oriented `key = value` text with `#` comments.  The key
-list is documented in the README; unknown keys are rejected.
+Config files are line-oriented `key = value` text with `#` comments.  Each
+key is declared once, as a `ScenarioConfig` field with its name, default and
+range rule; the README documents them, and unknown keys are rejected.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import product
 from typing import IO, Callable, Sequence
@@ -83,46 +84,72 @@ _ROLE_NOISE = 12
 _BER_SWEEP_TAG = 0xB5
 
 
+def _key(name: str, default, rule: Callable[[object], bool] | None = None, parse: type | None = None):
+    """A ScenarioConfig field that is a config key: its name in config text,
+    its default and its range rule.  The text is parsed as the default's type,
+    or as `parse` where the default is None; `rule` None admits every value.
+    """
+    return field(default=default, metadata={"key": name, "rule": rule, "parse": parse or type(default)})
+
+
+def _positive(value) -> bool:
+    return value > 0
+
+
+def _nonneg(value) -> bool:
+    return value >= 0
+
+
+def _mode_name(value: str) -> bool:
+    try:
+        parse_mode(value)
+    except BadCode:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    led_sep: float = 5.0
-    pd_sep: float = 5.0
-    link_len: float = 218.0
-    obstacle_diam: float = 4.5
-    obstacle_z: float = 109.0
-    lambert_m: float = 20000.0
-    rx_area: float = 1.0
-    fov_deg: float = 60.0
-    beam_radius: float = 5.0
+    """The config key table: every field is one key, declared once (see `_key`)."""
 
-    preamble_len: int = 63
-    pilot_len: int = 32
-    payload_len: int = 4096
-    cp_len: int = 8
-    sps: int = 4
-    rolloff: float = 0.35
-    rrc_span: int = 10
+    led_sep: float = _key("geometry.led_sep", 5.0, _positive)
+    pd_sep: float = _key("geometry.pd_sep", 5.0, _positive)
+    link_len: float = _key("geometry.link_len", 218.0, _positive)
+    obstacle_diam: float = _key("geometry.obstacle_diam", 4.5, _positive)
+    obstacle_z: float = _key("geometry.obstacle_z", 109.0, _positive)
+    lambert_m: float = _key("geometry.lambert_m", 20000.0, _positive)
+    rx_area: float = _key("geometry.rx_area", 1.0, _positive)
+    fov_deg: float = _key("geometry.fov_deg", 60.0, lambda v: 0 < v <= 90)
+    beam_radius: float = _key("geometry.beam_radius", 5.0, _nonneg)
 
-    ber_tgt: float = 1e-3
-    margin_db: float = 0.0
-    initial: str = "SM-64"
-    fallback: str = "SD-4"
+    preamble_len: int = _key("frame.preamble_len", 63, _positive)
+    pilot_len: int = _key("frame.pilot_len", 32, lambda v: v >= 4)
+    payload_len: int = _key("frame.payload_len", 4096, _positive)
+    cp_len: int = _key("frame.cp_len", 8, _nonneg)
+    sps: int = _key("frame.sps", 4, lambda v: v >= 2)
+    rolloff: float = _key("frame.rolloff", 0.35, lambda v: 0 < v <= 1)
+    rrc_span: int = _key("frame.rrc_span", 10, lambda v: v >= 4)
 
-    positions_start: float = -65.0
-    positions_step: float = 5.0
-    positions_stop: float = 65.0
-    frames_per_position: int = 4
-    payload_bits: int = 100_000
+    ber_tgt: float = _key("policy.ber_tgt", 1e-3, lambda v: 0 < v < 0.5)
+    margin_db: float = _key("policy.margin_db", 0.0, _nonneg)
+    initial: str = _key("policy.initial", "SM-64", _mode_name)
+    fallback: str = _key("policy.fallback", "SD-4", _mode_name)
 
-    snr_db: float | None = None
-    calibrate_margin_db: float = 1.0
-    base_seed: int = 1
+    positions_start: float = _key("sweep.positions.start", -65.0)
+    positions_step: float = _key("sweep.positions.step", 5.0, _positive)
+    positions_stop: float = _key("sweep.positions.stop", 65.0)
+    frames_per_position: int = _key("sweep.frames_per_position", 4, lambda v: 3 <= v <= _MAX_FRAMES_PER_POSITION)
+    payload_bits: int = _key("sweep.payload_bits", 100_000, _positive)
 
-    bersweep_snr_start: float = 8.0
-    bersweep_snr_step: float = 2.0
-    bersweep_snr_stop: float = 34.0
-    bersweep_max_bits: int = 400_000
-    bersweep_min_errors: int = 100
+    snr_db: float | None = _key("snr_db", None, parse=float)
+    calibrate_margin_db: float = _key("calibrate.margin_db", 1.0)
+    base_seed: int = _key("base_seed", 1, _nonneg)
+
+    bersweep_snr_start: float = _key("bersweep.snr_start", 8.0)
+    bersweep_snr_step: float = _key("bersweep.snr_step", 2.0, _positive)
+    bersweep_snr_stop: float = _key("bersweep.snr_stop", 34.0)
+    bersweep_max_bits: int = _key("bersweep.max_bits", 400_000, _positive)
+    bersweep_min_errors: int = _key("bersweep.min_errors", 100, _positive)
 
     def geometry(self, obstacle_x: float | None = None) -> Geometry:
         obstacle = None
@@ -173,47 +200,12 @@ def _grid_points(start: float, step: float, stop: float) -> float:
     return math.ceil(span) if math.isfinite(span) else math.inf
 
 
-# key -> (attribute, type, validator, description)
-_KEYS: dict[str, tuple[str, type, str]] = {
-    "geometry.led_sep": ("led_sep", float, "positive"),
-    "geometry.pd_sep": ("pd_sep", float, "positive"),
-    "geometry.link_len": ("link_len", float, "positive"),
-    "geometry.obstacle_diam": ("obstacle_diam", float, "positive"),
-    "geometry.obstacle_z": ("obstacle_z", float, "positive"),
-    "geometry.lambert_m": ("lambert_m", float, "positive"),
-    "geometry.rx_area": ("rx_area", float, "positive"),
-    "geometry.fov_deg": ("fov_deg", float, "fov"),
-    "geometry.beam_radius": ("beam_radius", float, "nonneg"),
-    "frame.preamble_len": ("preamble_len", int, "positive"),
-    "frame.pilot_len": ("pilot_len", int, "pilot"),
-    "frame.payload_len": ("payload_len", int, "positive"),
-    "frame.cp_len": ("cp_len", int, "nonneg"),
-    "frame.sps": ("sps", int, "sps"),
-    "frame.rolloff": ("rolloff", float, "rolloff"),
-    "frame.rrc_span": ("rrc_span", int, "span"),
-    "policy.ber_tgt": ("ber_tgt", float, "ber_tgt"),
-    "policy.margin_db": ("margin_db", float, "nonneg"),
-    "policy.initial": ("initial", str, "mode"),
-    "policy.fallback": ("fallback", str, "mode"),
-    "sweep.positions.start": ("positions_start", float, "any"),
-    "sweep.positions.step": ("positions_step", float, "positive"),
-    "sweep.positions.stop": ("positions_stop", float, "any"),
-    "sweep.frames_per_position": ("frames_per_position", int, "frames"),
-    "sweep.payload_bits": ("payload_bits", int, "positive"),
-    "snr_db": ("snr_db", float, "any"),
-    "calibrate.margin_db": ("calibrate_margin_db", float, "any"),
-    "base_seed": ("base_seed", int, "nonneg"),
-    "bersweep.snr_start": ("bersweep_snr_start", float, "any"),
-    "bersweep.snr_step": ("bersweep_snr_step", float, "positive"),
-    "bersweep.snr_stop": ("bersweep_snr_stop", float, "any"),
-    "bersweep.max_bits": ("bersweep_max_bits", int, "positive"),
-    "bersweep.min_errors": ("bersweep_min_errors", int, "positive"),
-}
+_KEY_FIELDS = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
 
 
 def _build_aliases() -> dict[str, str]:
     counts: dict[str, list[str]] = {}
-    for key in _KEYS:
+    for key in _KEY_FIELDS:
         parts = key.split(".")
         for i in range(1, len(parts)):
             short = ".".join(parts[i:])
@@ -222,35 +214,6 @@ def _build_aliases() -> dict[str, str]:
 
 
 _ALIASES = _build_aliases()
-
-
-def _check_range(key: str, rule: str, value) -> None:
-    ok = True
-    if rule == "positive":
-        ok = value > 0
-    elif rule == "nonneg":
-        ok = value >= 0
-    elif rule == "fov":
-        ok = 0 < value <= 90
-    elif rule == "rolloff":
-        ok = 0 < value <= 1
-    elif rule == "ber_tgt":
-        ok = 0 < value < 0.5
-    elif rule == "sps":
-        ok = value >= 2
-    elif rule == "span":
-        ok = value >= 4
-    elif rule == "pilot":
-        ok = value >= 4
-    elif rule == "frames":
-        ok = value >= 3
-    elif rule == "mode":
-        try:
-            parse_mode(value)
-        except BadCode:
-            ok = False
-    if not ok:
-        raise ValidationError(key, f"value {value!r} out of range")
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -267,18 +230,20 @@ def parse_config(text: str) -> ScenarioConfig:
         value = value.strip()
         if not key or not value:
             raise ParseError(line_no, "empty key or value")
-        canonical = key if key in _KEYS else _ALIASES.get(key)
+        canonical = key if key in _KEY_FIELDS else _ALIASES.get(key)
         if canonical is None:
             raise ValidationError(key, "unknown key")
-        attr, typ, rule = _KEYS[canonical]
+        entry = _KEY_FIELDS[canonical]
+        typ, rule = entry.metadata["parse"], entry.metadata["rule"]
         try:
-            parsed: object = typ(value) if typ is not str else value
+            parsed = typ(value)
         except ValueError:
             raise ValidationError(canonical, f"cannot parse {value!r} as {typ.__name__}") from None
         if typ is float and not math.isfinite(parsed):
             raise ValidationError(canonical, f"value {value!r} is not finite")
-        _check_range(canonical, rule, parsed)
-        values[attr] = parsed
+        if rule is not None and not rule(parsed):
+            raise ValidationError(canonical, f"value {parsed!r} out of range")
+        values[entry.name] = parsed
     cfg = ScenarioConfig(**values)
     _cross_validate(cfg)
     return cfg
@@ -428,11 +393,10 @@ class _FrontEnds:
         self._head_key: bytes | None = None
         self._head: np.ndarray | None = None
 
-    def draw(self, seed: tuple[int, ...], frame_idx: int) -> np.ndarray:
-        """The noise of frame `frame_idx`, drawn into the task's buffer."""
+    def draw(self, seed: tuple[int, ...], frame_idx: int) -> None:
+        """Draw the noise of frame `frame_idx` into the task's buffer."""
         self.noise = _frame_noise(self.spec, seed, frame_idx, out=self.noise)
         self._ends.clear()
-        return self.noise
 
     def __call__(self, tx_symbols: np.ndarray) -> tuple[int, np.ndarray]:
         """(sync start, matched-filtered noise) of the frame of `tx_symbols`."""
@@ -448,34 +412,25 @@ class _FrontEnds:
         return self._ends[key]
 
 
-def _run_frame(
-    mode: Mode,
-    h_eff: np.ndarray,
-    spec: FrameSpec,
-    bits_rng: np.random.Generator,
-    noise: np.ndarray,
-    front_ends: _FrontEnds | None = None,
-) -> FrameResult:
+def _run_frame(mode: Mode, bits_rng: np.random.Generator, front_end: _FrontEnds) -> FrameResult:
     """One frame through the whole chain: build, channel, sync, estimate, detect.
 
-    `noise` is the frame's receiver noise from `_frame_noise`; it is read, not
-    modified, so runs that share a frame index share one draw.  Only the
-    stream head that sync reads passes the channel at sample rate.  The chain
-    is linear and the channel memoryless, so the received symbols are h times
-    the frame's symbol-rate RRC cascade plus the matched-filtered noise.
-    `front_ends`, the task's `_FrontEnds` whose current draw `noise` is, lets
-    chain runs share the sync front end; without it the run computes its own.
-    The modem works on k-bit labels, and errors are counted on them.
+    `front_end` is the task's `_FrontEnds`: it holds the effective channel, the
+    frame spec and the frame's current noise draw, which is read, not
+    modified, so runs that share a frame index share one draw and one sync
+    front end.  Only the stream head that sync reads passes the channel at
+    sample rate.  The chain is linear and the channel memoryless, so the
+    received symbols are h times the frame's symbol-rate RRC cascade plus the
+    matched-filtered noise.  The modem works on k-bit labels, and errors are
+    counted on them.
     """
-    rows = 2 if mode.scheme == "SM" else 1
+    h_eff, spec = front_end.state.h, front_end.spec
     tx_labels = pack_labels(
-        bits_rng.integers(0, 2, size=rows * mode.bits_per_symbol * spec.payload_len), mode.order
-    ).reshape(rows, spec.payload_len)
+        bits_rng.integers(0, 2, size=mode.streams * mode.bits_per_symbol * spec.payload_len), mode.order
+    ).reshape(mode.streams, spec.payload_len)
     sent = map_labels(tx_labels, mode.order)
     tx_symbols = build_symbols(np.broadcast_to(sent, (2, spec.payload_len)), spec, mode.scheme)
-    if front_ends is None:
-        front_ends = _FrontEnds(h_eff, spec, noise)
-    start, mf_noise = front_ends(tx_symbols)
+    start, mf_noise = front_end(tx_symbols)
 
     symbols = h_eff @ matched_filter_frame(tx_symbols, spec, start - LEAD_PAD)
     symbols.real += mf_noise[0]
@@ -500,14 +455,52 @@ def _run_frame(
         est=est,
         sync_index=start,
         detected=detected,
-        payload=sent if rows == 2 else sent[0],
+        payload=sent if mode.streams == 2 else sent[0],
     )
+
+
+def _lockstep(
+    runs: Sequence,
+    config: ScenarioConfig,
+    obstacle_x: float | None,
+    p_total: float,
+    seed: tuple[int, ...],
+    frame_limit: int,
+) -> bool:
+    """Step `runs` together by frame index, at most `frame_limit` indices;
+    whether every run stopped.
+
+    A run has `mode`, the mode of its next frame, a `done` flag and
+    `record(frame_idx, result)`, which applies its own stop rule.  The runs
+    share per-frame seeds, so frame index k carries the same noise and the
+    same payload-bit stream in each of them.  The noise is drawn once per
+    frame index while any run is active, and the frame chain runs once per
+    distinct mode among the active runs; its result, which depends only on
+    (mode, h_eff, spec, seeds), goes to every run in that mode.  The chain
+    runs of a frame index share its sync front end (see `_FrontEnds`).
+    """
+    h_norm, _ = channel_matrix(config.geometry(obstacle_x=obstacle_x))
+    front_end = _FrontEnds(math.sqrt(p_total / 2.0) * h_norm, config.frame_spec())
+    for frame_idx in range(frame_limit):
+        active = [run for run in runs if not run.done]
+        if not active:
+            break
+        front_end.draw(seed, frame_idx)
+        results: dict[Mode, FrameResult] = {}
+        for run in active:
+            mode = run.mode
+            if mode not in results:
+                results[mode] = _run_frame(mode, _bits_rng(seed, frame_idx), front_end)
+            run.record(frame_idx, results[mode])
+    return all(run.done for run in runs)
 
 
 @dataclass
 class _Run:
     """One of the three runs at a position: its controller or fixed mode, and its tallies."""
 
+    config: ScenarioConfig
+    policy: AdaptPolicy
     fixed_mode: Mode | None
     controller: ControllerState | None = None
     measured_frames: int = 0
@@ -524,7 +517,7 @@ class _Run:
         """The mode this run transmits its next frame in."""
         return self.controller.pending if self.controller is not None else self.fixed_mode
 
-    def record(self, frame_idx: int, result: FrameResult, config: ScenarioConfig, policy: AdaptPolicy) -> None:
+    def record(self, frame_idx: int, result: FrameResult) -> None:
         """Account one frame sent in `result.mode`, then apply the stop rule.
 
         The first SETTLING_FRAMES frames are transmitted but excluded from the
@@ -532,7 +525,7 @@ class _Run:
         budget and the payload_bits budget are met.
         """
         if self.controller is not None:
-            controller_step(self.controller, result.est, P_TOTAL_REF, N0, policy)
+            controller_step(self.controller, result.est, P_TOTAL_REF, N0, self.policy)
         if frame_idx >= SETTLING_FRAMES:
             self.measured_frames += 1
             self.bits += result.bits
@@ -545,11 +538,11 @@ class _Run:
             elif result.mode.scheme == "SD":
                 self.snr_records.append(("SD", (result.sd_snr,)))
         self.done = (
-            self.measured_frames >= config.frames_per_position - SETTLING_FRAMES
-            and self.bits >= config.payload_bits
+            self.measured_frames >= self.config.frames_per_position - SETTLING_FRAMES
+            and self.bits >= self.config.payload_bits
         )
 
-    def report(self, position_cm: float, policy: AdaptPolicy) -> LinkReport:
+    def report(self, position_cm: float) -> LinkReport:
         ber = self.errors / self.bits
         matching = [snr for scheme, snr in self.snr_records if scheme == self.last_mode.scheme]
         if matching:
@@ -563,10 +556,28 @@ class _Run:
             bits_sent=self.bits,
             bit_errors=self.errors,
             ber=ber,
-            eff_bshz=error_free_efficiency(self.last_mode, ber, policy.ber_tgt),
+            eff_bshz=error_free_efficiency(self.last_mode, ber, self.policy.ber_tgt),
             snrs_db=snrs_db,
             evm=math.sqrt(self.err_power / self.ref_power) if self.ref_power > 0 else 0.0,
         )
+
+
+@dataclass
+class _BerRun:
+    """A BER point: one fixed mode, its error and bit tallies, and its stop rule."""
+
+    mode: Mode
+    min_errors: int
+    max_bits: int
+    errors: int = 0
+    bits: int = 0
+    done: bool = False
+
+    def record(self, frame_idx: int, result: FrameResult) -> None:
+        """Account one frame; stop at `min_errors` errors or `max_bits` bits."""
+        self.errors += result.errors
+        self.bits += result.bits
+        self.done = self.errors >= self.min_errors or self.bits >= self.max_bits
 
 
 @dataclass
@@ -589,13 +600,8 @@ def run_position(
 
     Seeded per position, so any single position reproduces its sweep rows
     bit-exactly without running the others.  The three runs step in lockstep
-    and share per-frame seeds, so frame index k carries the same noise and
-    the same payload-bit stream in each of them.  The noise is drawn once per
-    frame index while any run is active, and the frame chain runs once per
-    distinct mode among the active runs; its result, which depends only on
-    (mode, h_eff, spec, seeds), goes to every run in that mode.  The chain runs
-    of a frame index share its sync front end (see `_FrontEnds`).  A run that has
-    not met its budgets after _MAX_FRAMES_PER_POSITION frame indices raises.
+    (see `_lockstep`), so they see identical noise.  A run that has not met
+    its budgets after _MAX_FRAMES_PER_POSITION frame indices raises.
     """
     positions = config.positions()
     if not 0 <= index < positions.size:
@@ -603,27 +609,14 @@ def run_position(
     if p_total is None:
         p_total = _transmit_p_total(config)
     x = float(positions[index])
-    h_norm, _ = channel_matrix(config.geometry(obstacle_x=x))
-    h_eff = math.sqrt(p_total / 2.0) * h_norm
-    spec = config.frame_spec()
     policy = config.policy()
-    seed = (config.base_seed + index,)
-    runs = (_Run(None, new_controller(policy)), _Run(Mode("SM", 64)), _Run(Mode("SD", 64)))
-    front_ends = _FrontEnds(h_eff, spec)
-    for frame_idx in range(_MAX_FRAMES_PER_POSITION):
-        active = [run for run in runs if not run.done]
-        if not active:
-            break
-        noise = front_ends.draw(seed, frame_idx)
-        results: dict[Mode, FrameResult] = {}
-        for run in active:
-            mode = run.mode
-            if mode not in results:
-                results[mode] = _run_frame(mode, h_eff, spec, _bits_rng(seed, frame_idx), noise, front_ends)
-            run.record(frame_idx, results[mode], config, policy)
-    if not all(run.done for run in runs):
+    runs = [
+        _Run(config, policy, mode, None if mode is not None else new_controller(policy))
+        for mode in (None, Mode("SM", 64), Mode("SD", 64))
+    ]
+    if not _lockstep(runs, config, x, p_total, (config.base_seed + index,), _MAX_FRAMES_PER_POSITION):
         raise RuntimeError(f"position {x}: frame budget of {_MAX_FRAMES_PER_POSITION} frames exhausted")
-    adaptive, sm64, sd64 = (run.report(x, policy) for run in runs)
+    adaptive, sm64, sd64 = (run.report(x) for run in runs)
     return adaptive, sm64, sd64
 
 
@@ -732,21 +725,16 @@ def measure_mode_ber(
     min_errors: int,
     max_bits: int,
 ) -> tuple[int, int]:
-    """Monte-Carlo (errors, bits) for one fixed mode through the full chain."""
-    spec = config.frame_spec()
-    h_norm, _ = channel_matrix(config.geometry(obstacle_x=None))
-    h_eff = math.sqrt(p_total / 2.0) * h_norm
-    errors = 0
-    bits = 0
-    frame_idx = 0
-    front_ends = _FrontEnds(h_eff, spec)
-    while bits == 0 or (errors < min_errors and bits < max_bits):
-        noise = front_ends.draw(seed_tuple, frame_idx)
-        result = _run_frame(mode, h_eff, spec, _bits_rng(seed_tuple, frame_idx), noise, front_ends)
-        errors += result.errors
-        bits += result.bits
-        frame_idx += 1
-    return errors, bits
+    """Monte-Carlo (errors, bits) for one fixed mode through the full chain.
+
+    One run through `_lockstep` that stops after at least one frame, once it
+    has `min_errors` errors or `max_bits` bits.  Its frame limit is never
+    reached: the bit count passes `max_bits` first.
+    """
+    run = _BerRun(mode, min_errors, max_bits)
+    frame_bits = mode.streams * mode.bits_per_symbol * config.payload_len
+    _lockstep([run], config, None, p_total, seed_tuple, max_bits // frame_bits + 1)
+    return run.errors, run.bits
 
 
 def run_ber_sweep(config: ScenarioConfig, jobs: int | None = None) -> list[BerSweepRow]:

@@ -210,13 +210,6 @@ class TestController:
         assert applied[1] == strong_sel and applied[3] == strong_sel
         assert applied[2] == weak_sel and applied[4] == weak_sel
 
-    def test_history_records_selection(self):
-        state = new_controller(POLICY)
-        controller_step(state, est_for(np.eye(2) * 40.0), 2.0, 1.0, POLICY)
-        assert len(state.history) == 1
-        frame, mode, ber = state.history[0]
-        assert frame == 0 and mode in MODES and 0.0 <= ber <= 0.5
-
     def test_singular_estimate_forces_sd(self):
         state = new_controller(POLICY)
         controller_step(state, est_for(np.diag([30.0, 0.0])), 2.0, 1.0, POLICY)

@@ -94,6 +94,12 @@ class TestErrors:
         assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_frames_per_position_over_the_budget_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(FAST + "sweep.frames_per_position = 300\n")
+        assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: sweep.frames_per_position" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["blockage-sweep", "ber-sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_config_error(self, command, jobs, fast_config, monkeypatch, capsys):

@@ -27,6 +27,7 @@ from vlclink.scenario import (
     TAIL_PAD,
     _ROLE_BITS,
     _ROLE_NOISE,
+    _FrontEnds,
     _run_frame,
 )
 
@@ -99,7 +100,7 @@ def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, 
     while True:
         mode = state.pending if state is not None else fixed_mode
         bits_rng = make_rng(np.random.SeedSequence((pos_seed, frame_idx, _ROLE_BITS)))
-        result = _run_frame(mode, h_eff, spec, bits_rng, reference_noise(spec, pos_seed, frame_idx))
+        result = _run_frame(mode, bits_rng, _FrontEnds(h_eff, spec, reference_noise(spec, pos_seed, frame_idx)))
         used.append((frame_idx, mode))
         if state is not None:
             controller_step(state, result.est, P_TOTAL_REF, N0, policy)

@@ -161,15 +161,15 @@ class TestFailure:
         other_started = threading.Event()
         real_run_frame = scenario._run_frame
 
-        def spy_run_frame(mode, h_eff, *args):
-            key = np.asarray(h_eff).tobytes()
+        def spy_run_frame(mode, bits_rng, front_end):
+            key = front_end.state.h.tobytes()
             started.add(key)
             if key == keys[0]:
                 other_started.wait(timeout=10.0)
                 raise RuntimeError("injected failure at position 0")
             other_started.set()
             time.sleep(0.05)   # keep the running positions busy while the failure propagates
-            return real_run_frame(mode, h_eff, *args)
+            return real_run_frame(mode, bits_rng, front_end)
 
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)

@@ -130,6 +130,13 @@ class TestParseConfig:
         assert cfg.positions().size == 27
         assert _grid_points(cfg.bersweep_snr_start, cfg.bersweep_snr_step, cfg.bersweep_snr_stop) == 14
 
+    def test_frames_per_position_capped_at_the_frame_budget(self):
+        assert parse_config("sweep.frames_per_position = 256\n").frames_per_position == 256
+        for value in (257, 2):
+            with pytest.raises(ValidationError) as err:
+                parse_config(f"sweep.frames_per_position = {value}\n")
+            assert err.value.key == "sweep.frames_per_position"
+
     def test_mode_names_validated(self):
         cfg = parse_config("policy.initial = sd-16\n")
         assert cfg.policy().initial == Mode("SD", 16)

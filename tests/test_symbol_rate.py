@@ -29,7 +29,7 @@ from vlclink import (
 )
 from vlclink import scenario
 from vlclink.framing import build_head, matched_filter_frame
-from vlclink.scenario import LEAD_PAD, N0, TAIL_PAD, _ROLE_NOISE, _bits_rng, _frame_noise, _run_frame
+from vlclink.scenario import LEAD_PAD, N0, TAIL_PAD, _ROLE_NOISE, _bits_rng, _frame_noise, _FrontEnds, _run_frame
 
 
 @st.composite
@@ -128,7 +128,7 @@ class TestRunFrameMatchesSampleRateChain:
         with pytest.MonkeyPatch.context() as mp:
             for name in ("build_symbols", "estimate_channel", "detect_sm_zf", "combine_sd_mrc"):
                 mp.setattr(scenario, name, spy(name, getattr(scenario, name)))
-            result = _run_frame(Mode(scheme, 4), h_eff, spec, _bits_rng((seed,), 0), noise)
+            result = _run_frame(Mode(scheme, 4), _bits_rng((seed,), 0), _FrontEnds(h_eff, spec, noise))
 
         lay = spec.layout()
         payload = seen["build_symbols"][0]
