@@ -17,6 +17,7 @@ from vlclink import (
     predicted_ber,
     select_mode,
 )
+from vlclink.adapt import estimate_snrs
 
 policy = AdaptPolicy()
 print("=== Mode table (3-bit wire codes) ===")
@@ -41,7 +42,7 @@ weak = ChannelEstimate(h_hat=np.eye(2, dtype=complex) * 2.0, pilot_len=0, residu
 print("channel alternates strong/weak each frame; applied mode lags the estimate by one frame")
 for frame in range(6):
     est = strong if frame % 2 == 0 else weak
-    applied = controller_step(state, est, 2.0, 1.0, policy)
+    applied = controller_step(state, *estimate_snrs(est, 2.0, 1.0), policy)
     sel = state.pending
     tag = "strong" if frame % 2 == 0 else "weak"
     print(f"frame {frame}: channel {tag:<6} applied {applied.name:<7} -> selected {sel.name}")

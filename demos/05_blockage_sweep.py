@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from vlclink import ScenarioConfig, calibrate, channel_matrix, dump_constellation, run_blockage_sweep
-from vlclink.scenario import _bits_rng, _FrontEnds, _run_frame, write_blockage_csv
+from vlclink.scenario import _bits_rng, _frame_bits, _FrontEnds, _packed_bits, _run_frame, write_blockage_csv
 
 cfg = ScenarioConfig()
 p_total = calibrate(cfg)
@@ -43,7 +43,7 @@ spec = cfg.frame_spec()
 seed = (cfg.base_seed + center_index,)
 front_end = _FrontEnds(h_eff, spec)
 front_end.draw(seed, 2)
-frame = _run_frame(mode, _bits_rng(seed, 2), front_end)
+frame = _run_frame(mode, _packed_bits(_bits_rng(seed, 2), _frame_bits(mode, spec)), front_end)
 snrs = frame.sm_snrs if frame.sm_snrs is not None else (frame.sd_snr,)
 print(f"\nx = 0 runs {mode.name}; estimated stream SNRs "
       + ", ".join(f"{10*math.log10(s):.1f} dB" for s in snrs))

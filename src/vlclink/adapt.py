@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadCode, ParameterError, SchemeMismatch
 from .modem import ber_theoretical
 from .receiver import ChannelEstimate, StreamSnrs, stream_snrs
@@ -25,6 +23,7 @@ __all__ = [
     "AdaptPolicy",
     "ControllerState",
     "new_controller",
+    "estimate_snrs",
     "predicted_ber",
     "select_mode",
     "encode_mode",
@@ -112,7 +111,17 @@ def predicted_ber(mode: Mode, snrs: StreamSnrs) -> float:
     if snrs.scheme != mode.scheme:
         raise SchemeMismatch(f"mode {mode.name} given {snrs.scheme} SNRs")
     bers = [ber_theoretical(mode.order, s) for s in snrs.snr]
-    return float(np.mean(bers))
+    return sum(bers) / len(bers)
+
+
+def estimate_snrs(est: ChannelEstimate, p_total: float, n0: float) -> tuple[StreamSnrs | None, StreamSnrs]:
+    """The SM and SD stream SNRs a controller reads from one estimate; SM is
+    None when the estimate is rank-deficient."""
+    try:
+        sm = stream_snrs(est, p_total, n0, "SM")
+    except SingularMatrix:
+        sm = None
+    return sm, stream_snrs(est, p_total, n0, "SD")
 
 
 def select_mode(sm_snrs: StreamSnrs | None, sd_snrs: StreamSnrs, policy: AdaptPolicy) -> Mode:
@@ -153,23 +162,18 @@ def new_controller(policy: AdaptPolicy) -> ControllerState:
 
 def controller_step(
     state: ControllerState,
-    est: ChannelEstimate,
-    p_total: float,
-    n0: float,
+    sm_snrs: StreamSnrs | None,
+    sd_snrs: StreamSnrs,
     policy: AdaptPolicy,
 ) -> Mode:
     """Advance the controller by one received frame.
 
     The frame just received was transmitted in `state.pending` (the mode fed
-    back one frame earlier), so that mode is applied now; the estimate from
-    this frame drives the selection that becomes pending for the next frame.
-    Returns the mode applied to the frame just received.
+    back one frame earlier), so that mode is applied now; the SNRs this
+    frame's estimate gives (see `estimate_snrs`) drive the selection that
+    becomes pending for the next frame.  Returns the mode applied to the
+    frame just received.
     """
     applied = state.pending
-    try:
-        sm = stream_snrs(est, p_total, n0, "SM")
-    except SingularMatrix:
-        sm = None
-    sd = stream_snrs(est, p_total, n0, "SD")
-    state.pending = select_mode(sm, sd, policy)
+    state.pending = select_mode(sm_snrs, sd_snrs, policy)
     return applied

@@ -46,6 +46,7 @@ __all__ = [
     "rrc_taps",
     "add_cp",
     "build_symbols",
+    "build_tx_symbols",
     "build_frame",
     "build_head",
     "head_symbols",
@@ -261,18 +262,26 @@ def _band_pair(taps: bytes, shape: tuple[int, int], step: int) -> np.ndarray:
     return bands
 
 
+def _block_width(ntaps: int, step: int, n_out: int) -> int:
+    """Samples `_block_fir` reads for n_out outputs of ntaps taps: whole chunks
+    of ceil(ntaps/step)*step samples, one more than there are blocks."""
+    block = -(-ntaps // step)
+    return (-(-n_out // block) + 1) * block * step
+
+
 def _block_fir(x: np.ndarray, taps: np.ndarray, step: int, n_out: int) -> np.ndarray:
     """y[..., k, j] = sum_i x[..., k*step + i] * taps[i, j] for k < n_out; x real, zero past its end.
 
     Outputs go in blocks of ceil(ntaps/step).  The windows of one block span
     its chunk of block*step samples and the next, so a block is two matrix
-    products with banded tap matrices.  x is read in place when long enough.
+    products with banded tap matrices.  x is read in place when it holds
+    `_block_width` samples.
     """
     taps = np.ascontiguousarray(taps, dtype=np.float64)
     bands = _band_pair(taps.tobytes(), taps.shape, step)
     chunk, block = bands.shape[0] // 2, bands.shape[1] // taps.shape[1]
     n_blocks = -(-n_out // block)
-    width = (n_blocks + 1) * chunk
+    width = _block_width(taps.shape[0], step, n_out)
     if x.shape[-1] < width:
         x = np.concatenate([x, np.zeros(x.shape[:-1] + (width - x.shape[-1],))], axis=-1)
     chunks = x[..., :width].reshape(x.shape[:-1] + (n_blocks + 1, chunk))
@@ -286,11 +295,15 @@ def _filter_symbols(symbols: np.ndarray, taps: np.ndarray, first: int, n_out: in
     k < n_out, the (..., n) symbols taken as zero outside 0..n-1."""
     lead = max(-first, 0)
     body = symbols[..., max(first, 0) :]
-    parts = np.zeros(symbols.shape[:-1] + (2, lead + body.shape[-1]))
-    parts[..., 0, lead:] = body.real
-    parts[..., 1, lead:] = body.imag
+    end = lead + body.shape[-1]
+    parts = np.zeros(symbols.shape[:-1] + (2, max(end, _block_width(taps.shape[0], 1, n_out))))
+    parts[..., 0, lead:end] = body.real
+    parts[..., 1, lead:end] = body.imag
     y = _block_fir(parts, taps, 1, n_out)
-    return y[..., 0, :, :] + 1j * y[..., 1, :, :]
+    out = np.empty(y.shape[:-3] + y.shape[-2:], dtype=np.complex128)
+    out.real = y[..., 0, :, :]
+    out.imag = y[..., 1, :, :]
+    return out
 
 
 def _upsample_and_shape(symbols: np.ndarray, spec: FrameSpec) -> np.ndarray:
@@ -331,6 +344,29 @@ def build_symbols(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> np.
     symbols[1, lay.pilot2 : lay.cp] = pilot_symbols(spec)
     for b in range(2):
         symbols[b, lay.cp :] = add_cp(payload_syms[b], spec.cp_len)
+    return symbols
+
+
+@lru_cache(maxsize=None)
+def _symbol_template(spec: FrameSpec) -> np.ndarray:
+    """`build_symbols` of an all-zero payload: preamble, pilot slots and zeros.
+    Shared by every caller and every thread, so read-only."""
+    template = build_symbols(np.zeros((2, spec.payload_len)), spec, "SM")
+    template.flags.writeable = False
+    return template
+
+
+def build_tx_symbols(payload_syms: np.ndarray, spec: FrameSpec) -> np.ndarray:
+    """`build_symbols` without its checks, from the spec's template.
+
+    `payload_syms` is (streams, payload_len): two rows under SM, the one row
+    both branches repeat under SD.  The template is copied and only the CP
+    and the payload are written.
+    """
+    lay = spec.layout()
+    symbols = _symbol_template(spec).copy()
+    symbols[:, lay.payload :] = payload_syms
+    symbols[:, lay.cp : lay.payload] = payload_syms[:, spec.payload_len - spec.cp_len :]
     return symbols
 
 
@@ -435,12 +471,13 @@ def _best_start(stream: np.ndarray, spec: FrameSpec, last: int) -> tuple[int, fl
     pre = _cached_mseq(spec.preamble_len)
     sps, ntaps = spec.sps, spec.ntaps
     reach = last + (pre.size - 1) * sps + 1   # filter outputs from index ntaps - 1 on
-    head = np.zeros(reach + ntaps - 1, dtype=np.complex128)
-    head[: min(stream.size, head.size)] = stream[: head.size]
+    head = stream[: reach + ntaps - 1]
+    if head.size < reach + ntaps - 1:
+        head = np.concatenate([head, np.zeros(reach + ntaps - 1 - head.size, dtype=np.complex128)])
     z = np.convolve(head, _spec_taps(spec), mode="valid")
     corr = np.empty(last + 1)
     for p in range(min(sps, last + 1)):
-        corr[p::sps] = np.abs(np.correlate(z[p::sps], pre, mode="valid"))
+        np.abs(np.correlate(z[p::sps], pre, mode="valid"), out=corr[p::sps])
     peak = int(np.argmax(corr))
     window = z[peak : peak + (pre.size - 1) * sps + 1 : sps]
     energy = float(np.vdot(window, window).real)

@@ -14,10 +14,10 @@ Under this convention 4-QAM maps bits 00 to (+1+1j)/sqrt(2) and 11 to
 (-1-1j)/sqrt(2).
 
 A k-bit group read this way is the symbol's label, the index into
-`constellation(order).points`.  The frame chain packs its bits into uint8
-labels once, maps and demaps labels, and counts bit errors as the popcount
-of tx XOR rx labels; `qam_map` and `qam_demap` are the bit-level entries
-over the same functions.
+`constellation(order).points`.  The frame chain takes its labels straight
+from a bit stream packed into bytes (`unpack_labels`), maps and demaps
+labels, and counts bit errors as the popcount of tx XOR rx labels;
+`qam_map` and `qam_demap` are the bit-level entries over the same functions.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "constellation",
     "qam_map",
     "qam_demap",
-    "pack_labels",
+    "unpack_labels",
     "map_labels",
     "demap_labels",
     "label_bit_errors",
@@ -65,6 +65,7 @@ class Constellation:
     scale: float                # amplitude unit; levels are odd multiples of it
     level_by_code: np.ndarray   # axis amplitude indexed by the axis bit code
     points: np.ndarray          # complex point indexed by the full k-bit label
+    power: np.ndarray           # |point|^2 indexed by the full k-bit label
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +83,8 @@ def constellation(order: int) -> Constellation:
     icode = codes >> (k // 2)
     qcode = codes & (side - 1)
     points = level_by_code[icode] + 1j * level_by_code[qcode]
-    for table in (level_by_code, points):
+    power = np.abs(points) ** 2
+    for table in (level_by_code, points, power):
         table.flags.writeable = False
     return Constellation(
         order=order,
@@ -90,6 +92,7 @@ def constellation(order: int) -> Constellation:
         scale=scale,
         level_by_code=level_by_code,
         points=points,
+        power=power,
     )
 
 
@@ -98,20 +101,46 @@ _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 _POPCOUNT.flags.writeable = False
 
 
-def pack_labels(bits: np.ndarray, order: int) -> np.ndarray:
-    """uint8 k-bit labels of a 0/1 integer array read k bits at a time, MSB
-    first: the index into `constellation(order).points`.
+def _field_table(k: int) -> np.ndarray:
+    """(256, 8 // k) table: row b holds the k-bit fields of byte b, MSB first."""
+    shifts = np.arange(8 - k, -1, -k)
+    table = ((np.arange(256)[:, None] >> shifts) & ((1 << k) - 1)).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
-    The bits are not checked; `qam_map` is the checked entry.
+
+_FIELDS = {2: _field_table(2), 4: _field_table(4)}
+
+
+def unpack_labels(packed: np.ndarray, order: int, count: int) -> np.ndarray:
+    """The first `count` k-bit labels of a bit stream packed MSB first into
+    uint8 bytes, as `np.packbits` packs it: each label is k bits of the
+    stream read MSB first, the index into `constellation(order).points`.
+    `packed` must hold at least count * k bits.
+
+    A byte holds one 8-bit label, two 4-bit or four 2-bit labels; three
+    bytes hold four 6-bit labels.
     """
     k = constellation(order).bits_per_symbol
-    weights = 1 << np.arange(k - 1, -1, -1)
-    return (bits.reshape(-1, k) @ weights).astype(np.uint8)
+    if k == 8:
+        return packed[:count]
+    if k in _FIELDS:
+        return np.take(_FIELDS[k], packed[: -(-count * k // 8)], axis=0).ravel()[:count]
+    groups = -(-count // 4)
+    b = np.zeros((groups, 3), dtype=np.uint8)
+    used = min(3 * groups, packed.size)
+    b.ravel()[:used] = packed[:used]
+    labels = np.empty((groups, 4), dtype=np.uint8)
+    np.right_shift(b[:, 0], 2, out=labels[:, 0])
+    labels[:, 1] = ((b[:, 0] & 3) << 4) | (b[:, 1] >> 4)
+    labels[:, 2] = ((b[:, 1] & 15) << 2) | (b[:, 2] >> 6)
+    np.bitwise_and(b[:, 2], 63, out=labels[:, 3])
+    return labels.ravel()[:count]
 
 
 def map_labels(labels: np.ndarray, order: int) -> np.ndarray:
     """Constellation points of k-bit labels, same shape as `labels`."""
-    return constellation(order).points[labels]
+    return np.take(constellation(order).points, labels)
 
 
 def _axis_indices(x: np.ndarray, c: Constellation) -> np.ndarray:
@@ -126,15 +155,18 @@ def demap_labels(symbols: np.ndarray, order: int) -> np.ndarray:
     """Hard minimum-distance decisions as uint8 k-bit labels, same shape as
     `symbols`.
 
-    Ties at a decision boundary resolve toward the smaller I coordinate,
-    then the smaller Q coordinate.
+    Both axes are decided in one pass over the (..., 2) float view of the
+    symbols.  Ties at a decision boundary resolve toward the smaller I
+    coordinate, then the smaller Q coordinate.
     """
     c = constellation(order)
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    labels = _gray(_axis_indices(symbols.real, c))
+    z = np.ascontiguousarray(symbols, dtype=np.complex128)
+    axes = _axis_indices(z.view(np.float64).reshape(z.shape + (2,)), c)
+    axes ^= axes >> 1   # gray code of each axis index
+    labels = axes[..., 0]
     labels <<= c.bits_per_symbol // 2
-    labels |= _gray(_axis_indices(symbols.imag, c))
-    return labels
+    labels |= axes[..., 1]
+    return labels.reshape(np.shape(symbols))
 
 
 def label_bit_errors(tx: np.ndarray, rx: np.ndarray) -> int:
@@ -150,7 +182,7 @@ def qam_map(bits, order: int) -> np.ndarray:
         raise LengthError(f"bit count {bits.size} not divisible by {k}")
     if not np.all((bits == 0) | (bits == 1)):
         raise ParameterError("bits must be 0 or 1")
-    return map_labels(pack_labels(bits.astype(np.int64), order), order)
+    return map_labels(unpack_labels(np.packbits(bits == 1), order, bits.size // k), order)
 
 
 def qam_demap(symbols, order: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from .adapt import (
     ControllerState,
     Mode,
     controller_step,
+    estimate_snrs,
     new_controller,
     parse_mode,
     predicted_ber,
@@ -45,7 +46,7 @@ from .errors import (
 from .framing import (
     FrameSpec,
     build_head,
-    build_symbols,
+    build_tx_symbols,
     head_symbols,
     matched_filter_downsample,
     matched_filter_frame,
@@ -53,9 +54,9 @@ from .framing import (
     synchronize,
 )
 from .metrics import LinkReport, error_free_efficiency, write_report_block
-from .modem import demap_labels, label_bit_errors, map_labels, pack_labels
+from .modem import constellation, demap_labels, label_bit_errors, map_labels, unpack_labels
 from .numerics import make_rng
-from .receiver import ChannelEstimate, combine_sd_mrc, detect_sm_zf, estimate_channel, stream_snrs
+from .receiver import ChannelEstimate, StreamSnrs, combine_sd_mrc, detect_sm_zf, estimate_channel, stream_snrs
 
 __all__ = [
     "ScenarioConfig",
@@ -258,6 +259,14 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
         raise ValidationError("frame.cp_len", "must be smaller than payload_len")
     if cfg.bersweep_snr_start > cfg.bersweep_snr_stop:
         raise ValidationError("bersweep.snr_start", "start must be <= stop")
+    # the fixed SD-64 run measures every frame index but the settling ones
+    most_bits = (_MAX_FRAMES_PER_POSITION - SETTLING_FRAMES) * Mode("SD", 64).bits_per_symbol * cfg.payload_len
+    if cfg.payload_bits > most_bits:
+        raise ValidationError(
+            "sweep.payload_bits",
+            f"exceeds the {most_bits} bits the fixed SD-64 run measures in the frame budget of "
+            f"{_MAX_FRAMES_PER_POSITION} frames",
+        )
     for key, start, step, stop in (
         ("sweep.positions.step", cfg.positions_start, cfg.positions_step, cfg.positions_stop),
         ("bersweep.snr_step", cfg.bersweep_snr_start, cfg.bersweep_snr_step, cfg.bersweep_snr_stop),
@@ -331,18 +340,21 @@ class FrameResult:
     est: ChannelEstimate
     sync_index: int
     detected: np.ndarray   # payload symbols after ZF / MRC, one row per stream
-    payload: np.ndarray    # payload symbols sent: (2, n) under SM, the (n,) row under SD
+    labels: np.ndarray     # payload labels sent, one row per stream
+    payload: np.ndarray    # their symbols: (2, n) under SM, the (n,) row under SD
 
     @cached_property
+    def snrs(self) -> tuple[StreamSnrs | None, StreamSnrs]:
+        """SM (None when the estimate is singular) and SD stream SNRs."""
+        return estimate_snrs(self.est, P_TOTAL_REF, N0)
+
+    @property
     def sm_snrs(self) -> tuple[float, ...] | None:
-        try:
-            return stream_snrs(self.est, P_TOTAL_REF, N0, "SM").snr
-        except SingularMatrix:
-            return None
+        return self.snrs[0].snr if self.snrs[0] is not None else None
 
-    @cached_property
+    @property
     def sd_snr(self) -> float:
-        return stream_snrs(self.est, P_TOTAL_REF, N0, "SD").snr[0]
+        return self.snrs[1].snr[0]
 
     @cached_property
     def err_power(self) -> float:
@@ -351,12 +363,32 @@ class FrameResult:
 
     @cached_property
     def ref_power(self) -> float:
-        return float(np.sum(np.abs(self.payload) ** 2))
+        """Sum of |sent point|^2, read from the constellation's power table."""
+        return float(np.sum(np.take(constellation(self.mode.order).power, self.labels)))
 
 
 def _bits_rng(seed: tuple[int, ...], frame_idx: int) -> np.random.Generator:
-    """Payload-bit source of frame `frame_idx`; fresh for every chain run."""
+    """Payload-bit source of frame `frame_idx`, shared by its chain runs."""
     return make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_BITS)))
+
+
+def _frame_bits(mode: Mode, spec: FrameSpec) -> int:
+    """Payload bits of one frame in `mode`."""
+    return mode.streams * mode.bits_per_symbol * spec.payload_len
+
+
+def _packed_bits(bits_rng: np.random.Generator, n_bits: int) -> np.ndarray:
+    """`bits_rng.integers(0, 2, size=n_bits)` of a fresh `bits_rng`, packed
+    MSB first into bytes, from its raw PCG64 words.
+
+    `integers(0, 2)` takes Lemire's bounded draw of each 32-bit half of the
+    stream, low half first, and for a range of two that is the half's top
+    bit (Lemire, ACM TOMACS 29(1), 2019; O'Neill, HMC-CS-2014-0905).  A
+    shorter draw is a prefix of a longer one.
+    """
+    words = bits_rng.bit_generator.random_raw(-(-n_bits // 2))
+    halves = words.astype("<u8", copy=False).view("<u4")[:n_bits]
+    return np.packbits(halves >= 0x80000000)
 
 
 def _stream_len(spec: FrameSpec) -> int:
@@ -412,24 +444,23 @@ class _FrontEnds:
         return self._ends[key]
 
 
-def _run_frame(mode: Mode, bits_rng: np.random.Generator, front_end: _FrontEnds) -> FrameResult:
+def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResult:
     """One frame through the whole chain: build, channel, sync, estimate, detect.
 
-    `front_end` is the task's `_FrontEnds`: it holds the effective channel, the
-    frame spec and the frame's current noise draw, which is read, not
-    modified, so runs that share a frame index share one draw and one sync
-    front end.  Only the stream head that sync reads passes the channel at
-    sample rate.  The chain is linear and the channel memoryless, so the
-    received symbols are h times the frame's symbol-rate RRC cascade plus the
-    matched-filtered noise.  The modem works on k-bit labels, and errors are
-    counted on them.
+    `bits` holds the frame's payload bits packed into bytes (`_packed_bits`),
+    possibly followed by more.  `front_end` is the task's `_FrontEnds`: it
+    holds the effective channel, the frame spec and the frame's current
+    noise draw, which is read, not modified, so runs that share a frame index
+    share one draw and one sync front end.  Only the stream head that sync
+    reads passes the channel at sample rate.  The chain is linear and the
+    channel memoryless, so the received symbols are h times the frame's
+    symbol-rate RRC cascade plus the matched-filtered noise.  The modem works
+    on k-bit labels, and errors are counted on them.
     """
     h_eff, spec = front_end.state.h, front_end.spec
-    tx_labels = pack_labels(
-        bits_rng.integers(0, 2, size=mode.streams * mode.bits_per_symbol * spec.payload_len), mode.order
-    ).reshape(mode.streams, spec.payload_len)
+    tx_labels = unpack_labels(bits, mode.order, mode.streams * spec.payload_len).reshape(mode.streams, -1)
     sent = map_labels(tx_labels, mode.order)
-    tx_symbols = build_symbols(np.broadcast_to(sent, (2, spec.payload_len)), spec, mode.scheme)
+    tx_symbols = build_tx_symbols(sent, spec)
     start, mf_noise = front_end(tx_symbols)
 
     symbols = h_eff @ matched_filter_frame(tx_symbols, spec, start - LEAD_PAD)
@@ -455,6 +486,7 @@ def _run_frame(mode: Mode, bits_rng: np.random.Generator, front_end: _FrontEnds)
         est=est,
         sync_index=start,
         detected=detected,
+        labels=tx_labels,
         payload=sent if mode.streams == 2 else sent[0],
     )
 
@@ -473,24 +505,27 @@ def _lockstep(
     A run has `mode`, the mode of its next frame, a `done` flag and
     `record(frame_idx, result)`, which applies its own stop rule.  The runs
     share per-frame seeds, so frame index k carries the same noise and the
-    same payload-bit stream in each of them.  The noise is drawn once per
-    frame index while any run is active, and the frame chain runs once per
+    same payload-bit stream in each of them.  The noise and the payload bits
+    are drawn once per frame index while any run is active, the bits as many
+    as the most any active run needs, and the frame chain runs once per
     distinct mode among the active runs; its result, which depends only on
     (mode, h_eff, spec, seeds), goes to every run in that mode.  The chain
     runs of a frame index share its sync front end (see `_FrontEnds`).
     """
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=obstacle_x))
-    front_end = _FrontEnds(math.sqrt(p_total / 2.0) * h_norm, config.frame_spec())
+    spec = config.frame_spec()
+    front_end = _FrontEnds(math.sqrt(p_total / 2.0) * h_norm, spec)
     for frame_idx in range(frame_limit):
         active = [run for run in runs if not run.done]
         if not active:
             break
         front_end.draw(seed, frame_idx)
+        bits = _packed_bits(_bits_rng(seed, frame_idx), max(_frame_bits(run.mode, spec) for run in active))
         results: dict[Mode, FrameResult] = {}
         for run in active:
             mode = run.mode
             if mode not in results:
-                results[mode] = _run_frame(mode, _bits_rng(seed, frame_idx), front_end)
+                results[mode] = _run_frame(mode, bits, front_end)
             run.record(frame_idx, results[mode])
     return all(run.done for run in runs)
 
@@ -525,7 +560,7 @@ class _Run:
         budget and the payload_bits budget are met.
         """
         if self.controller is not None:
-            controller_step(self.controller, result.est, P_TOTAL_REF, N0, self.policy)
+            controller_step(self.controller, *result.snrs, self.policy)
         if frame_idx >= SETTLING_FRAMES:
             self.measured_frames += 1
             self.bits += result.bits
@@ -732,8 +767,7 @@ def measure_mode_ber(
     reached: the bit count passes `max_bits` first.
     """
     run = _BerRun(mode, min_errors, max_bits)
-    frame_bits = mode.streams * mode.bits_per_symbol * config.payload_len
-    _lockstep([run], config, None, p_total, seed_tuple, max_bits // frame_bits + 1)
+    _lockstep([run], config, None, p_total, seed_tuple, max_bits // _frame_bits(mode, config.frame_spec()) + 1)
     return run.errors, run.bits
 
 

@@ -16,6 +16,7 @@ from vlclink import (
     Mode,
     SchemeMismatch,
     StreamSnrs,
+    ber_theoretical,
     controller_step,
     decode_mode,
     encode_mode,
@@ -27,6 +28,8 @@ from vlclink import (
     qam_map,
     select_mode,
 )
+from vlclink.adapt import estimate_snrs
+from vlclink.receiver import stream_snrs
 
 POLICY = AdaptPolicy()
 
@@ -118,6 +121,13 @@ class TestPredictedBer:
         with pytest.raises(SchemeMismatch):
             predicted_ber(Mode("SM", 4), StreamSnrs("SD", (10.0,)))
 
+    @given(st.sampled_from(MODES), st.floats(0.0, 1e6), st.floats(0.0, 1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_plain_mean_equals_numpy_mean(self, mode, a, b):
+        snrs = StreamSnrs(mode.scheme, (a, b) if mode.scheme == "SM" else (a,))
+        bers = [ber_theoretical(mode.order, s) for s in snrs.snr]
+        assert predicted_ber(mode, snrs) == float(np.mean(bers))
+
 
 class TestSelectMode:
     def test_strong_sm_streams_pick_sm256(self):
@@ -175,16 +185,32 @@ def est_for(h) -> ChannelEstimate:
     return ChannelEstimate(h_hat=np.asarray(h, dtype=complex), pilot_len=0, residual_rms=0.0)
 
 
+def snrs_for(h):
+    """(SM, SD) stream SNRs of the exact estimate h at p_total 2, n0 1."""
+    return estimate_snrs(est_for(h), 2.0, 1.0)
+
+
+class TestEstimateSnrs:
+    def test_both_schemes_from_stream_snrs(self):
+        est = est_for([[40.0, 3.0], [1.0, 35.0]])
+        assert estimate_snrs(est, 2.0, 1.0) == (stream_snrs(est, 2.0, 1.0, "SM"), stream_snrs(est, 2.0, 1.0, "SD"))
+
+    def test_singular_estimate_has_no_sm_snrs(self):
+        sm, sd = snrs_for(np.diag([30.0, 0.0]))
+        assert sm is None
+        assert sd == StreamSnrs("SD", (900.0,))
+
+
 class TestController:
     def test_first_frame_uses_initial_mode(self):
         state = new_controller(POLICY)
-        applied = controller_step(state, est_for(np.eye(2) * 40.0), 2.0, 1.0, POLICY)
+        applied = controller_step(state, *snrs_for(np.eye(2) * 40.0), POLICY)
         assert applied == POLICY.initial == Mode("SM", 64)
 
     def test_constant_channel_converges_by_frame_two(self):
         state = new_controller(POLICY)
-        est = est_for(np.eye(2) * 40.0)  # post-ZF snr 32 dB per stream
-        seen = [controller_step(state, est, 2.0, 1.0, POLICY) for _ in range(6)]
+        snrs = snrs_for(np.eye(2) * 40.0)  # post-ZF snr 32 dB per stream
+        seen = [controller_step(state, *snrs, POLICY) for _ in range(6)]
         assert seen[0] == POLICY.initial
         assert len(set(seen[1:])) == 1
         expected = select_mode(
@@ -194,12 +220,12 @@ class TestController:
 
     def test_one_frame_feedback_latency(self):
         state = new_controller(POLICY)
-        strong = est_for(np.eye(2) * 40.0)
-        weak = est_for(np.eye(2) * 0.05)
+        strong = snrs_for(np.eye(2) * 40.0)
+        weak = snrs_for(np.eye(2) * 0.05)
         applied = []
         for frame in range(6):
-            est = strong if frame % 2 == 0 else weak
-            applied.append(controller_step(state, est, 2.0, 1.0, POLICY))
+            snrs = strong if frame % 2 == 0 else weak
+            applied.append(controller_step(state, *snrs, POLICY))
         # selection from frame k shows up as the mode applied at frame k+1
         strong_sel = select_mode(
             StreamSnrs("SM", (1600.0, 1600.0)), StreamSnrs("SD", (6400.0,)), POLICY
@@ -212,7 +238,7 @@ class TestController:
 
     def test_singular_estimate_forces_sd(self):
         state = new_controller(POLICY)
-        controller_step(state, est_for(np.diag([30.0, 0.0])), 2.0, 1.0, POLICY)
+        controller_step(state, *snrs_for(np.diag([30.0, 0.0])), POLICY)
         assert state.pending.scheme == "SD"
 
 

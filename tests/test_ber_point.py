@@ -23,6 +23,8 @@ from vlclink.scenario import (
     _ROLE_BITS,
     _ROLE_NOISE,
     _FrontEnds,
+    _frame_bits,
+    _packed_bits,
     _run_frame,
     measure_mode_ber,
 )
@@ -56,7 +58,11 @@ def reference_measure_mode_ber(config, mode, p_total, seed, min_errors, max_bits
     frame_idx = 0
     while bits == 0 or (errors < min_errors and bits < max_bits):
         bits_rng = make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_BITS)))
-        result = _run_frame(mode, bits_rng, _FrontEnds(h_eff, spec, reference_noise(spec, seed, frame_idx)))
+        result = _run_frame(
+            mode,
+            _packed_bits(bits_rng, _frame_bits(mode, spec)),
+            _FrontEnds(h_eff, spec, reference_noise(spec, seed, frame_idx)),
+        )
         errors += result.errors
         bits += result.bits
         frame_idx += 1

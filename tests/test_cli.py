@@ -100,6 +100,13 @@ class TestErrors:
         assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
         assert "config error: sweep.frames_per_position" in capsys.readouterr().err
 
+    def test_payload_bits_beyond_the_frame_budget_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("frame.payload_len = 64\nsweep.positions.start = 0\nsweep.positions.stop = 0\n"
+                        "sweep.payload_bits = 97537\n")
+        assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: sweep.payload_bits" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["blockage-sweep", "ber-sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_config_error(self, command, jobs, fast_config, monkeypatch, capsys):

@@ -27,7 +27,7 @@ from vlclink import (
     synchronize,
 )
 from vlclink.channel import ChannelState, apply_channel
-from vlclink.framing import SYNC_THRESHOLD, _best_start, _upsample_and_shape
+from vlclink.framing import SYNC_THRESHOLD, _best_start, _upsample_and_shape, build_symbols, build_tx_symbols
 
 SPEC = FrameSpec()
 
@@ -156,6 +156,30 @@ class TestBuildFrame:
     def test_wrong_payload_shape(self):
         with pytest.raises(LengthError):
             build_frame(np.zeros((2, 5), complex), SPEC, "SM")
+
+
+class TestTxTemplate:
+    @given(st.sampled_from(["SM", "SD"]), st.integers(1, 40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_template_fill_equals_build_symbols(self, scheme, payload_len, data):
+        spec = FrameSpec(
+            preamble_len=data.draw(st.sampled_from([7, 15, 31, 63, 127])),
+            pilot_len=data.draw(st.integers(4, 12)),
+            payload_len=payload_len,
+            cp_len=data.draw(st.one_of(st.just(0), st.integers(0, payload_len - 1))),
+        )
+        rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows = 2 if scheme == "SM" else 1
+        payload = rng.standard_normal((rows, payload_len)) + 1j * rng.standard_normal((rows, payload_len))
+        want = build_symbols(np.broadcast_to(payload, (2, payload_len)), spec, scheme)
+        got = build_tx_symbols(payload, spec)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert got.flags.writeable   # a copy, not the shared template
+
+    def test_cp_len_zero(self):
+        spec = FrameSpec(payload_len=16, cp_len=0)
+        payload = np.arange(32.0).reshape(2, 16) + 0.5j
+        assert np.array_equal(build_tx_symbols(payload, spec), build_symbols(payload, spec, "SM"))
 
 
 class TestLoopback:

@@ -1,8 +1,10 @@
 """Golden-output checks: the default sweeps render byte-identical CSVs.
 
 The digests are those of `vlclink blockage-sweep` and `vlclink ber-sweep`
-run on `configs/default.cfg`.  A change that alters either output must say
-why and re-baseline the digest here.
+run on `configs/default.cfg`, and of `blockage-sweep` on short frames, a 1 cm
+grid and eight frames per position, where the per-frame paths weigh about
+three times more.  A change that alters any output must say why and
+re-baseline the digest here.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from vlclink import load_config, run_ber_sweep, run_blockage_sweep, write_ber_csv, write_blockage_csv
+from vlclink import load_config, parse_config, run_ber_sweep, run_blockage_sweep, write_ber_csv, write_blockage_csv
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
@@ -19,6 +21,14 @@ GOLDEN = {
     "blockage-sweep": "c51c15554cec85360529f9179e1f2d4b1c84f45722c3f7ea1bf57ba1c5f2c890",
     "ber-sweep": "a795bcdc1160856957a712eeb947fa8426d83f3e16077d38a7ca27b0d7ab538b",
 }
+
+SHORT_FRAMES_TEXT = """
+frame.payload_len = 256
+sweep.positions.step = 1
+sweep.frames_per_position = 8
+sweep.payload_bits = 4096
+"""
+SHORT_FRAMES_DIGEST = "f79310691e086405c5b6253f4b6449e4f3c1d41dd7fd0824281d97ff6fd0310c"
 
 SWEEPS = {
     "blockage-sweep": (run_blockage_sweep, write_blockage_csv),
@@ -32,3 +42,9 @@ def test_default_csv_digest(command):
     buf = io.StringIO()
     write(run(load_config(DEFAULT_CFG)), buf)
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == GOLDEN[command]
+
+
+def test_short_frame_blockage_csv_digest():
+    buf = io.StringIO()
+    write_blockage_csv(run_blockage_sweep(parse_config(SHORT_FRAMES_TEXT)), buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == SHORT_FRAMES_DIGEST

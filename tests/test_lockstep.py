@@ -12,12 +12,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_modem import pack_labels
 from vlclink import Mode, ScenarioConfig, calibrate, channel_matrix, parse_config, run_blockage_sweep, run_position
 from vlclink import scenario
-from vlclink.adapt import controller_step, new_controller
+from vlclink.adapt import controller_step, estimate_snrs, new_controller
 from vlclink.framing import head_symbols
 from vlclink.metrics import LinkReport, error_free_efficiency
+from vlclink.modem import unpack_labels
 from vlclink.numerics import make_rng
 from vlclink.scenario import (
     LEAD_PAD,
@@ -27,7 +31,10 @@ from vlclink.scenario import (
     TAIL_PAD,
     _ROLE_BITS,
     _ROLE_NOISE,
+    _bits_rng,
     _FrontEnds,
+    _frame_bits,
+    _packed_bits,
     _run_frame,
 )
 
@@ -40,9 +47,12 @@ sweep.positions.stop = 1
 base_seed = 14
 """
 
+# The largest budget the fixed SD-64 run can meet: 254 measured frames of 96
+# bits.  At 15 dB the adaptive run sends SD-4 frames of 32 bits and cannot.
 BUDGET_TEXT = """
 frame.payload_len = 16
-sweep.payload_bits = 1000000000
+snr_db = 15
+sweep.payload_bits = 24384
 sweep.positions.start = 0
 sweep.positions.stop = 0
 """
@@ -100,10 +110,14 @@ def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, 
     while True:
         mode = state.pending if state is not None else fixed_mode
         bits_rng = make_rng(np.random.SeedSequence((pos_seed, frame_idx, _ROLE_BITS)))
-        result = _run_frame(mode, bits_rng, _FrontEnds(h_eff, spec, reference_noise(spec, pos_seed, frame_idx)))
+        result = _run_frame(
+            mode,
+            _packed_bits(bits_rng, _frame_bits(mode, spec)),
+            _FrontEnds(h_eff, spec, reference_noise(spec, pos_seed, frame_idx)),
+        )
         used.append((frame_idx, mode))
         if state is not None:
-            controller_step(state, result.est, P_TOTAL_REF, N0, policy)
+            controller_step(state, *estimate_snrs(result.est, P_TOTAL_REF, N0), policy)
         if frame_idx >= SETTLING_FRAMES:
             measured_frames += 1
             bits_total += result.bits
@@ -228,6 +242,53 @@ class TestSharedWork:
         for index in range(3):
             rows = (res.adaptive[index], res.fixed_sm64[index], res.fixed_sd64[index])
             assert run_position(cfg, index) == rows
+
+
+class TestPayloadBits:
+    """Labels from raw PCG64 words, one draw per frame index shared by its chain runs."""
+
+    @given(st.sampled_from([4, 16, 64, 256]), st.integers(1, 5000), st.integers(0, 7), st.integers(0, 2**63 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_raw_word_labels_equal_integers_then_pack(self, order, count, spare, seed):
+        k = int(math.log2(order))
+        want = pack_labels(make_rng(seed).integers(0, 2, size=count * k), order)
+        for n_bits in (count * k, count * k + spare, 16 * count + 1):   # a run reads a prefix of a longer draw
+            assert np.array_equal(unpack_labels(_packed_bits(make_rng(seed), n_bits), order, count), want)
+
+    def test_frame_seeds_give_the_same_labels(self):
+        spec = ScenarioConfig(payload_len=100).frame_spec()
+        for mode in (Mode("SD", 4), Mode("SM", 64), Mode("SM", 256)):
+            want = pack_labels(_bits_rng((7,), 3).integers(0, 2, size=_frame_bits(mode, spec)), mode.order)
+            got = unpack_labels(_packed_bits(_bits_rng((7,), 3), 16 * 2 * 100), mode.order, mode.streams * 100)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_one_bits_generator_per_frame_index(self, index, monkeypatch):
+        cfg = parse_config(SMALL_SWEEP_TEXT)
+        roles = Counter()
+        real_make_rng = scenario.make_rng
+
+        def spy_make_rng(seed):
+            roles[seed.entropy[-1]] += 1
+            return real_make_rng(seed)
+
+        monkeypatch.setattr(scenario, "make_rng", spy_make_rng)
+        counts = count_calls(monkeypatch, ("_run_frame",))
+        run_position(cfg, index)
+        assert roles[_ROLE_BITS] == roles[_ROLE_NOISE] < counts["_run_frame"]
+        roles.clear()
+        scenario.measure_mode_ber(cfg, Mode("SM", 16), 10.0 ** 2.4, (3, 1), 40, 20_000)
+        assert roles[_ROLE_BITS] == roles[_ROLE_NOISE] > 1
+
+    @pytest.mark.parametrize("mode", [Mode("SD", 64), Mode("SM", 16)], ids=lambda m: m.name)
+    def test_reference_power_from_the_table_equals_the_symbol_sum(self, mode):
+        spec = parse_config(SMALL_SWEEP_TEXT).frame_spec()
+        h_eff = 30.0 * np.eye(2, dtype=complex)
+        front_end = _FrontEnds(h_eff, spec)
+        front_end.draw((5,), 0)
+        result = _run_frame(mode, _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec)), front_end)
+        assert result.ref_power == float(np.sum(np.abs(result.payload) ** 2))
+        assert result.snrs == estimate_snrs(result.est, P_TOTAL_REF, N0)
 
 
 class TestFrameBudget:

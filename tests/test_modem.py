@@ -20,11 +20,19 @@ from vlclink import (
     qam_demap,
     qam_map,
 )
-from vlclink.modem import demap_labels, label_bit_errors, map_labels, pack_labels
+from vlclink.modem import demap_labels, label_bit_errors, map_labels, unpack_labels
 
 
 def bits_of(label: int, k: int) -> list[int]:
     return [(label >> (k - 1 - j)) & 1 for j in range(k)]
+
+
+def pack_labels(bits, order):
+    """Labels of 0/1 bits read k at a time, MSB first, by one product with the
+    bit weights: the packing the chain used before it unpacked bytes."""
+    k = constellation(order).bits_per_symbol
+    weights = 1 << np.arange(k - 1, -1, -1)
+    return (np.asarray(bits, dtype=np.int64).reshape(-1, k) @ weights).astype(np.uint8)
 
 
 def former_map(bits, order):
@@ -53,6 +61,23 @@ def former_demap(symbols, order):
         bits[:, j] = (icode >> (half - 1 - j)) & 1
         bits[:, half + j] = (qcode >> (half - 1 - j)) & 1
     return bits.ravel()
+
+
+def former_demap_labels(symbols, order):
+    """The label demap the one-pass form replaced: each axis decided on its own."""
+    c = constellation(order)
+    side = 1 << (c.bits_per_symbol // 2)
+
+    def axis_indices(x):
+        raw = (side - 1 - x / c.scale) / 2.0
+        return np.clip(np.floor(raw + 0.5), 0, side - 1).astype(np.uint8)
+
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    i, q = axis_indices(symbols.real), axis_indices(symbols.imag)
+    labels = i ^ (i >> 1)
+    labels <<= c.bits_per_symbol // 2
+    labels |= q ^ (q >> 1)
+    return labels
 
 
 class TestConstellation:
@@ -197,6 +222,45 @@ class TestLabelChain:
                          c.points.real.min() + 1j * c.points.imag.min(),
                          c.points.real.max() + 1j * c.points.imag.min()])
         assert np.array_equal(map_labels(demap_labels(corners, order), order), want)
+
+    @given(st.sampled_from(QAM_ORDERS), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_one_pass_demap_matches_the_two_axis_form(self, order, data):
+        c = constellation(order)
+        side = 1 << (c.bits_per_symbol // 2)
+        coordinate = st.one_of(
+            st.floats(-2.0, 2.0),
+            st.sampled_from([0.0, -0.0, 1e9, -1e9, np.inf, -np.inf]),
+            st.integers(-side - 1, side + 1).map(lambda m: m * c.scale),   # decision boundaries at even m
+        )
+        shape = data.draw(st.sampled_from([(), (1,), (7,), (1, 9), (2, 5)]))
+        n = int(np.prod(shape, dtype=int))
+        y = np.empty(n, dtype=np.complex128)
+        y.real = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+        y.imag = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+        y = y.reshape(shape)
+        got = demap_labels(y, order)
+        assert got.shape == shape and got.dtype == np.uint8
+        assert np.array_equal(got, former_demap_labels(y, order))
+        if y.ndim == 2:   # a strided view decides the same
+            wide = np.zeros((y.shape[0], 2 * y.shape[1]), dtype=np.complex128)
+            wide[:, ::2] = y
+            assert np.array_equal(demap_labels(wide[:, ::2], order), got)
+
+    @given(st.sampled_from(QAM_ORDERS), st.integers(1, 300), st.integers(0, 16), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_unpacked_labels_equal_packed_bit_groups(self, order, count, spare, seed):
+        k = constellation(order).bits_per_symbol
+        bits = make_rng(seed).integers(0, 2, size=count * k + spare)   # extra bits past the labels read
+        got = unpack_labels(np.packbits(bits), order, count)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, pack_labels(bits[: count * k], order))
+
+    def test_power_table_is_the_squared_point_magnitude(self):
+        for order in QAM_ORDERS:
+            c = constellation(order)
+            assert np.array_equal(c.power, np.abs(c.points) ** 2)
+            assert not c.power.flags.writeable
 
     def test_error_count_is_a_popcount(self):
         tx = np.array([0b000000, 0b111111, 0b101010], dtype=np.uint8)

@@ -137,6 +137,14 @@ class TestParseConfig:
                 parse_config(f"sweep.frames_per_position = {value}\n")
             assert err.value.key == "sweep.frames_per_position"
 
+    def test_payload_bits_capped_at_what_fixed_sd64_can_measure(self):
+        # 254 measured frames of 64 SD-64 symbols carry 254 * 6 * 64 = 97536 bits
+        short = "frame.payload_len = 64\nsweep.positions.start = 0\nsweep.positions.stop = 0\n"
+        assert parse_config(short + "sweep.payload_bits = 97536\n").payload_bits == 97536
+        with pytest.raises(ValidationError) as err:
+            parse_config(short + "sweep.payload_bits = 97537\n")
+        assert err.value.key == "sweep.payload_bits"
+
     def test_mode_names_validated(self):
         cfg = parse_config("policy.initial = sd-16\n")
         assert cfg.policy().initial == Mode("SD", 16)

@@ -29,7 +29,18 @@ from vlclink import (
 )
 from vlclink import scenario
 from vlclink.framing import build_head, matched_filter_frame
-from vlclink.scenario import LEAD_PAD, N0, TAIL_PAD, _ROLE_NOISE, _bits_rng, _frame_noise, _FrontEnds, _run_frame
+from vlclink.scenario import (
+    LEAD_PAD,
+    N0,
+    TAIL_PAD,
+    _ROLE_NOISE,
+    _bits_rng,
+    _frame_bits,
+    _frame_noise,
+    _FrontEnds,
+    _packed_bits,
+    _run_frame,
+)
 
 
 @st.composite
@@ -126,12 +137,13 @@ class TestRunFrameMatchesSampleRateChain:
             return wrapped
 
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("build_symbols", "estimate_channel", "detect_sm_zf", "combine_sd_mrc"):
+            for name in ("build_tx_symbols", "estimate_channel", "detect_sm_zf", "combine_sd_mrc"):
                 mp.setattr(scenario, name, spy(name, getattr(scenario, name)))
-            result = _run_frame(Mode(scheme, 4), _bits_rng((seed,), 0), _FrontEnds(h_eff, spec, noise))
+            mode = Mode(scheme, 4)
+            result = _run_frame(mode, _packed_bits(_bits_rng((seed,), 0), _frame_bits(mode, spec)), _FrontEnds(h_eff, spec, noise))
 
         lay = spec.layout()
-        payload = seen["build_symbols"][0]
+        payload = np.broadcast_to(seen["build_tx_symbols"][0], (2, spec.payload_len))
         start, symbols = reference_chain(payload, scheme, h_eff, spec, noise)
         assert result.sync_index == start
         n_p = spec.pilot_len
