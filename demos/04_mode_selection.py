@@ -37,8 +37,8 @@ for snr_db in range(6, 42, 2):
 
 print("\n=== One-frame feedback latency ===")
 state = new_controller(policy)
-strong = ChannelEstimate(h_hat=np.eye(2, dtype=complex) * 40.0, pilot_len=0, residual_rms=0.0)
-weak = ChannelEstimate(h_hat=np.eye(2, dtype=complex) * 2.0, pilot_len=0, residual_rms=0.0)
+strong = ChannelEstimate(h_hat=np.eye(2, dtype=complex) * 40.0)
+weak = ChannelEstimate(h_hat=np.eye(2, dtype=complex) * 2.0)
 print("channel alternates strong/weak each frame; applied mode lags the estimate by one frame")
 for frame in range(6):
     est = strong if frame % 2 == 0 else weak

@@ -13,7 +13,6 @@ from .adapt import (
     MODES,
     Mode,
     controller_step,
-    decode_mode,
     encode_mode,
     new_controller,
     parse_mode,
@@ -31,16 +30,12 @@ from .channel import (
     occlusion_factor,
 )
 from .errors import (
-    BadCode,
-    CalibrationImpossible,
     DeadChannel,
-    EmptyInput,
     LengthError,
     ParameterError,
     ParseError,
     RangeError,
     SchemeError,
-    SchemeMismatch,
     SingularMatrix,
     SyncNotFound,
     ValidationError,
@@ -48,7 +43,6 @@ from .errors import (
 from .framing import (
     FrameSpec,
     TxFrame,
-    add_cp,
     build_frame,
     matched_filter_downsample,
     mseq,

@@ -1,7 +1,7 @@
 """Link adaptation: the 8-mode table, BER-constrained selection, 3-bit codes,
 and the one-frame-delayed feedback controller.
 
-Wire code table (normative for dumps and feedback):
+Wire code table (normative for dumps and feedback; code c is `MODES[c]`):
 
     0 SD-4    1 SD-16   2 SD-64   3 SD-256
     4 SM-4    5 SM-16   6 SM-64   7 SM-256
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadCode, ParameterError, SchemeMismatch
+from .errors import ParameterError, SchemeError
 from .modem import ber_theoretical
 from .receiver import ChannelEstimate, StreamSnrs, stream_snrs
 from .numerics import SingularMatrix
@@ -27,7 +27,6 @@ __all__ = [
     "predicted_ber",
     "select_mode",
     "encode_mode",
-    "decode_mode",
     "parse_mode",
     "controller_step",
 ]
@@ -40,7 +39,7 @@ class Mode:
 
     def __post_init__(self):
         if self.scheme not in ("SM", "SD") or self.order not in (4, 16, 64, 256):
-            raise BadCode(f"no such mode: {self.scheme}-{self.order}")
+            raise ParameterError(f"no such mode: {self.scheme}-{self.order}")
 
     @property
     def streams(self) -> int:
@@ -71,21 +70,15 @@ def encode_mode(mode: Mode) -> int:
     try:
         return _CODE_BY_MODE[mode]
     except KeyError:
-        raise BadCode(f"unknown mode {mode!r}") from None
-
-
-def decode_mode(code: int) -> Mode:
-    if not 0 <= code <= 7:
-        raise BadCode(f"mode code must be in [0, 7], got {code}")
-    return MODES[code]
+        raise ParameterError(f"unknown mode {mode!r}") from None
 
 
 def parse_mode(name: str) -> Mode:
     try:
         scheme, order = name.strip().upper().split("-")
         return Mode(scheme, int(order))
-    except (ValueError, BadCode):
-        raise BadCode(f"cannot parse mode name {name!r}") from None
+    except ValueError:
+        raise ParameterError(f"cannot parse mode name {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -109,7 +102,7 @@ def predicted_ber(mode: Mode, snrs: StreamSnrs) -> float:
     because the payload is split equally across streams.
     """
     if snrs.scheme != mode.scheme:
-        raise SchemeMismatch(f"mode {mode.name} given {snrs.scheme} SNRs")
+        raise SchemeError(f"mode {mode.name} given {snrs.scheme} SNRs")
     bers = [ber_theoretical(mode.order, s) for s in snrs.snr]
     return sum(bers) / len(bers)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import make_rng
 
 __all__ = [
     "Obstacle",
@@ -97,11 +96,6 @@ class Geometry:
             fov_deg=fov_deg,
             beam_radius_cm=beam_radius_cm,
         )
-
-    def with_obstacle_x(self, x_cm: float) -> "Geometry":
-        if self.obstacle is None:
-            raise ParameterError("geometry has no obstacle to move")
-        return replace(self, obstacle=replace(self.obstacle, x_cm=x_cm))
 
     def without_obstacle(self) -> "Geometry":
         return replace(self, obstacle=None)
@@ -215,25 +209,18 @@ def awgn(shape: tuple[int, ...], n0: float, rng: np.random.Generator, out=None) 
     return out
 
 
-def apply_channel(streams: np.ndarray, state: ChannelState, rng=None, noise=None) -> np.ndarray:
+def apply_channel(streams: np.ndarray, state: ChannelState, noise: np.ndarray) -> np.ndarray:
     """Mix two branch streams through the channel and add AWGN.
 
     y_j[n] = sum_i h[j][i] x_i[n] + w_j[n], with w zero-mean complex Gaussian
-    of variance n0 per sample.  Give exactly one of `rng`, an int seed or a
-    numpy Generator that `awgn` draws w from, and `noise`, a w already drawn
-    by `awgn` for the same shape (read, not modified).  Output is
-    bit-identical for a given seed.
+    of variance n0 per sample: `noise`, as `awgn` draws it for the streams'
+    shape (read, not modified, so runs that share one realisation draw it
+    once).
     """
     x = np.asarray(streams, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] < 1:
         raise ParameterError("streams must have shape (2, n)")
-    if (rng is None) == (noise is None):
-        raise ParameterError("give exactly one of rng and noise")
-    if noise is None:
-        if not isinstance(rng, np.random.Generator):
-            rng = make_rng(rng)
-        noise = awgn(x.shape, state.n0, rng)
-    elif noise.shape != (2,) + x.shape:
+    if noise.shape != (2,) + x.shape:
         raise ParameterError(f"noise has shape {noise.shape}, streams {x.shape}")
     y = state.h @ x
     y.real += noise[0]

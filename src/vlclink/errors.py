@@ -2,23 +2,15 @@
 
 
 class LengthError(ValueError):
-    """Sequence length violates an operation's contract."""
-
-
-class EmptyInput(ValueError):
-    """An operation received zero elements where at least one is required."""
+    """Sequence length violates an operation's contract, empty input included."""
 
 
 class ParameterError(ValueError):
-    """A scalar parameter is outside its legal range."""
+    """A scalar parameter is outside its legal range, or a mode is not in the table."""
 
 
 class SchemeError(ValueError):
-    """Branch contents are inconsistent with the requested MIMO scheme."""
-
-
-class SchemeMismatch(ValueError):
-    """A mode and an SNR record refer to different MIMO schemes."""
+    """Branch contents, or an SNR record, do not match the requested MIMO scheme."""
 
 
 class RangeError(ValueError):
@@ -35,14 +27,6 @@ class SingularMatrix(ArithmeticError):
 
 class DeadChannel(RuntimeError):
     """Combined channel gain is zero on every receive branch."""
-
-
-class BadCode(ValueError):
-    """Mode code outside the 3-bit table, or an unknown mode."""
-
-
-class CalibrationImpossible(RuntimeError):
-    """No finite transmit SNR satisfies the calibration target."""
 
 
 class ParseError(ValueError):

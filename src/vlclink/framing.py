@@ -44,7 +44,6 @@ __all__ = [
     "preamble_symbols",
     "pilot_symbols",
     "rrc_taps",
-    "add_cp",
     "build_symbols",
     "build_tx_symbols",
     "build_frame",
@@ -230,16 +229,6 @@ def _spec_taps(spec: FrameSpec) -> np.ndarray:
     return _cached_taps(spec.rolloff, spec.sps, spec.rrc_span)
 
 
-def add_cp(symbols: np.ndarray, cp_len: int) -> np.ndarray:
-    """Prepend the last `cp_len` symbols as a cyclic prefix."""
-    symbols = np.asarray(symbols)
-    if cp_len < 0 or cp_len >= symbols.size:
-        raise LengthError(f"cp_len {cp_len} must be in [0, {symbols.size})")
-    if cp_len == 0:
-        return symbols.copy()
-    return np.concatenate([symbols[-cp_len:], symbols])
-
-
 def _tap_bank(taps: np.ndarray, sps: int) -> np.ndarray:
     """Taps zero-padded to whole symbols: row j of the (ceil(ntaps/sps), sps)
     result is taps[j*sps : (j+1)*sps], so column p is the phase-p sub-filter."""
@@ -324,7 +313,8 @@ def build_symbols(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> np.
 
     `payload_syms` has shape (2, payload_len).  Under SD both rows must be
     identical (the caller provides the repetition); under SM they are the two
-    independent streams.
+    independent streams.  Checks its input, then fills it in as
+    `build_tx_symbols` does.
     """
     payload_syms = np.asarray(payload_syms, dtype=np.complex128)
     if payload_syms.shape != (2, spec.payload_len):
@@ -336,32 +326,30 @@ def build_symbols(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> np.
         raise SchemeError(f"scheme must be 'SM' or 'SD', got {scheme!r}")
     if scheme == "SD" and not np.array_equal(payload_syms[0], payload_syms[1]):
         raise SchemeError("SD requires identical payload symbols on both branches")
-
-    lay = spec.layout()
-    symbols = np.zeros((2, spec.n_symbols), dtype=np.complex128)   # silent where not set
-    symbols[:, : lay.pilot1] = preamble_symbols(spec)
-    symbols[0, lay.pilot1 : lay.pilot2] = pilot_symbols(spec)
-    symbols[1, lay.pilot2 : lay.cp] = pilot_symbols(spec)
-    for b in range(2):
-        symbols[b, lay.cp :] = add_cp(payload_syms[b], spec.cp_len)
-    return symbols
+    return build_tx_symbols(payload_syms, spec)
 
 
 @lru_cache(maxsize=None)
 def _symbol_template(spec: FrameSpec) -> np.ndarray:
-    """`build_symbols` of an all-zero payload: preamble, pilot slots and zeros.
+    """The symbols of a frame with an all-zero payload: preamble on both
+    branches, each branch's pilots in its own slot, silence elsewhere.
     Shared by every caller and every thread, so read-only."""
-    template = build_symbols(np.zeros((2, spec.payload_len)), spec, "SM")
+    lay = spec.layout()
+    template = np.zeros((2, spec.n_symbols), dtype=np.complex128)
+    template[:, : lay.pilot1] = preamble_symbols(spec)
+    template[0, lay.pilot1 : lay.pilot2] = pilot_symbols(spec)
+    template[1, lay.pilot2 : lay.cp] = pilot_symbols(spec)
     template.flags.writeable = False
     return template
 
 
 def build_tx_symbols(payload_syms: np.ndarray, spec: FrameSpec) -> np.ndarray:
-    """`build_symbols` without its checks, from the spec's template.
+    """The frame symbols of `payload_syms`, unchecked: the one TX assembly.
 
     `payload_syms` is (streams, payload_len): two rows under SM, the one row
-    both branches repeat under SD.  The template is copied and only the CP
-    and the payload are written.
+    both branches repeat under SD.  The spec's template is copied and only
+    the cyclic prefix (the last cp_len payload symbols) and the payload are
+    written.
     """
     lay = spec.layout()
     symbols = _symbol_template(spec).copy()

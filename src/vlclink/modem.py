@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyInput, LengthError, ParameterError
+from .errors import LengthError, ParameterError
 from .numerics import qfunc
 
 __all__ = [
@@ -221,7 +221,7 @@ def evm(rx, ref) -> float:
     if rx.size != ref.size:
         raise LengthError(f"rx has {rx.size} symbols, ref has {ref.size}")
     if rx.size == 0:
-        raise EmptyInput("evm needs at least one symbol")
+        raise LengthError("evm needs at least one symbol")
     ref_power = float(np.sum(np.abs(ref) ** 2))
     if ref_power == 0.0:
         raise ParameterError("reference power is zero")

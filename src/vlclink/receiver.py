@@ -10,7 +10,6 @@ multiplexing on a symmetric channel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    h_hat: np.ndarray
-    pilot_len: int
-    residual_rms: float
+    h_hat: np.ndarray   # (2, 2): h_hat[j, i] couples LED i into PD j
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,7 @@ def estimate_channel(rx_pilot_segments: np.ndarray, pilots: np.ndarray) -> Chann
     energy = float(np.sum(np.abs(pilots) ** 2))
     if energy == 0.0:
         raise ParameterError("pilot sequence has zero energy")
-    h_hat = (y @ np.conj(pilots)) / energy
-    residual = y - h_hat[:, :, None] * pilots[None, None, :]
-    residual_rms = math.sqrt(float(np.mean(np.abs(residual) ** 2)))
-    return ChannelEstimate(h_hat=h_hat, pilot_len=n_p, residual_rms=residual_rms)
+    return ChannelEstimate(h_hat=(y @ np.conj(pilots)) / energy)
 
 
 def stream_snrs(est: ChannelEstimate, p_total: float, n0: float, scheme: str) -> StreamSnrs:
@@ -117,7 +111,10 @@ def combine_sd_mrc(y: np.ndarray, est: ChannelEstimate) -> np.ndarray:
 
     The effective column for a unit-reference repeated symbol is
     g = H [1,1]^T; the combiner g^H y / ||g||^2 has unit gain on the symbol,
-    so a noise-free input returns the transmitted symbols exactly.
+    so a noise-free input returns the transmitted symbols exactly.  Each
+    branch is weighted by conj(g_j) / ||g||^2 and the two terms are summed
+    elementwise: a (2,) @ (2, n) product goes to BLAS, which splits it
+    across threads for no gain.
     """
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 2 or y.shape[0] != 2:
@@ -126,4 +123,7 @@ def combine_sd_mrc(y: np.ndarray, est: ChannelEstimate) -> np.ndarray:
     norm2 = float(np.sum(np.abs(g) ** 2))
     if norm2 < 1e-24:
         raise DeadChannel("both combined branch gains are zero")
-    return (np.conj(g) @ y) / norm2
+    w = np.conj(g) / norm2
+    out = w[0] * y[0]
+    out += w[1] * y[1]
+    return out

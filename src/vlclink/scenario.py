@@ -35,14 +35,7 @@ from .adapt import (
     predicted_ber,
 )
 from .channel import ChannelState, Geometry, Obstacle, apply_channel, awgn, channel_matrix
-from .errors import (
-    BadCode,
-    CalibrationImpossible,
-    ParameterError,
-    ParseError,
-    SingularMatrix,
-    ValidationError,
-)
+from .errors import ParameterError, ParseError, SingularMatrix, ValidationError
 from .framing import (
     FrameSpec,
     build_head,
@@ -79,6 +72,7 @@ LEAD_PAD = 257       # noise-only samples before each frame, so sync is exercise
 TAIL_PAD = 63
 _MAX_FRAMES_PER_POSITION = 256
 MAX_GRID_POINTS = 10_000   # cap on sweep positions and on BER-sweep SNR points
+MAX_STREAM_SAMPLES = 1 << 20   # cap on the samples per branch of a frame's received stream
 
 _ROLE_BITS = 11
 _ROLE_NOISE = 12
@@ -104,7 +98,7 @@ def _nonneg(value) -> bool:
 def _mode_name(value: str) -> bool:
     try:
         parse_mode(value)
-    except BadCode:
+    except ParameterError:
         return False
     return True
 
@@ -275,11 +269,14 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
         if points > MAX_GRID_POINTS:
             raise ValidationError(key, f"grid of {points:.4g} points exceeds the cap of {MAX_GRID_POINTS}")
     try:
-        cfg.frame_spec()
+        spec = cfg.frame_spec()
         cfg.geometry(obstacle_x=0.0)
         cfg.policy()
     except ParameterError as exc:
         raise ValidationError("config", str(exc)) from None
+    samples = _stream_len(spec)   # each sweep task draws 2 x 2 x samples float64 noise values per frame index
+    if samples > MAX_STREAM_SAMPLES:
+        raise ValidationError("frame", f"stream of {samples} samples per branch exceeds the cap of {MAX_STREAM_SAMPLES}")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -288,7 +285,7 @@ def load_config(path) -> ScenarioConfig:
 
 
 def _true_estimate(h: np.ndarray) -> ChannelEstimate:
-    return ChannelEstimate(h_hat=np.asarray(h, dtype=np.complex128), pilot_len=0, residual_rms=0.0)
+    return ChannelEstimate(h_hat=np.asarray(h, dtype=np.complex128))
 
 
 def calibrate(config: ScenarioConfig) -> float:
@@ -311,7 +308,7 @@ def calibrate(config: ScenarioConfig) -> float:
 
     lo_db, hi_db = -20.0, 120.0
     if not feasible(10.0 ** (hi_db / 10.0)):
-        raise CalibrationImpossible("SM-256 infeasible even at 120 dB transmit SNR")
+        raise RuntimeError("SM-256 infeasible even at 120 dB transmit SNR")
     if feasible(10.0 ** (lo_db / 10.0)):
         hi_db = lo_db
     for _ in range(80):
@@ -623,9 +620,6 @@ class BlockageSweepResult:
     fixed_sd64: list[LinkReport]
     averages: dict[str, float]
     p_total: float
-
-    def average(self, which: str) -> float:
-        return self.averages[which]
 
 
 def run_position(

@@ -92,7 +92,7 @@ class TestChannelMatrix:
         assert h[0, 0].real > 0 and h[1, 1].real > 0
 
     def test_far_obstacle_near_diagonal_dominant(self):
-        geom = Geometry.from_separations(lambert_m=20000.0).with_obstacle_x(65.0)
+        geom = Geometry.from_separations(lambert_m=20000.0, obstacle=Obstacle(x_cm=65.0))
         h, _ = channel_matrix(geom)
         assert np.all(h.real > 0)
         assert h[0, 0].real > h[0, 1].real
@@ -117,12 +117,12 @@ class TestApplyChannel:
     def test_identity_passthrough(self):
         rng = make_rng(0)
         x = rng.standard_normal((2, 512)) + 1j * rng.standard_normal((2, 512))
-        y = apply_channel(x, ChannelState(h=np.eye(2, dtype=complex), n0=1e-30), 1)
+        y = apply_channel(x, ChannelState(h=np.eye(2, dtype=complex), n0=1e-30), awgn(x.shape, 1e-30, make_rng(1)))
         assert np.allclose(y, x, atol=1e-12)
 
     def test_zero_channel_pure_noise_variance(self):
         x = np.zeros((2, 1_000_000), complex)
-        y = apply_channel(x, ChannelState(h=np.zeros((2, 2), complex), n0=1.0), 2)
+        y = apply_channel(x, ChannelState(h=np.zeros((2, 2), complex), n0=1.0), awgn(x.shape, 1.0, make_rng(2)))
         var = float(np.mean(np.abs(y) ** 2))
         assert var == pytest.approx(1.0, rel=0.01)
 
@@ -130,16 +130,16 @@ class TestApplyChannel:
         rng = make_rng(5)
         x = rng.standard_normal((2, 256)) + 1j * rng.standard_normal((2, 256))
         state = ChannelState(h=np.eye(2, dtype=complex), n0=0.5)
-        y1 = apply_channel(x, state, 99)
-        y2 = apply_channel(x, state, 99)
+        y1 = apply_channel(x, state, awgn(x.shape, 0.5, make_rng(99)))
+        y2 = apply_channel(x, state, awgn(x.shape, 0.5, make_rng(99)))
         assert np.array_equal(y1, y2)
-        y3 = apply_channel(x, state, 100)
+        y3 = apply_channel(x, state, awgn(x.shape, 0.5, make_rng(100)))
         assert not np.array_equal(y1, y3)
 
     def test_mixing_matrix_applied(self):
         h = np.array([[0.5, 0.1], [0.2, 0.8]], dtype=complex)
         x = make_rng(6).standard_normal((2, 64)) + 0j
-        y = apply_channel(x, ChannelState(h=h, n0=1e-30), 3)
+        y = apply_channel(x, ChannelState(h=h, n0=1e-30), awgn(x.shape, 1e-30, make_rng(3)))
         assert np.allclose(y, h @ x, atol=1e-12)
 
 
@@ -159,7 +159,7 @@ class TestNoisePath:
         sigma = math.sqrt(0.7 / 2.0)
         want.real += sigma * rng.standard_normal(x.shape)
         want.imag += sigma * rng.standard_normal(x.shape)
-        assert np.array_equal(apply_channel(x, state, 31), want)
+        assert np.array_equal(apply_channel(x, state, awgn(x.shape, 0.7, make_rng(31))), want)
 
     def test_awgn_returns_real_then_imaginary_parts_as_drawn(self):
         # the former complex draw, bit for bit, kept as real parts then imaginary parts
@@ -185,16 +185,10 @@ class TestNoisePath:
         state = ChannelState(h=self.H, n0=0.7)
         noise = awgn(x.shape, 0.7, make_rng(31))
         kept = noise.copy()
-        assert np.array_equal(apply_channel(x, state, noise=noise), apply_channel(x, state, 31))
+        first = apply_channel(x, state, noise=noise)
         assert np.array_equal(noise, kept)   # shared draws are read, not modified
-
-    def test_needs_exactly_one_noise_source(self):
-        x = self.streams()
-        state = ChannelState(h=self.H, n0=0.7)
-        with pytest.raises(ParameterError):
-            apply_channel(x, state)
-        with pytest.raises(ParameterError):
-            apply_channel(x, state, 3, noise=awgn(x.shape, 0.7, make_rng(3)))
+        assert np.array_equal(apply_channel(x, state, noise=noise), first)
+        assert np.array_equal(first, apply_channel(x, state, awgn(x.shape, 0.7, make_rng(31))))
 
     def test_noise_shape_must_match(self):
         x = self.streams()

@@ -14,7 +14,6 @@ from vlclink import (
     RangeError,
     SchemeError,
     SyncNotFound,
-    add_cp,
     build_frame,
     make_rng,
     matched_filter_downsample,
@@ -26,7 +25,7 @@ from vlclink import (
     rrc_taps,
     synchronize,
 )
-from vlclink.channel import ChannelState, apply_channel
+from vlclink.channel import ChannelState, apply_channel, awgn
 from vlclink.framing import SYNC_THRESHOLD, _best_start, _upsample_and_shape, build_symbols, build_tx_symbols
 
 SPEC = FrameSpec()
@@ -95,25 +94,33 @@ class TestPreamble:
         assert not np.array_equal(pilots, preamble_symbols(SPEC)[: SPEC.pilot_len])
 
 
+def cp_and_payload(payload: np.ndarray, cp_len: int) -> np.ndarray:
+    """The CP and payload segments of the frame `build_tx_symbols` assembles
+    from one payload row."""
+    spec = FrameSpec(payload_len=payload.size, cp_len=cp_len)
+    return build_tx_symbols(payload[None, :], spec)[0, spec.layout().cp :]
+
+
 class TestCyclicPrefix:
     def test_zero_length_is_identity(self):
         x = np.arange(5).astype(complex)
-        assert np.array_equal(add_cp(x, 0), x)
+        assert np.array_equal(cp_and_payload(x, 0), x)
 
     def test_documented_example(self):
         x = np.array([1, 2, 3, 4], dtype=complex)  # [a,b,c,d]
-        assert np.array_equal(add_cp(x, 2), np.array([3, 4, 1, 2, 3, 4], dtype=complex))
+        assert np.array_equal(cp_and_payload(x, 2), np.array([3, 4, 1, 2, 3, 4], dtype=complex))
 
     def test_length_error(self):
-        with pytest.raises(LengthError):
-            add_cp(np.arange(3).astype(complex), 3)
+        # a CP as long as the payload is rejected with the frame spec
+        with pytest.raises(ParameterError):
+            FrameSpec(payload_len=3, cp_len=3)
 
     @given(st.integers(0, 7), st.integers(8, 40), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, cp_len, n, seed):
         rng = make_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        with_cp = add_cp(x, cp_len)
+        with_cp = cp_and_payload(x, cp_len)
         assert np.array_equal(with_cp[cp_len:], x)
         assert np.array_equal(with_cp[:cp_len], x[n - cp_len :])
 
@@ -158,6 +165,19 @@ class TestBuildFrame:
             build_frame(np.zeros((2, 5), complex), SPEC, "SM")
 
 
+def ref_symbols(payload: np.ndarray, spec: FrameSpec) -> np.ndarray:
+    """Frame symbols assembled segment by segment from a (2, payload_len)
+    payload, as the layout table in the README reads."""
+    lay = spec.layout()
+    symbols = np.zeros((2, spec.n_symbols), dtype=complex)
+    symbols[:, : lay.pilot1] = preamble_symbols(spec)
+    symbols[0, lay.pilot1 : lay.pilot2] = pilot_symbols(spec)
+    symbols[1, lay.pilot2 : lay.cp] = pilot_symbols(spec)
+    for b in range(2):
+        symbols[b, lay.cp :] = np.concatenate([payload[b, spec.payload_len - spec.cp_len :], payload[b]])
+    return symbols
+
+
 class TestTxTemplate:
     @given(st.sampled_from(["SM", "SD"]), st.integers(1, 40), st.data())
     @settings(max_examples=60, deadline=None)
@@ -171,15 +191,18 @@ class TestTxTemplate:
         rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
         rows = 2 if scheme == "SM" else 1
         payload = rng.standard_normal((rows, payload_len)) + 1j * rng.standard_normal((rows, payload_len))
-        want = build_symbols(np.broadcast_to(payload, (2, payload_len)), spec, scheme)
+        both = np.broadcast_to(payload, (2, payload_len))
+        want = ref_symbols(both, spec)
         got = build_tx_symbols(payload, spec)
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert np.array_equal(build_symbols(both, spec, scheme).view(np.float64), want.view(np.float64))
         assert got.flags.writeable   # a copy, not the shared template
 
     def test_cp_len_zero(self):
         spec = FrameSpec(payload_len=16, cp_len=0)
         payload = np.arange(32.0).reshape(2, 16) + 0.5j
-        assert np.array_equal(build_tx_symbols(payload, spec), build_symbols(payload, spec, "SM"))
+        assert np.array_equal(build_tx_symbols(payload, spec), ref_symbols(payload, spec))
+        assert np.array_equal(build_symbols(payload, spec, "SM"), ref_symbols(payload, spec))
 
 
 class TestLoopback:
@@ -255,8 +278,9 @@ class TestSynchronize:
 
         def hit_rate(n0: float, trials: int) -> float:
             hits = 0
+            state = ChannelState(h=np.eye(2, dtype=complex), n0=n0)
             for t in range(trials):
-                rx = apply_channel(tx, ChannelState(h=np.eye(2, dtype=complex), n0=n0), 10_000 + t)
+                rx = apply_channel(tx, state, awgn(tx.shape, n0, make_rng(10_000 + t)))
                 try:
                     hits += synchronize(rx[0], spec) == offset
                 except SyncNotFound:
@@ -315,7 +339,7 @@ def received(spec, seed, h, n0):
     h = np.asarray(h, dtype=complex)
     if n0 is None:
         return offset, h @ tx
-    return offset, apply_channel(tx, ChannelState(h=h, n0=n0), seed)
+    return offset, apply_channel(tx, ChannelState(h=h, n0=n0), awgn(tx.shape, n0, make_rng(seed)))
 
 
 class TestFrontEndEquivalence:

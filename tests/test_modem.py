@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from vlclink import (
-    EmptyInput,
     LengthError,
     ParameterError,
     QAM_ORDERS,
@@ -328,7 +327,7 @@ class TestEvm:
     def test_errors(self):
         with pytest.raises(LengthError):
             evm([1 + 0j], [1 + 0j, 1 + 0j])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(LengthError):
             evm([], [])
 
     def test_snr_round_trip_at_15db(self):

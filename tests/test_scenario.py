@@ -4,9 +4,11 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlclink import (
-    CalibrationImpossible,
+    FrameSpec,
     Mode,
     ParseError,
     ScenarioConfig,
@@ -22,7 +24,17 @@ from vlclink import (
 )
 from vlclink.adapt import predicted_ber
 from vlclink.receiver import stream_snrs
-from vlclink.scenario import MAX_GRID_POINTS, N0, _grid, _grid_points, _true_estimate
+from vlclink.scenario import (
+    _ALIASES,
+    _KEY_FIELDS,
+    MAX_GRID_POINTS,
+    MAX_STREAM_SAMPLES,
+    N0,
+    _grid,
+    _grid_points,
+    _stream_len,
+    _true_estimate,
+)
 
 # small scenario for fast plumbing tests: short payload, single position
 FAST_TEXT = """
@@ -145,11 +157,55 @@ class TestParseConfig:
             parse_config(short + "sweep.payload_bits = 97537\n")
         assert err.value.key == "sweep.payload_bits"
 
+    @pytest.mark.parametrize(
+        "line", ["frame.payload_len = 1000000000", "frame.sps = 1000000", "frame.pilot_len = 100000000"]
+    )
+    def test_oversized_frames_rejected_at_parse_time(self, line):
+        with pytest.raises(ValidationError) as err:
+            parse_config(line + "\n")
+        assert err.value.key == "frame"
+        assert f"cap of {MAX_STREAM_SAMPLES}" in str(err.value)
+
+    def test_frame_at_the_cap_accepted(self):
+        # each payload symbol adds sps = 4 samples per branch
+        payload_len = 4096 + (MAX_STREAM_SAMPLES - _stream_len(FrameSpec())) // 4
+        cfg = parse_config(f"frame.payload_len = {payload_len}\n")
+        assert MAX_STREAM_SAMPLES - 4 < _stream_len(cfg.frame_spec()) <= MAX_STREAM_SAMPLES
+        with pytest.raises(ValidationError):
+            parse_config(f"frame.payload_len = {payload_len + 1}\n")
+
     def test_mode_names_validated(self):
         cfg = parse_config("policy.initial = sd-16\n")
         assert cfg.policy().initial == Mode("SD", 16)
         with pytest.raises(ValidationError):
             parse_config("policy.initial = SM-3\n")
+
+
+_VALUES = st.one_of(
+    st.integers(-(10**12), 10**12).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["SM-64", "sd-4", "SM-3", "QAM-16", "nan", "-inf", "1e400", "0x10", "1_000", "four", "9" * 5000]),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.builds("{}{}{}".format, st.sampled_from(sorted(_KEY_FIELDS) + sorted(_ALIASES)), st.sampled_from(["=", " = ", "=="]), _VALUES),
+    st.text(max_size=30),
+)
+
+
+class TestArbitraryConfigText:
+    @given(st.lists(_LINES, max_size=8).map("\n".join))
+    @settings(max_examples=200, deadline=None)
+    def test_only_config_errors_escape(self, text):
+        try:
+            cfg = parse_config(text)
+        except (ParseError, ValidationError):
+            return
+        # what parses builds every part a sweep reads, within the caps
+        assert _stream_len(cfg.frame_spec()) <= MAX_STREAM_SAMPLES
+        assert cfg.positions().size <= MAX_GRID_POINTS
+        cfg.geometry(obstacle_x=float(cfg.positions()[0]))
+        cfg.policy()
 
 
 class TestCalibrate:
@@ -192,7 +248,7 @@ class TestCalibrate:
     def test_impossible_on_rank_deficient_channel(self):
         # co-located photodiodes make the two rows identical: no ZF, ever
         cfg = parse_config("geometry.pd_sep = 1e-9\n")
-        with pytest.raises(CalibrationImpossible):
+        with pytest.raises(RuntimeError, match="SM-256 infeasible even at 120 dB"):
             calibrate(cfg)
 
 

@@ -16,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlclink import (
+    MODES,
     FrameSpec,
     LengthError,
     Mode,
+    ScenarioConfig,
+    channel_matrix,
     build_frame,
     estimate_channel,
     make_rng,
@@ -169,3 +172,17 @@ class TestFrameNoise:
         assert np.array_equal(buf[0], former.real)
         assert np.array_equal(buf[1], former.imag)
         assert np.array_equal(_frame_noise(spec, (5,), 3), buf)
+
+
+class TestZeroNoise:
+    @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.name)
+    @pytest.mark.parametrize("pilot_len", [32, 8], ids=["head-before-payload", "head-reaches-payload"])
+    def test_every_mode_decodes_error_free_on_the_clear_channel(self, mode, pilot_len):
+        cfg = ScenarioConfig(pilot_len=pilot_len)
+        spec = cfg.frame_spec()
+        h_norm, _ = channel_matrix(cfg.geometry(obstacle_x=None))
+        front_end = _FrontEnds(h_norm, spec, np.zeros((2, 2, stream_len(spec))))
+        result = _run_frame(mode, _packed_bits(_bits_rng((7,), 0), _frame_bits(mode, spec)), front_end)
+        assert result.sync_index == LEAD_PAD
+        assert result.bits == _frame_bits(mode, spec)
+        assert result.errors == 0
