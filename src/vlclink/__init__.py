@@ -20,7 +20,6 @@ from .adapt import (
     select_mode,
 )
 from .channel import (
-    ChannelState,
     Geometry,
     Obstacle,
     apply_channel,

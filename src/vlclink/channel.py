@@ -26,7 +26,6 @@ from .errors import ParameterError
 __all__ = [
     "Obstacle",
     "Geometry",
-    "ChannelState",
     "los_gain",
     "occlusion",
     "occlusion_factor",
@@ -99,27 +98,6 @@ class Geometry:
 
     def without_obstacle(self) -> "Geometry":
         return replace(self, obstacle=None)
-
-
-@dataclass(frozen=True)
-class ChannelState:
-    """Effective symbol-level channel: gain matrix plus noise density.
-
-    `h` multiplies the two unit-reference branch streams; `n0` is the noise
-    variance per complex sample.  The channel is memoryless, so it acts the
-    same on a sample-rate stream and on matched-filter outputs.
-    """
-
-    h: np.ndarray
-    n0: float
-
-    def __post_init__(self):
-        ha = np.asarray(self.h, dtype=np.complex128)
-        if ha.shape != (2, 2):
-            raise ParameterError("channel matrix must be 2x2")
-        object.__setattr__(self, "h", ha)
-        if not self.n0 > 0:
-            raise ParameterError("n0 must be positive")
 
 
 def los_gain(tx: Point, rx: Point, lambert_m: float, rx_area_cm2: float, fov_deg: float) -> float:
@@ -209,20 +187,24 @@ def awgn(shape: tuple[int, ...], n0: float, rng: np.random.Generator, out=None) 
     return out
 
 
-def apply_channel(streams: np.ndarray, state: ChannelState, noise: np.ndarray) -> np.ndarray:
+def apply_channel(streams: np.ndarray, h: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Mix two branch streams through the channel and add AWGN.
 
-    y_j[n] = sum_i h[j][i] x_i[n] + w_j[n], with w zero-mean complex Gaussian
-    of variance n0 per sample: `noise`, as `awgn` draws it for the streams'
-    shape (read, not modified, so runs that share one realisation draw it
-    once).
+    y_j[n] = sum_i h[j][i] x_i[n] + w_j[n], with `h` the 2x2 gain matrix and
+    w zero-mean complex Gaussian noise: `noise`, as `awgn` draws it for the
+    streams' shape (read, not modified, so runs that share one realisation
+    draw it once).  The channel is memoryless, so it acts the same on a
+    sample-rate stream and on matched-filter outputs.
     """
+    h = np.asarray(h, dtype=np.complex128)
+    if h.shape != (2, 2):
+        raise ParameterError("channel matrix must be 2x2")
     x = np.asarray(streams, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] < 1:
         raise ParameterError("streams must have shape (2, n)")
     if noise.shape != (2,) + x.shape:
         raise ParameterError(f"noise has shape {noise.shape}, streams {x.shape}")
-    y = state.h @ x
+    y = h @ x
     y.real += noise[0]
     y.imag += noise[1]
     return y

@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValidationError("base_seed", "must be >= 0")
         cfg = replace(cfg, base_seed=args.seed)
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise ValidationError("--jobs", "must be >= 1")

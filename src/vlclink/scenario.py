@@ -10,7 +10,9 @@ per branch).  `snr_db` in a config means 10 log10(p_total / n0).
 
 Config files are line-oriented `key = value` text with `#` comments.  Each
 key is declared once, as a `ScenarioConfig` field with its name, default and
-range rule; the README documents them, and unknown keys are rejected.
+range rule; the README documents them, and unknown keys are rejected.  A
+`ScenarioConfig` checks its values when it is built, so text, a file, direct
+construction and `dataclasses.replace` all give the same guarantee.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .adapt import (
     parse_mode,
     predicted_ber,
 )
-from .channel import ChannelState, Geometry, Obstacle, apply_channel, awgn, channel_matrix
+from .channel import Geometry, Obstacle, apply_channel, awgn, channel_matrix
 from .errors import ParameterError, ParseError, SingularMatrix, ValidationError
 from .framing import (
     FrameSpec,
@@ -72,7 +74,12 @@ LEAD_PAD = 257       # noise-only samples before each frame, so sync is exercise
 TAIL_PAD = 63
 _MAX_FRAMES_PER_POSITION = 256
 MAX_GRID_POINTS = 10_000   # cap on sweep positions and on BER-sweep SNR points
+MAX_BER_POINT_FRAMES = 1 << 16   # cap on the frames one BER point may run: 49 at the defaults
 MAX_STREAM_SAMPLES = 1 << 20   # cap on the samples per branch of a frame's received stream
+# the matched filter's banded tap matrix holds 16 (rrc_span + 1)^2 sps bytes: at this cap,
+# under 17 MB at sps = 244, the most the stream cap admits at the default frame lengths
+# (0.9 GB at sps = 13103, which a one-symbol payload and the shortest preamble admit)
+MAX_RRC_SPAN = 64
 
 _ROLE_BITS = 11
 _ROLE_NOISE = 12
@@ -105,7 +112,12 @@ def _mode_name(value: str) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """The config key table: every field is one key, declared once (see `_key`)."""
+    """The config key table: every field is one key, declared once (see `_key`).
+
+    Built from text, a file, directly or by `dataclasses.replace`, it checks
+    each float field is finite and each field passes its range rule, in field
+    order, then the cross-field checks; a failure raises `ValidationError`.
+    """
 
     led_sep: float = _key("geometry.led_sep", 5.0, _positive)
     pd_sep: float = _key("geometry.pd_sep", 5.0, _positive)
@@ -123,7 +135,7 @@ class ScenarioConfig:
     cp_len: int = _key("frame.cp_len", 8, _nonneg)
     sps: int = _key("frame.sps", 4, lambda v: v >= 2)
     rolloff: float = _key("frame.rolloff", 0.35, lambda v: 0 < v <= 1)
-    rrc_span: int = _key("frame.rrc_span", 10, lambda v: v >= 4)
+    rrc_span: int = _key("frame.rrc_span", 10, lambda v: 4 <= v <= MAX_RRC_SPAN)
 
     ber_tgt: float = _key("policy.ber_tgt", 1e-3, lambda v: 0 < v < 0.5)
     margin_db: float = _key("policy.margin_db", 0.0, _nonneg)
@@ -145,6 +157,52 @@ class ScenarioConfig:
     bersweep_snr_stop: float = _key("bersweep.snr_stop", 34.0)
     bersweep_max_bits: int = _key("bersweep.max_bits", 400_000, _positive)
     bersweep_min_errors: int = _key("bersweep.min_errors", 100, _positive)
+
+    def __post_init__(self):
+        for f in fields(self):
+            key, rule, value = f.metadata["key"], f.metadata["rule"], getattr(self, f.name)
+            if f.metadata["parse"] is float and value is not None and not math.isfinite(value):
+                raise ValidationError(key, f"value '{value}' is not finite")
+            if rule is not None and not rule(value):
+                raise ValidationError(key, f"value {value!r} out of range")
+        if not 0 < self.obstacle_z < self.link_len:
+            raise ValidationError("geometry.obstacle_z", "must lie strictly inside the link")
+        if self.positions_start > self.positions_stop:
+            raise ValidationError("sweep.positions.start", "start must be <= stop")
+        if self.cp_len >= self.payload_len:
+            raise ValidationError("frame.cp_len", "must be smaller than payload_len")
+        if self.bersweep_snr_start > self.bersweep_snr_stop:
+            raise ValidationError("bersweep.snr_start", "start must be <= stop")
+        # the fixed SD-64 run measures every frame index but the settling ones
+        most_bits = (_MAX_FRAMES_PER_POSITION - SETTLING_FRAMES) * Mode("SD", 64).bits_per_symbol * self.payload_len
+        if self.payload_bits > most_bits:
+            raise ValidationError(
+                "sweep.payload_bits",
+                f"exceeds the {most_bits} bits the fixed SD-64 run measures in the frame budget of "
+                f"{_MAX_FRAMES_PER_POSITION} frames",
+            )
+        for key, start, step, stop in (
+            ("sweep.positions.step", self.positions_start, self.positions_step, self.positions_stop),
+            ("bersweep.snr_step", self.bersweep_snr_start, self.bersweep_snr_step, self.bersweep_snr_stop),
+        ):
+            points = _grid_points(start, step, stop)
+            if points > MAX_GRID_POINTS:
+                raise ValidationError(key, f"grid of {points:.4g} points exceeds the cap of {MAX_GRID_POINTS}")
+        # SD-4 frames carry the fewest bits, so a BER point runs the most of them in SD-4
+        frames = self.bersweep_max_bits // (Mode("SD", 4).bits_per_symbol * self.payload_len) + 1
+        if frames > MAX_BER_POINT_FRAMES:
+            raise ValidationError(
+                "bersweep.max_bits", f"an SD-4 point would run {frames} frames, over the cap of {MAX_BER_POINT_FRAMES}"
+            )
+        try:
+            spec = self.frame_spec()
+            self.geometry(obstacle_x=0.0)
+            self.policy()
+        except ParameterError as exc:
+            raise ValidationError("config", str(exc)) from None
+        samples = _stream_len(spec)   # each sweep task draws 2 x 2 x samples float64 noise values per frame index
+        if samples > MAX_STREAM_SAMPLES:
+            raise ValidationError("frame", f"stream of {samples} samples per branch exceeds the cap of {MAX_STREAM_SAMPLES}")
 
     def geometry(self, obstacle_x: float | None = None) -> Geometry:
         obstacle = None
@@ -212,7 +270,8 @@ _ALIASES = _build_aliases()
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse `key = value` config text into a fully validated ScenarioConfig."""
+    """Parse `key = value` config text into typed values and build the
+    ScenarioConfig from them, which checks itself."""
     values: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -229,54 +288,12 @@ def parse_config(text: str) -> ScenarioConfig:
         if canonical is None:
             raise ValidationError(key, "unknown key")
         entry = _KEY_FIELDS[canonical]
-        typ, rule = entry.metadata["parse"], entry.metadata["rule"]
+        typ = entry.metadata["parse"]
         try:
-            parsed = typ(value)
+            values[entry.name] = typ(value)
         except ValueError:
             raise ValidationError(canonical, f"cannot parse {value!r} as {typ.__name__}") from None
-        if typ is float and not math.isfinite(parsed):
-            raise ValidationError(canonical, f"value {value!r} is not finite")
-        if rule is not None and not rule(parsed):
-            raise ValidationError(canonical, f"value {parsed!r} out of range")
-        values[entry.name] = parsed
-    cfg = ScenarioConfig(**values)
-    _cross_validate(cfg)
-    return cfg
-
-
-def _cross_validate(cfg: ScenarioConfig) -> None:
-    if not 0 < cfg.obstacle_z < cfg.link_len:
-        raise ValidationError("geometry.obstacle_z", "must lie strictly inside the link")
-    if cfg.positions_start > cfg.positions_stop:
-        raise ValidationError("sweep.positions.start", "start must be <= stop")
-    if cfg.cp_len >= cfg.payload_len:
-        raise ValidationError("frame.cp_len", "must be smaller than payload_len")
-    if cfg.bersweep_snr_start > cfg.bersweep_snr_stop:
-        raise ValidationError("bersweep.snr_start", "start must be <= stop")
-    # the fixed SD-64 run measures every frame index but the settling ones
-    most_bits = (_MAX_FRAMES_PER_POSITION - SETTLING_FRAMES) * Mode("SD", 64).bits_per_symbol * cfg.payload_len
-    if cfg.payload_bits > most_bits:
-        raise ValidationError(
-            "sweep.payload_bits",
-            f"exceeds the {most_bits} bits the fixed SD-64 run measures in the frame budget of "
-            f"{_MAX_FRAMES_PER_POSITION} frames",
-        )
-    for key, start, step, stop in (
-        ("sweep.positions.step", cfg.positions_start, cfg.positions_step, cfg.positions_stop),
-        ("bersweep.snr_step", cfg.bersweep_snr_start, cfg.bersweep_snr_step, cfg.bersweep_snr_stop),
-    ):
-        points = _grid_points(start, step, stop)
-        if points > MAX_GRID_POINTS:
-            raise ValidationError(key, f"grid of {points:.4g} points exceeds the cap of {MAX_GRID_POINTS}")
-    try:
-        spec = cfg.frame_spec()
-        cfg.geometry(obstacle_x=0.0)
-        cfg.policy()
-    except ParameterError as exc:
-        raise ValidationError("config", str(exc)) from None
-    samples = _stream_len(spec)   # each sweep task draws 2 x 2 x samples float64 noise values per frame index
-    if samples > MAX_STREAM_SAMPLES:
-        raise ValidationError("frame", f"stream of {samples} samples per branch exceeds the cap of {MAX_STREAM_SAMPLES}")
+    return ScenarioConfig(**values)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -414,7 +431,7 @@ class _FrontEnds:
     """
 
     def __init__(self, h_eff: np.ndarray, spec: FrameSpec, noise: np.ndarray | None = None):
-        self.state = ChannelState(h=h_eff, n0=N0)
+        self.h = h_eff
         self.spec = spec
         self.noise = noise
         self.used = head_symbols(spec, LEAD_PAD, _stream_len(spec))
@@ -435,7 +452,7 @@ class _FrontEnds:
             spec, noise = self.spec, self.noise
             if key != self._head_key:
                 self._head_key, self._head = key, build_head(block, spec, LEAD_PAD, noise.shape[-1])
-            rx_head = apply_channel(self._head, self.state, noise=noise[..., : self._head.shape[-1]])
+            rx_head = apply_channel(self._head, self.h, noise=noise[..., : self._head.shape[-1]])
             start = synchronize(rx_head, spec, stream_len=noise.shape[-1])
             self._ends[key] = (start, matched_filter_downsample(noise, spec, start, spec.n_symbols))
         return self._ends[key]
@@ -454,7 +471,7 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResu
     symbol-rate RRC cascade plus the matched-filtered noise.  The modem works
     on k-bit labels, and errors are counted on them.
     """
-    h_eff, spec = front_end.state.h, front_end.spec
+    h_eff, spec = front_end.h, front_end.spec
     tx_labels = unpack_labels(bits, mode.order, mode.streams * spec.payload_len).reshape(mode.streams, -1)
     sent = map_labels(tx_labels, mode.order)
     tx_symbols = build_tx_symbols(sent, spec)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from vlclink import (
-    ChannelState,
     Geometry,
     Obstacle,
     ParameterError,
@@ -117,29 +116,29 @@ class TestApplyChannel:
     def test_identity_passthrough(self):
         rng = make_rng(0)
         x = rng.standard_normal((2, 512)) + 1j * rng.standard_normal((2, 512))
-        y = apply_channel(x, ChannelState(h=np.eye(2, dtype=complex), n0=1e-30), awgn(x.shape, 1e-30, make_rng(1)))
+        y = apply_channel(x, np.eye(2, dtype=complex), awgn(x.shape, 1e-30, make_rng(1)))
         assert np.allclose(y, x, atol=1e-12)
 
     def test_zero_channel_pure_noise_variance(self):
         x = np.zeros((2, 1_000_000), complex)
-        y = apply_channel(x, ChannelState(h=np.zeros((2, 2), complex), n0=1.0), awgn(x.shape, 1.0, make_rng(2)))
+        y = apply_channel(x, np.zeros((2, 2), complex), awgn(x.shape, 1.0, make_rng(2)))
         var = float(np.mean(np.abs(y) ** 2))
         assert var == pytest.approx(1.0, rel=0.01)
 
     def test_seed_determinism(self):
         rng = make_rng(5)
         x = rng.standard_normal((2, 256)) + 1j * rng.standard_normal((2, 256))
-        state = ChannelState(h=np.eye(2, dtype=complex), n0=0.5)
-        y1 = apply_channel(x, state, awgn(x.shape, 0.5, make_rng(99)))
-        y2 = apply_channel(x, state, awgn(x.shape, 0.5, make_rng(99)))
+        h = np.eye(2, dtype=complex)
+        y1 = apply_channel(x, h, awgn(x.shape, 0.5, make_rng(99)))
+        y2 = apply_channel(x, h, awgn(x.shape, 0.5, make_rng(99)))
         assert np.array_equal(y1, y2)
-        y3 = apply_channel(x, state, awgn(x.shape, 0.5, make_rng(100)))
+        y3 = apply_channel(x, h, awgn(x.shape, 0.5, make_rng(100)))
         assert not np.array_equal(y1, y3)
 
     def test_mixing_matrix_applied(self):
         h = np.array([[0.5, 0.1], [0.2, 0.8]], dtype=complex)
         x = make_rng(6).standard_normal((2, 64)) + 0j
-        y = apply_channel(x, ChannelState(h=h, n0=1e-30), awgn(x.shape, 1e-30, make_rng(3)))
+        y = apply_channel(x, h, awgn(x.shape, 1e-30, make_rng(3)))
         assert np.allclose(y, h @ x, atol=1e-12)
 
 
@@ -153,13 +152,12 @@ class TestNoisePath:
     def test_seeded_draw_matches_in_place_formula(self):
         # real parts (2, n) first, then imaginary parts, each scaled by sigma
         x = self.streams()
-        state = ChannelState(h=self.H, n0=0.7)
         want = self.H @ x
         rng = make_rng(31)
         sigma = math.sqrt(0.7 / 2.0)
         want.real += sigma * rng.standard_normal(x.shape)
         want.imag += sigma * rng.standard_normal(x.shape)
-        assert np.array_equal(apply_channel(x, state, awgn(x.shape, 0.7, make_rng(31))), want)
+        assert np.array_equal(apply_channel(x, self.H, awgn(x.shape, 0.7, make_rng(31))), want)
 
     def test_awgn_returns_real_then_imaginary_parts_as_drawn(self):
         # the former complex draw, bit for bit, kept as real parts then imaginary parts
@@ -182,18 +180,23 @@ class TestNoisePath:
 
     def test_predrawn_noise_matches_seeded_draw(self):
         x = self.streams()
-        state = ChannelState(h=self.H, n0=0.7)
         noise = awgn(x.shape, 0.7, make_rng(31))
         kept = noise.copy()
-        first = apply_channel(x, state, noise=noise)
+        first = apply_channel(x, self.H, noise=noise)
         assert np.array_equal(noise, kept)   # shared draws are read, not modified
-        assert np.array_equal(apply_channel(x, state, noise=noise), first)
-        assert np.array_equal(first, apply_channel(x, state, awgn(x.shape, 0.7, make_rng(31))))
+        assert np.array_equal(apply_channel(x, self.H, noise=noise), first)
+        assert np.array_equal(first, apply_channel(x, self.H, awgn(x.shape, 0.7, make_rng(31))))
+
+    def test_channel_matrix_must_be_2x2(self):
+        x = self.streams()
+        for h in (np.eye(3, dtype=complex), self.H[0], self.H[None]):
+            with pytest.raises(ParameterError, match="2x2"):
+                apply_channel(x, h, noise=awgn(x.shape, 0.7, make_rng(3)))
 
     def test_noise_shape_must_match(self):
         x = self.streams()
         with pytest.raises(ParameterError):
-            apply_channel(x, ChannelState(h=self.H, n0=0.7), noise=awgn((2, 299), 0.7, make_rng(3)))
+            apply_channel(x, self.H, noise=awgn((2, 299), 0.7, make_rng(3)))
         complex_noise = np.zeros(x.shape, dtype=np.complex128)
         with pytest.raises(ParameterError):
-            apply_channel(x, ChannelState(h=self.H, n0=0.7), noise=complex_noise)
+            apply_channel(x, self.H, noise=complex_noise)

@@ -80,8 +80,10 @@ class TestErrors:
         path.write_text("ber_tgt = 2.0\n")
         assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
 
-    def test_negative_seed(self, fast_config):
+    def test_negative_seed(self, fast_config, capsys):
+        # the config's own base_seed rule rejects the override
         assert main(["calibrate", "--config", fast_config, "--seed", "-1"]) == EXIT_CONFIG
+        assert "config error: base_seed:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",

@@ -25,7 +25,7 @@ from vlclink import (
     rrc_taps,
     synchronize,
 )
-from vlclink.channel import ChannelState, apply_channel, awgn
+from vlclink.channel import apply_channel, awgn
 from vlclink.framing import SYNC_THRESHOLD, _best_start, _upsample_and_shape, build_symbols, build_tx_symbols
 
 SPEC = FrameSpec()
@@ -278,9 +278,8 @@ class TestSynchronize:
 
         def hit_rate(n0: float, trials: int) -> float:
             hits = 0
-            state = ChannelState(h=np.eye(2, dtype=complex), n0=n0)
             for t in range(trials):
-                rx = apply_channel(tx, state, awgn(tx.shape, n0, make_rng(10_000 + t)))
+                rx = apply_channel(tx, np.eye(2, dtype=complex), awgn(tx.shape, n0, make_rng(10_000 + t)))
                 try:
                     hits += synchronize(rx[0], spec) == offset
                 except SyncNotFound:
@@ -339,7 +338,7 @@ def received(spec, seed, h, n0):
     h = np.asarray(h, dtype=complex)
     if n0 is None:
         return offset, h @ tx
-    return offset, apply_channel(tx, ChannelState(h=h, n0=n0), awgn(tx.shape, n0, make_rng(seed)))
+    return offset, apply_channel(tx, h, awgn(tx.shape, n0, make_rng(seed)))
 
 
 class TestFrontEndEquivalence:

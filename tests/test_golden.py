@@ -1,10 +1,12 @@
 """Golden-output checks: the default sweeps render byte-identical CSVs.
 
 The digests are those of `vlclink blockage-sweep` and `vlclink ber-sweep`
-run on `configs/default.cfg`, and of `blockage-sweep` on short frames, a 1 cm
+run on `configs/default.cfg`; of `blockage-sweep` on short frames, a 1 cm
 grid and eight frames per position, where the per-frame paths weigh about
-three times more.  A change that alters any output must say why and
-re-baseline the digest here.
+three times more; and of both sweeps on the small config with
+`frame.pilot_len = 8` that CI also runs, where the sync head reaches the
+payload, so the modes of one frame index do not share a front end.  A
+change that alters any output must say why and re-baseline the digest here.
 """
 
 import hashlib
@@ -30,6 +32,23 @@ sweep.payload_bits = 4096
 """
 SHORT_FRAMES_DIGEST = "f79310691e086405c5b6253f4b6449e4f3c1d41dd7fd0824281d97ff6fd0310c"
 
+PILOT8_TEXT = """
+frame.payload_len = 512
+frame.pilot_len = 8
+sweep.positions.start = -10
+sweep.positions.stop = 10
+sweep.payload_bits = 4000
+bersweep.snr_start = 6
+bersweep.snr_step = 8
+bersweep.snr_stop = 30
+bersweep.max_bits = 20000
+bersweep.min_errors = 20
+"""
+PILOT8_GOLDEN = {
+    "blockage-sweep": "019e429475ed67225c1870354bcd3c54f31ef220f4e3d33bc1478b86428b8c32",
+    "ber-sweep": "0b22984e6a173723b03a19b69d02e8d6efa227b0ac44b070e2fb9b5999e30105",
+}
+
 SWEEPS = {
     "blockage-sweep": (run_blockage_sweep, write_blockage_csv),
     "ber-sweep": (run_ber_sweep, write_ber_csv),
@@ -48,3 +67,11 @@ def test_short_frame_blockage_csv_digest():
     buf = io.StringIO()
     write_blockage_csv(run_blockage_sweep(parse_config(SHORT_FRAMES_TEXT)), buf)
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == SHORT_FRAMES_DIGEST
+
+
+@pytest.mark.parametrize("command", sorted(PILOT8_GOLDEN))
+def test_pilot8_csv_digest(command):
+    run, write = SWEEPS[command]
+    buf = io.StringIO()
+    write(run(parse_config(PILOT8_TEXT)), buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == PILOT8_GOLDEN[command]

@@ -162,7 +162,7 @@ class TestFailure:
         real_run_frame = scenario._run_frame
 
         def spy_run_frame(mode, bits, front_end):
-            key = front_end.state.h.tobytes()
+            key = front_end.h.tobytes()
             started.add(key)
             if key == keys[0]:
                 other_started.wait(timeout=10.0)

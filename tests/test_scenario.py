@@ -2,6 +2,8 @@
 
 import io
 import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from vlclink import (
     ValidationError,
     calibrate,
     channel_matrix,
+    load_config,
     parse_config,
     run_ber_sweep,
     run_blockage_sweep,
@@ -27,9 +30,12 @@ from vlclink.receiver import stream_snrs
 from vlclink.scenario import (
     _ALIASES,
     _KEY_FIELDS,
+    MAX_BER_POINT_FRAMES,
     MAX_GRID_POINTS,
+    MAX_RRC_SPAN,
     MAX_STREAM_SAMPLES,
     N0,
+    _frame_bits,
     _grid,
     _grid_points,
     _stream_len,
@@ -179,6 +185,72 @@ class TestParseConfig:
         assert cfg.policy().initial == Mode("SD", 16)
         with pytest.raises(ValidationError):
             parse_config("policy.initial = SM-3\n")
+
+
+_FIELD_KEYS = {f.name: key for key, f in _KEY_FIELDS.items()}
+
+
+class TestConfigChecksItself:
+    """Text, a file, direct construction and `replace` give one guarantee."""
+
+    @pytest.mark.parametrize(
+        "name, value, key",
+        [
+            ("ber_tgt", 2.0, "policy.ber_tgt"),                  # range rule
+            ("snr_db", math.nan, "snr_db"),                      # finite check
+            ("obstacle_z", 300.0, "geometry.obstacle_z"),        # cross check
+            ("payload_len", 10**9, "frame"),                     # stream cap
+            ("base_seed", -1, "base_seed"),
+            ("rrc_span", 20000, "frame.rrc_span"),
+            ("bersweep_max_bits", 10**12, "bersweep.max_bits"),
+        ],
+    )
+    def test_every_way_to_build_raises_the_same_error(self, name, value, key, tmp_path):
+        text = f"{_FIELD_KEYS[name]} = {value}\n"
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        builds = [
+            lambda: parse_config(text),
+            lambda: load_config(path),
+            lambda: ScenarioConfig(**{name: value}),
+            lambda: replace(ScenarioConfig(), **{name: value}),
+        ]
+        messages = set()
+        for build in builds:
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert err.value.key == key
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    def test_oversized_frame_raises_before_any_array_is_built(self):
+        # the frame would span 4,000,000,900 samples per branch
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as err:
+                ScenarioConfig(payload_len=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.key == "frame"
+        assert peak < 1 << 20
+
+    def test_rrc_span_at_the_cap_accepted(self):
+        assert parse_config(f"frame.rrc_span = {MAX_RRC_SPAN}\n").rrc_span == MAX_RRC_SPAN
+        assert ScenarioConfig(rrc_span=MAX_RRC_SPAN).rrc_span == MAX_RRC_SPAN
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig(rrc_span=MAX_RRC_SPAN + 1)
+        assert err.value.key == "frame.rrc_span"
+
+    def test_frames_per_ber_point_capped(self):
+        # SD-4 frames carry the fewest bits; a point stops once it has max_bits
+        frame_bits = _frame_bits(Mode("SD", 4), ScenarioConfig().frame_spec())
+        at_cap = MAX_BER_POINT_FRAMES * frame_bits - 1
+        assert at_cap // frame_bits + 1 == MAX_BER_POINT_FRAMES
+        assert parse_config(f"bersweep.max_bits = {at_cap}\n").bersweep_max_bits == at_cap
+        with pytest.raises(ValidationError) as err:
+            parse_config(f"bersweep.max_bits = {at_cap + 1}\n")
+        assert err.value.key == "bersweep.max_bits"
 
 
 _VALUES = st.one_of(
