@@ -4,18 +4,20 @@
 Run:  python demos/03_channel_geometry.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from vlclink import Geometry, ScenarioConfig, channel_matrix, los_gain, svd2
 
 print("=== Lambertian line-of-sight gain ===")
-g_onaxis = los_gain((0.0, 0.0), (0.0, 218.0), 1.0, 1.0, 60.0)
+g_onaxis = los_gain((0.0, 0.0), (0.0, 218.0), 1.0, 60.0)
 print(f"on-axis, 218 cm, order 1, 1 cm^2: {g_onaxis:.3e}")
-print(f"same at 436 cm (inverse square):  {los_gain((0,0),(0,436.0),1,1,60):.3e}")
+print(f"same at 436 cm (inverse square):  {los_gain((0,0),(0,436.0),1,60):.3e}")
 
 print("\n=== Wide emitter vs collimated emitter ===")
 for m, label in ((1.0, "bare LED (order 1)"), (20000.0, "lens-collimated (order 20000)")):
-    geom = Geometry.from_separations(lambert_m=m).without_obstacle()
+    geom = Geometry(lambert_m=m, obstacle=None)
     h, norm = channel_matrix(geom)
     print(f"{label}: cross/direct gain ratio {h[0,1].real:.5f}")
 print("the collimated beam is what makes the clear channel nearly diagonal,")
@@ -35,11 +37,5 @@ for x in (-65, -20, -10, -5, 0, 5, 10, 20, 65):
 
 print("\nhard-shadow counterpart (beam radius 0): only x=0 clips the cross links")
 for x in (-5, 0, 5):
-    geom = cfg.geometry(obstacle_x=float(x))
-    geom = Geometry(
-        tx_pos=geom.tx_pos, rx_pos=geom.rx_pos, obstacle=geom.obstacle,
-        lambert_m=geom.lambert_m, rx_area_cm2=geom.rx_area_cm2,
-        fov_deg=geom.fov_deg, beam_radius_cm=0.0,
-    )
-    h, _ = channel_matrix(geom)
+    h, _ = channel_matrix(replace(cfg.geometry(obstacle_x=float(x)), beam_radius_cm=0.0))
     print(f"x = {x:+}: h = {np.round(h.real, 4).tolist()}")

@@ -60,7 +60,6 @@ from .modem import (
     QAM_ORDERS,
     ber_theoretical,
     constellation,
-    evm,
     qam_demap,
     qam_map,
 )

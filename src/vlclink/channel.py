@@ -6,18 +6,18 @@ diameter stands at one z plane in between and is swept along x.  Boresights
 point along +z for the LEDs and -z for the PDs, so the emission angle and the
 incidence angle of a link coincide.
 
-Shadowing is a ray model by default: a link is fully blocked when its ray
-crosses the obstacle plane within the obstacle radius, otherwise untouched.
-Setting `beam_radius_cm` > 0 switches to a knife-edge penumbra: the beam is a
-uniform spot of that radius around the ray, and the occlusion factor ramps
+Shadowing is a knife-edge penumbra by default: the beam is a uniform spot of
+radius `beam_radius_cm` around the ray, and the occlusion factor ramps
 linearly from 0 to 1 as the ray-to-axis distance goes from radius-beam to
-radius+beam.
+radius+beam.  At `beam_radius_cm` = 0 it is a ray model: a link is fully
+blocked when its ray crosses the obstacle plane within the obstacle radius,
+otherwise untouched.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,61 +50,47 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Positions and optics of the 2x2 link.  Distances in cm, areas in cm^2."""
+    """The symmetric 2x2 link, defaulting to the paper's scenario.  Lengths in cm.
 
-    tx_pos: tuple[Point, Point] = ((-2.5, 0.0), (2.5, 0.0))
-    rx_pos: tuple[Point, Point] = ((-2.5, 218.0), (2.5, 218.0))
+    The LEDs sit `led_sep` apart in the z=0 plane and the PDs `pd_sep` apart in
+    the z=link_len plane, each pair centred on x=0.
+    """
+
+    led_sep: float = 5.0
+    pd_sep: float = 5.0
+    link_len: float = 218.0
     obstacle: Obstacle | None = Obstacle()
-    lambert_m: float = 1.0
-    rx_area_cm2: float = 1.0
+    lambert_m: float = 20000.0
     fov_deg: float = 60.0
-    beam_radius_cm: float = 0.0
+    beam_radius_cm: float = 5.0
 
     def __post_init__(self):
         if self.lambert_m <= 0:
             raise ParameterError("lambert_m must be positive")
-        if self.rx_area_cm2 <= 0:
-            raise ParameterError("rx_area_cm2 must be positive")
         if not 0.0 < self.fov_deg <= 90.0:
             raise ParameterError("fov_deg must be in (0, 90]")
         if self.beam_radius_cm < 0:
             raise ParameterError("beam_radius_cm must be >= 0")
-        if self.obstacle is not None:
-            lo = min(self.tx_pos[0][1], self.rx_pos[0][1])
-            hi = max(self.tx_pos[0][1], self.rx_pos[0][1])
-            if not lo < self.obstacle.z_cm < hi:
-                raise ParameterError("obstacle must sit strictly between the TX and RX planes")
+        planes = sorted((0.0, self.link_len))
+        if self.obstacle is not None and not planes[0] < self.obstacle.z_cm < planes[1]:
+            raise ParameterError("obstacle must sit strictly between the TX and RX planes")
 
-    @staticmethod
-    def from_separations(
-        led_sep: float = 5.0,
-        pd_sep: float = 5.0,
-        link_len: float = 218.0,
-        obstacle: Obstacle | None = Obstacle(),
-        lambert_m: float = 1.0,
-        rx_area_cm2: float = 1.0,
-        fov_deg: float = 60.0,
-        beam_radius_cm: float = 0.0,
-    ) -> "Geometry":
-        return Geometry(
-            tx_pos=((-led_sep / 2.0, 0.0), (led_sep / 2.0, 0.0)),
-            rx_pos=((-pd_sep / 2.0, link_len), (pd_sep / 2.0, link_len)),
-            obstacle=obstacle,
-            lambert_m=lambert_m,
-            rx_area_cm2=rx_area_cm2,
-            fov_deg=fov_deg,
-            beam_radius_cm=beam_radius_cm,
-        )
+    @property
+    def tx_pos(self) -> tuple[Point, Point]:
+        return ((-self.led_sep / 2.0, 0.0), (self.led_sep / 2.0, 0.0))
 
-    def without_obstacle(self) -> "Geometry":
-        return replace(self, obstacle=None)
+    @property
+    def rx_pos(self) -> tuple[Point, Point]:
+        return ((-self.pd_sep / 2.0, self.link_len), (self.pd_sep / 2.0, self.link_len))
 
 
-def los_gain(tx: Point, rx: Point, lambert_m: float, rx_area_cm2: float, fov_deg: float) -> float:
-    """Lambertian line-of-sight gain between one LED and one PD.
+def los_gain(tx: Point, rx: Point, lambert_m: float, fov_deg: float) -> float:
+    """Lambertian line-of-sight gain between one LED and one PD, per cm^2 of detector.
 
-    gain = (m+1) A / (2 pi d^2) * cos(phi)^m * cos(psi), zero outside the
-    receiver field of view.  With boresights along the z axis, phi = psi.
+    gain = (m+1) / (2 pi d^2) * cos(phi)^m * cos(psi), zero outside the
+    receiver field of view.  With boresights along the z axis, phi = psi.  The
+    detector area would scale all four links alike, so `channel_matrix`'s
+    normalisation cancels it and it is left out.
     """
     dx = rx[0] - tx[0]
     dz = rx[1] - tx[1]
@@ -114,7 +100,7 @@ def los_gain(tx: Point, rx: Point, lambert_m: float, rx_area_cm2: float, fov_deg
     cos_ang = abs(dz) / math.sqrt(d2)
     if cos_ang < math.cos(math.radians(fov_deg)):
         return 0.0
-    return (lambert_m + 1.0) * rx_area_cm2 / (2.0 * math.pi * d2) * cos_ang**lambert_m * cos_ang
+    return (lambert_m + 1.0) / (2.0 * math.pi * d2) * cos_ang**lambert_m * cos_ang
 
 
 def _crossing_distance(tx: Point, rx: Point, obstacle: Obstacle) -> float:
@@ -146,25 +132,17 @@ def channel_matrix(geometry: Geometry) -> tuple[np.ndarray, float]:
 
     h[j][i] couples LED i into PD j.  Gains are divided by the unobstructed
     LED1-to-PD1 gain so the clear direct path has unit gain; the divisor is
-    returned so absolute optical gains can be recovered.
+    returned so optical gains per cm^2 of detector can be recovered.
     """
-    norm = los_gain(
-        geometry.tx_pos[0], geometry.rx_pos[0], geometry.lambert_m,
-        geometry.rx_area_cm2, geometry.fov_deg,
-    )
+    tx, rx = geometry.tx_pos, geometry.rx_pos
+    norm = los_gain(tx[0], rx[0], geometry.lambert_m, geometry.fov_deg)
     if norm <= 0.0:
         raise ParameterError("direct path has zero gain; geometry is outside the field of view")
     h = np.zeros((2, 2), dtype=np.complex128)
     for j in range(2):
         for i in range(2):
-            gain = los_gain(
-                geometry.tx_pos[i], geometry.rx_pos[j], geometry.lambert_m,
-                geometry.rx_area_cm2, geometry.fov_deg,
-            )
-            factor = occlusion_factor(
-                geometry.tx_pos[i], geometry.rx_pos[j], geometry.obstacle,
-                geometry.beam_radius_cm,
-            )
+            gain = los_gain(tx[i], rx[j], geometry.lambert_m, geometry.fov_deg)
+            factor = occlusion_factor(tx[i], rx[j], geometry.obstacle, geometry.beam_radius_cm)
             h[j, i] = gain * factor / norm
     return h, norm
 

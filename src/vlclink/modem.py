@@ -42,7 +42,6 @@ __all__ = [
     "demap_labels",
     "label_bit_errors",
     "ber_theoretical",
-    "evm",
 ]
 
 QAM_ORDERS = (4, 16, 64, 256)
@@ -213,16 +212,3 @@ def ber_theoretical(order: int, snr: float) -> float:
     coeff = (4.0 / k) * (1.0 - 1.0 / math.sqrt(order))
     return coeff * qfunc(math.sqrt(3.0 * snr / (order - 1)))
 
-
-def evm(rx, ref) -> float:
-    """Root-mean-square error vector magnitude, normalised to reference power."""
-    rx = np.asarray(rx, dtype=np.complex128).ravel()
-    ref = np.asarray(ref, dtype=np.complex128).ravel()
-    if rx.size != ref.size:
-        raise LengthError(f"rx has {rx.size} symbols, ref has {ref.size}")
-    if rx.size == 0:
-        raise LengthError("evm needs at least one symbol")
-    ref_power = float(np.sum(np.abs(ref) ** 2))
-    if ref_power == 0.0:
-        raise ParameterError("reference power is zero")
-    return math.sqrt(float(np.sum(np.abs(rx - ref) ** 2)) / ref_power)

@@ -10,7 +10,9 @@ per branch).  `snr_db` in a config means 10 log10(p_total / n0).
 
 Config files are line-oriented `key = value` text with `#` comments.  Each
 key is declared once, as a `ScenarioConfig` field with its name, default and
-range rule; the README documents them, and unknown keys are rejected.  A
+range rule; a key that sets a `Geometry`, `Obstacle`, `FrameSpec` or
+`AdaptPolicy` field reads its default from that type.  The README documents
+the keys, and unknown keys are rejected.  A
 `ScenarioConfig` checks its values when it is built, so text, a file, direct
 construction and `dataclasses.replace` all give the same guarantee.
 """
@@ -18,6 +20,7 @@ construction and `dataclasses.replace` all give the same guarantee.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -76,10 +79,12 @@ _MAX_FRAMES_PER_POSITION = 256
 MAX_GRID_POINTS = 10_000   # cap on sweep positions and on BER-sweep SNR points
 MAX_BER_POINT_FRAMES = 1 << 16   # cap on the frames one BER point may run: 49 at the defaults
 MAX_STREAM_SAMPLES = 1 << 20   # cap on the samples per branch of a frame's received stream
-# the matched filter's banded tap matrix holds 16 (rrc_span + 1)^2 sps bytes: at this cap,
-# under 17 MB at sps = 244, the most the stream cap admits at the default frame lengths
-# (0.9 GB at sps = 13103, which a one-symbol payload and the shortest preamble admit)
-MAX_RRC_SPAN = 64
+MAX_RRC_SPAN = 64   # longest RRC filter, in symbols
+# the matched filter's banded tap matrix holds 16 (rrc_span + 1)^2 sps bytes; the cap admits the
+# 16.5 MB of rrc_span = 64 at sps = 244, the largest sps the stream cap admits at the default frame lengths
+MAX_TAP_MATRIX_BYTES = 1 << 24
+
+_VALUE_TYPES = {float: numbers.Real, int: numbers.Integral, str: str}   # what each parse type admits
 
 _ROLE_BITS = 11
 _ROLE_NOISE = 12
@@ -115,32 +120,33 @@ class ScenarioConfig:
     """The config key table: every field is one key, declared once (see `_key`).
 
     Built from text, a file, directly or by `dataclasses.replace`, it checks
-    each float field is finite and each field passes its range rule, in field
-    order, then the cross-field checks; a failure raises `ValidationError`.
+    each field's type (an int passes for a float; None only where it is the
+    default), that each float field is finite and that each field passes its
+    range rule, in field order, then the cross-field checks; a failure raises
+    `ValidationError`.
     """
 
-    led_sep: float = _key("geometry.led_sep", 5.0, _positive)
-    pd_sep: float = _key("geometry.pd_sep", 5.0, _positive)
-    link_len: float = _key("geometry.link_len", 218.0, _positive)
-    obstacle_diam: float = _key("geometry.obstacle_diam", 4.5, _positive)
-    obstacle_z: float = _key("geometry.obstacle_z", 109.0, _positive)
-    lambert_m: float = _key("geometry.lambert_m", 20000.0, _positive)
-    rx_area: float = _key("geometry.rx_area", 1.0, _positive)
-    fov_deg: float = _key("geometry.fov_deg", 60.0, lambda v: 0 < v <= 90)
-    beam_radius: float = _key("geometry.beam_radius", 5.0, _nonneg)
+    led_sep: float = _key("geometry.led_sep", Geometry.led_sep, _positive)
+    pd_sep: float = _key("geometry.pd_sep", Geometry.pd_sep, _positive)
+    link_len: float = _key("geometry.link_len", Geometry.link_len, _positive)
+    obstacle_diam: float = _key("geometry.obstacle_diam", Obstacle.diameter_cm, _positive)
+    obstacle_z: float = _key("geometry.obstacle_z", Obstacle.z_cm, _positive)
+    lambert_m: float = _key("geometry.lambert_m", Geometry.lambert_m, _positive)
+    fov_deg: float = _key("geometry.fov_deg", Geometry.fov_deg, lambda v: 0 < v <= 90)
+    beam_radius: float = _key("geometry.beam_radius", Geometry.beam_radius_cm, _nonneg)
 
-    preamble_len: int = _key("frame.preamble_len", 63, _positive)
-    pilot_len: int = _key("frame.pilot_len", 32, lambda v: v >= 4)
-    payload_len: int = _key("frame.payload_len", 4096, _positive)
-    cp_len: int = _key("frame.cp_len", 8, _nonneg)
-    sps: int = _key("frame.sps", 4, lambda v: v >= 2)
-    rolloff: float = _key("frame.rolloff", 0.35, lambda v: 0 < v <= 1)
-    rrc_span: int = _key("frame.rrc_span", 10, lambda v: 4 <= v <= MAX_RRC_SPAN)
+    preamble_len: int = _key("frame.preamble_len", FrameSpec.preamble_len, _positive)
+    pilot_len: int = _key("frame.pilot_len", FrameSpec.pilot_len, lambda v: v >= 4)
+    payload_len: int = _key("frame.payload_len", FrameSpec.payload_len, _positive)
+    cp_len: int = _key("frame.cp_len", FrameSpec.cp_len, _nonneg)
+    sps: int = _key("frame.sps", FrameSpec.sps, lambda v: v >= 2)
+    rolloff: float = _key("frame.rolloff", FrameSpec.rolloff, lambda v: 0 < v <= 1)
+    rrc_span: int = _key("frame.rrc_span", FrameSpec.rrc_span, lambda v: 4 <= v <= MAX_RRC_SPAN)
 
-    ber_tgt: float = _key("policy.ber_tgt", 1e-3, lambda v: 0 < v < 0.5)
-    margin_db: float = _key("policy.margin_db", 0.0, _nonneg)
-    initial: str = _key("policy.initial", "SM-64", _mode_name)
-    fallback: str = _key("policy.fallback", "SD-4", _mode_name)
+    ber_tgt: float = _key("policy.ber_tgt", AdaptPolicy.ber_tgt, lambda v: 0 < v < 0.5)
+    margin_db: float = _key("policy.margin_db", AdaptPolicy.margin_db, _nonneg)
+    initial: str = _key("policy.initial", AdaptPolicy.initial.name, _mode_name)
+    fallback: str = _key("policy.fallback", AdaptPolicy.fallback.name, _mode_name)
 
     positions_start: float = _key("sweep.positions.start", -65.0)
     positions_step: float = _key("sweep.positions.step", 5.0, _positive)
@@ -160,8 +166,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            key, rule, value = f.metadata["key"], f.metadata["rule"], getattr(self, f.name)
-            if f.metadata["parse"] is float and value is not None and not math.isfinite(value):
+            key, rule, typ, value = f.metadata["key"], f.metadata["rule"], f.metadata["parse"], getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if not isinstance(value, _VALUE_TYPES[typ]):
+                raise ValidationError(key, f"value {value!r} is not a {typ.__name__}")
+            if typ is float and not math.isfinite(value):
                 raise ValidationError(key, f"value '{value}' is not finite")
             if rule is not None and not rule(value):
                 raise ValidationError(key, f"value {value!r} out of range")
@@ -203,18 +213,22 @@ class ScenarioConfig:
         samples = _stream_len(spec)   # each sweep task draws 2 x 2 x samples float64 noise values per frame index
         if samples > MAX_STREAM_SAMPLES:
             raise ValidationError("frame", f"stream of {samples} samples per branch exceeds the cap of {MAX_STREAM_SAMPLES}")
+        tap_bytes = 16 * (self.rrc_span + 1) ** 2 * self.sps
+        if tap_bytes > MAX_TAP_MATRIX_BYTES:
+            raise ValidationError(
+                "frame", f"matched-filter tap matrix of {tap_bytes} bytes exceeds the cap of {MAX_TAP_MATRIX_BYTES}"
+            )
 
     def geometry(self, obstacle_x: float | None = None) -> Geometry:
         obstacle = None
         if obstacle_x is not None:
             obstacle = Obstacle(diameter_cm=self.obstacle_diam, z_cm=self.obstacle_z, x_cm=obstacle_x)
-        return Geometry.from_separations(
+        return Geometry(
             led_sep=self.led_sep,
             pd_sep=self.pd_sep,
             link_len=self.link_len,
             obstacle=obstacle,
             lambert_m=self.lambert_m,
-            rx_area_cm2=self.rx_area,
             fov_deg=self.fov_deg,
             beam_radius_cm=self.beam_radius,
         )

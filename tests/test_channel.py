@@ -24,23 +24,23 @@ DEFAULT_OBS = Obstacle(diameter_cm=4.5, z_cm=109.0, x_cm=0.0)
 
 class TestLosGain:
     def test_on_axis_reference_value(self):
-        # (m+1) A / (2 pi d^2) with m=1, A=1, d=218
-        got = los_gain((0.0, 0.0), (0.0, 218.0), 1.0, 1.0, 60.0)
+        # (m+1) / (2 pi d^2) with m=1, d=218, per cm^2 of detector
+        got = los_gain((0.0, 0.0), (0.0, 218.0), 1.0, 60.0)
         assert got == pytest.approx(2.0 / (2.0 * math.pi * 218.0**2), rel=1e-12)
         assert got == pytest.approx(6.70e-6, rel=1e-3)
 
     def test_outside_fov_is_zero(self):
         # 45 degrees off axis with a 30 degree field of view
-        assert los_gain((0.0, 0.0), (218.0, 218.0), 1.0, 1.0, 30.0) == 0.0
+        assert los_gain((0.0, 0.0), (218.0, 218.0), 1.0, 30.0) == 0.0
 
     def test_inverse_square(self):
-        near = los_gain((0.0, 0.0), (0.0, 100.0), 1.0, 1.0, 60.0)
-        far = los_gain((0.0, 0.0), (0.0, 200.0), 1.0, 1.0, 60.0)
+        near = los_gain((0.0, 0.0), (0.0, 100.0), 1.0, 60.0)
+        far = los_gain((0.0, 0.0), (0.0, 200.0), 1.0, 60.0)
         assert near == pytest.approx(4.0 * far, rel=1e-12)
 
     def test_same_plane_rejected(self):
         with pytest.raises(ParameterError):
-            los_gain((0.0, 0.0), (1.0, 0.0), 1.0, 1.0, 60.0)
+            los_gain((0.0, 0.0), (1.0, 0.0), 1.0, 60.0)
 
 
 class TestOcclusion:
@@ -83,28 +83,33 @@ class TestOcclusion:
 
 
 class TestChannelMatrix:
+    def test_positions_derive_from_the_separations(self):
+        geom = Geometry(led_sep=4.0, pd_sep=6.0, link_len=100.0, obstacle=None)
+        assert geom.tx_pos == ((-2.0, 0.0), (2.0, 0.0))
+        assert geom.rx_pos == ((-3.0, 100.0), (3.0, 100.0))
+
     def test_center_obstacle_kills_cross_paths_only(self):
-        geom = Geometry()  # hard shadow, obstacle at x=0
+        geom = Geometry(beam_radius_cm=0.0)  # hard shadow, obstacle at x=0
         h, norm = channel_matrix(geom)
         assert norm > 0
         assert h[0, 1] == 0 and h[1, 0] == 0
         assert h[0, 0].real > 0 and h[1, 1].real > 0
 
     def test_far_obstacle_near_diagonal_dominant(self):
-        geom = Geometry.from_separations(lambert_m=20000.0, obstacle=Obstacle(x_cm=65.0))
+        geom = Geometry(obstacle=Obstacle(x_cm=65.0))
         h, _ = channel_matrix(geom)
         assert np.all(h.real > 0)
         assert h[0, 0].real > h[0, 1].real
         assert h[1, 1].real > h[1, 0].real
 
     def test_unobstructed_mirror_symmetry(self):
-        h, _ = channel_matrix(Geometry().without_obstacle())
+        h, _ = channel_matrix(Geometry(lambert_m=1.0, obstacle=None))
         assert h[0, 0] == h[1, 1]
         assert h[0, 1] == h[1, 0]
         assert h[0, 0].real == pytest.approx(1.0, rel=1e-12)  # normalised direct path
 
     def test_gain_scaling_scales_singular_values(self):
-        h, _ = channel_matrix(Geometry.from_separations(lambert_m=20000.0).without_obstacle())
+        h, _ = channel_matrix(Geometry(obstacle=None))
         s = svd2(h)
         for alpha in (0.25, 3.0, 117.0):
             sa = svd2(alpha * h)

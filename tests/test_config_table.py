@@ -1,16 +1,17 @@
 """The documented config keys against the key table.
 
-Each key's name, default and range rule are declared once, on its
-`ScenarioConfig` field.  The README "Config format" table and
-`configs/default.cfg` restate the names and defaults for readers; these
-tests hold them to the table.
+Each key's name and range rule are declared once, on its `ScenarioConfig`
+field; a key that sets a `Geometry`, `Obstacle`, `FrameSpec` or
+`AdaptPolicy` field takes its default from that type.  The README "Config
+format" table and `configs/default.cfg` restate the names and defaults for
+readers; these tests hold them to the table.
 """
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
-from vlclink import ScenarioConfig, load_config, parse_config
+from vlclink import AdaptPolicy, FrameSpec, Geometry, ScenarioConfig, load_config, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CFG = ROOT / "configs" / "default.cfg"
@@ -45,6 +46,13 @@ def cfg_entries() -> dict[str, str]:
 
 def test_every_field_is_one_distinct_key():
     assert len(KEY_TABLE) == len(fields(ScenarioConfig))
+
+
+def test_defaults_are_the_domain_types_defaults():
+    cfg = ScenarioConfig()
+    assert cfg.geometry(obstacle_x=0.0) == Geometry()
+    assert cfg.frame_spec() == FrameSpec()
+    assert cfg.policy() == AdaptPolicy()
 
 
 def test_readme_lists_every_key_in_table_order():

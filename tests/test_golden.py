@@ -5,19 +5,24 @@ run on `configs/default.cfg`; of `blockage-sweep` on short frames, a 1 cm
 grid and eight frames per position, where the per-frame paths weigh about
 three times more; and of both sweeps on the small config with
 `frame.pilot_len = 8` that CI also runs, where the sync head reaches the
-payload, so the modes of one frame index do not share a front end.  A
+payload, so the modes of one frame index do not share a front end.  The
+demos that print without writing files are pinned by their stdout.  A
 change that alters any output must say why and re-baseline the digest here.
 """
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from vlclink import load_config, parse_config, run_ber_sweep, run_blockage_sweep, write_ber_csv, write_blockage_csv
 
-DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_CFG = ROOT / "configs" / "default.cfg"
 
 GOLDEN = {
     "blockage-sweep": "c51c15554cec85360529f9179e1f2d4b1c84f45722c3f7ea1bf57ba1c5f2c890",
@@ -49,6 +54,12 @@ PILOT8_GOLDEN = {
     "ber-sweep": "0b22984e6a173723b03a19b69d02e8d6efa227b0ac44b070e2fb9b5999e30105",
 }
 
+DEMO_STDOUT = {
+    "02_pulse_shaping.py": "3cf98f4b85bbd86c7e12d10f3ad9c8990b8083916a7fc7275bb2d82121874dd6",
+    "03_channel_geometry.py": "9b7b42da2a0637225bc66d90b6dff21f1c61c942844665fc9963e9a20720d97f",
+    "04_mode_selection.py": "11d3122380468a3d3fd7fd3b7324369993b3e832706463c2dd6bd5cda0b7b1e7",
+}
+
 SWEEPS = {
     "blockage-sweep": (run_blockage_sweep, write_blockage_csv),
     "ber-sweep": (run_ber_sweep, write_ber_csv),
@@ -75,3 +86,13 @@ def test_pilot8_csv_digest(command):
     buf = io.StringIO()
     write(run(parse_config(PILOT8_TEXT)), buf)
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == PILOT8_GOLDEN[command]
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT))
+def test_demo_stdout_digest(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True, check=True, timeout=120
+    )
+    assert hashlib.sha256(run.stdout).hexdigest() == DEMO_STDOUT[demo]
+    assert not any(tmp_path.iterdir())

@@ -1,4 +1,4 @@
-"""Modem tests: mapping convention, Gray structure, BER model, EVM."""
+"""Modem tests: mapping convention, Gray structure, BER model."""
 
 import math
 
@@ -14,7 +14,6 @@ from vlclink import (
     QAM_ORDERS,
     ber_theoretical,
     constellation,
-    evm,
     make_rng,
     qam_demap,
     qam_map,
@@ -306,35 +305,3 @@ class TestBerTheoretical:
     def test_rejects_negative_snr(self):
         with pytest.raises(ParameterError):
             ber_theoretical(4, -1.0)
-
-
-class TestEvm:
-    def test_identical_is_zero(self):
-        ref = qam_map(make_rng(3).integers(0, 2, 128), 4)
-        assert evm(ref, ref) == 0.0
-
-    def test_scaling_is_algebraic(self):
-        ref = qam_map(make_rng(4).integers(0, 2, 256), 16)
-        assert evm(1.1 * ref, ref) == pytest.approx(0.1, rel=1e-12)
-
-    def test_awgn_20db_statistics(self):
-        rng = make_rng(12)
-        ref = qam_map(rng.integers(0, 2, 2 * 100_000), 4)
-        sigma = math.sqrt(0.01 / 2.0)
-        rx = ref + sigma * (rng.standard_normal(ref.size) + 1j * rng.standard_normal(ref.size))
-        assert evm(rx, ref) == pytest.approx(0.100, abs=0.002)
-
-    def test_errors(self):
-        with pytest.raises(LengthError):
-            evm([1 + 0j], [1 + 0j, 1 + 0j])
-        with pytest.raises(LengthError):
-            evm([], [])
-
-    def test_snr_round_trip_at_15db(self):
-        rng = make_rng(15)
-        snr_lin = 10.0 ** 1.5
-        ref = qam_map(rng.integers(0, 2, 2 * 100_000), 4)
-        sigma = math.sqrt(1.0 / snr_lin / 2.0)
-        rx = ref + sigma * (rng.standard_normal(ref.size) + 1j * rng.standard_normal(ref.size))
-        est_db = 10.0 * math.log10(1.0 / evm(rx, ref) ** 2)
-        assert est_db == pytest.approx(15.0, abs=0.3)

@@ -34,6 +34,7 @@ from vlclink.scenario import (
     MAX_GRID_POINTS,
     MAX_RRC_SPAN,
     MAX_STREAM_SAMPLES,
+    MAX_TAP_MATRIX_BYTES,
     N0,
     _frame_bits,
     _grid,
@@ -234,6 +235,48 @@ class TestConfigChecksItself:
             tracemalloc.stop()
         assert err.value.key == "frame"
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "name, value, key",
+        [
+            ("initial", Mode("SM", 64), "policy.initial"),   # a Mode where the key holds its name
+            ("led_sep", "5", "geometry.led_sep"),            # text where the key holds a float
+            ("payload_len", 4096.0, "frame.payload_len"),    # a float where the key holds an int
+            ("base_seed", None, "base_seed"),                # None only where it is the default
+        ],
+    )
+    def test_wrong_type_raises_validation_error(self, name, value, key):
+        for build in (lambda: ScenarioConfig(**{name: value}), lambda: replace(ScenarioConfig(), **{name: value})):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert err.value.key == key
+            assert "is not a" in str(err.value)
+
+    def test_int_accepted_for_a_float_key(self):
+        assert ScenarioConfig(led_sep=5, snr_db=30) == ScenarioConfig(led_sep=5.0, snr_db=30.0)
+
+    def test_oversized_tap_matrix_raises_before_any_array_is_built(self):
+        # a one-symbol payload lets sps reach 13103 under the stream cap: an 886 MB matched-filter matrix
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as err:
+                ScenarioConfig(
+                    payload_len=1, preamble_len=7, pilot_len=4, cp_len=0, sps=13103, rrc_span=64,
+                    payload_bits=1524, bersweep_max_bits=131071,
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.key == "frame"
+        assert f"cap of {MAX_TAP_MATRIX_BYTES}" in str(err.value)
+        assert peak < 1 << 20
+
+    def test_tap_matrix_cap_admits_the_longest_filter_at_default_frame_lengths(self):
+        # sps = 244 is the largest the stream cap admits at the default frame lengths
+        assert ScenarioConfig(rrc_span=MAX_RRC_SPAN, sps=244).sps == 244
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig(rrc_span=MAX_RRC_SPAN, sps=245)
+        assert f"cap of {MAX_STREAM_SAMPLES}" in str(err.value)
 
     def test_rrc_span_at_the_cap_accepted(self):
         assert parse_config(f"frame.rrc_span = {MAX_RRC_SPAN}\n").rrc_span == MAX_RRC_SPAN
