@@ -21,7 +21,7 @@ from vlclink import (
 
 spec = FrameSpec()
 print("=== Root-raised-cosine cascade ===")
-taps = rrc_taps(spec.rolloff, spec.sps, spec.rrc_span)
+taps = rrc_taps(spec)
 cascade = np.convolve(taps, taps)
 center = taps.size - 1
 print(f"{taps.size} taps, energy {np.sum(taps**2):.12f}")

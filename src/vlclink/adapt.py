@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, SchemeError
-from .modem import ber_theoretical
+from .modem import QAM_ORDERS, ber_theoretical
 from .receiver import ChannelEstimate, StreamSnrs, stream_snrs
 from .numerics import SingularMatrix
 
@@ -35,10 +35,10 @@ __all__ = [
 @dataclass(frozen=True)
 class Mode:
     scheme: str   # "SM" or "SD"
-    order: int    # 4, 16, 64 or 256
+    order: int    # one of QAM_ORDERS
 
     def __post_init__(self):
-        if self.scheme not in ("SM", "SD") or self.order not in (4, 16, 64, 256):
+        if self.scheme not in ("SM", "SD") or self.order not in QAM_ORDERS:
             raise ParameterError(f"no such mode: {self.scheme}-{self.order}")
 
     @property
@@ -60,7 +60,7 @@ class Mode:
 
 
 MODES: tuple[Mode, ...] = tuple(
-    Mode(scheme, order) for scheme in ("SD", "SM") for order in (4, 16, 64, 256)
+    Mode(scheme, order) for scheme in ("SD", "SM") for order in QAM_ORDERS
 )
 _CODE_BY_MODE = {mode: code for code, mode in enumerate(MODES)}
 
@@ -90,9 +90,9 @@ class AdaptPolicy:
 
     def __post_init__(self):
         if not 0.0 < self.ber_tgt < 0.5:
-            raise ParameterError(f"ber_tgt must be in (0, 0.5), got {self.ber_tgt}")
+            raise ParameterError(f"ber_tgt must be in (0, 0.5), got {self.ber_tgt}", "ber_tgt")
         if self.margin_db < 0.0:
-            raise ParameterError("margin_db must be >= 0")
+            raise ParameterError(f"margin_db must be >= 0, got {self.margin_db}", "margin_db")
 
 
 def predicted_ber(mode: Mode, snrs: StreamSnrs) -> float:

@@ -45,7 +45,7 @@ class Obstacle:
 
     def __post_init__(self):
         if self.diameter_cm <= 0:
-            raise ParameterError("obstacle diameter must be positive")
+            raise ParameterError(f"obstacle diameter must be positive, got {self.diameter_cm}", "diameter_cm")
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,21 @@ class Geometry:
     beam_radius_cm: float = 5.0
 
     def __post_init__(self):
-        if self.lambert_m <= 0:
-            raise ParameterError("lambert_m must be positive")
+        for name in ("led_sep", "pd_sep", "link_len", "lambert_m"):
+            if getattr(self, name) <= 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}", name)
         if not 0.0 < self.fov_deg <= 90.0:
-            raise ParameterError("fov_deg must be in (0, 90]")
+            raise ParameterError(f"fov_deg must be in (0, 90], got {self.fov_deg}", "fov_deg")
         if self.beam_radius_cm < 0:
-            raise ParameterError("beam_radius_cm must be >= 0")
-        planes = sorted((0.0, self.link_len))
-        if self.obstacle is not None and not planes[0] < self.obstacle.z_cm < planes[1]:
-            raise ParameterError("obstacle must sit strictly between the TX and RX planes")
+            raise ParameterError(f"beam_radius_cm must be >= 0, got {self.beam_radius_cm}", "beam_radius_cm")
+        if self.obstacle is not None and not 0.0 < self.obstacle.z_cm < self.link_len:
+            raise ParameterError("obstacle must sit strictly between the TX and RX planes", "z_cm")
+        try:
+            gain = los_gain(self.tx_pos[0], self.rx_pos[0], self.lambert_m, self.fov_deg)
+        except ZeroDivisionError:   # the squared length of a tiny link underflows to 0
+            gain = math.inf
+        if not 0.0 < gain < math.inf:
+            raise ParameterError(f"direct path gain is {gain}: the link is outside the field of view or too short")
 
     @property
     def tx_pos(self) -> tuple[Point, Point]:
@@ -131,13 +137,12 @@ def channel_matrix(geometry: Geometry) -> tuple[np.ndarray, float]:
     """Normalised gain matrix and the normalisation constant.
 
     h[j][i] couples LED i into PD j.  Gains are divided by the unobstructed
-    LED1-to-PD1 gain so the clear direct path has unit gain; the divisor is
-    returned so optical gains per cm^2 of detector can be recovered.
+    LED1-to-PD1 gain, which `Geometry` checks is positive, so the clear
+    direct path has unit gain; the divisor is returned so optical gains per
+    cm^2 of detector can be recovered.
     """
     tx, rx = geometry.tx_pos, geometry.rx_pos
     norm = los_gain(tx[0], rx[0], geometry.lambert_m, geometry.fov_deg)
-    if norm <= 0.0:
-        raise ParameterError("direct path has zero gain; geometry is outside the field of view")
     h = np.zeros((2, 2), dtype=np.complex128)
     for j in range(2):
         for i in range(2):

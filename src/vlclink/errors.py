@@ -6,7 +6,15 @@ class LengthError(ValueError):
 
 
 class ParameterError(ValueError):
-    """A scalar parameter is outside its legal range, or a mode is not in the table."""
+    """A scalar parameter is outside its legal range, or a mode is not in the table.
+
+    `field` names the attribute at fault where there is one, so a config can
+    name the key that sets it.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class SchemeError(ValueError):

@@ -79,21 +79,21 @@ class FrameSpec:
 
     def __post_init__(self):
         if self.preamble_len not in {(1 << d) - 1 for d in _PRIMITIVE_TAPS}:
-            raise ParameterError(f"preamble_len must be 2^d - 1 for d in 3..7, got {self.preamble_len}")
+            raise ParameterError(f"preamble_len must be 2^d - 1 for d in 3..7, got {self.preamble_len}", "preamble_len")
         if self.pilot_len < 4:
-            raise ParameterError(f"pilot_len must be >= 4, got {self.pilot_len}")
+            raise ParameterError(f"pilot_len must be >= 4, got {self.pilot_len}", "pilot_len")
         if self.payload_len < 1:
-            raise ParameterError("payload_len must be >= 1")
+            raise ParameterError(f"payload_len must be >= 1, got {self.payload_len}", "payload_len")
         if not 0 <= self.cp_len < self.payload_len:
-            raise ParameterError("cp_len must satisfy 0 <= cp_len < payload_len")
+            raise ParameterError(f"cp_len must satisfy 0 <= cp_len < payload_len, got {self.cp_len}", "cp_len")
         if self.sps < 2:
-            raise ParameterError(f"sps must be >= 2, got {self.sps}")
+            raise ParameterError(f"sps must be >= 2, got {self.sps}", "sps")
         if not 0.0 < self.rolloff <= 1.0:
-            raise ParameterError(f"rolloff must be in (0, 1], got {self.rolloff}")
+            raise ParameterError(f"rolloff must be in (0, 1], got {self.rolloff}", "rolloff")
         if self.rrc_span < 4:
-            raise ParameterError(f"rrc_span must be >= 4, got {self.rrc_span}")
+            raise ParameterError(f"rrc_span must be >= 4, got {self.rrc_span}", "rrc_span")
         if (self.rrc_span * self.sps) % 2 != 0:
-            raise ParameterError("rrc_span * sps must be even so the filter is symmetric")
+            raise ParameterError("rrc_span * sps must be even so the filter is symmetric", "rrc_span")
 
     @property
     def n_symbols(self) -> int:
@@ -189,17 +189,14 @@ def _cached_pilots(preamble_len: int, pilot_len: int) -> np.ndarray:
     return pilots
 
 
-def rrc_taps(rolloff: float, sps: int, span: int) -> np.ndarray:
-    """Unit-energy root-raised-cosine taps, length span*sps + 1, symmetric."""
-    if not 0.0 < rolloff <= 1.0:
-        raise ParameterError(f"rolloff must be in (0, 1], got {rolloff}")
-    if sps < 2:
-        raise ParameterError(f"sps must be >= 2, got {sps}")
-    if span < 4:
-        raise ParameterError(f"span must be >= 4, got {span}")
-    n = span * sps
-    t = (np.arange(n + 1) - n / 2.0) / sps
-    beta = rolloff
+@lru_cache(maxsize=None)
+def rrc_taps(spec: FrameSpec) -> np.ndarray:
+    """Unit-energy root-raised-cosine taps of `spec`, ntaps = rrc_span*sps + 1
+    of them, symmetric.  Shared by every caller and every thread, so read-only.
+    """
+    n = spec.rrc_span * spec.sps
+    t = (np.arange(n + 1) - n / 2.0) / spec.sps
+    beta = spec.rolloff
     taps = np.empty(t.size)
     singular = np.isclose(np.abs(t), 1.0 / (4.0 * beta), rtol=0.0, atol=1e-12)
     zero = np.isclose(t, 0.0, rtol=0.0, atol=1e-12)
@@ -214,19 +211,9 @@ def rrc_taps(rolloff: float, sps: int, span: int) -> np.ndarray:
             (1 + 2 / np.pi) * math.sin(np.pi / (4 * beta))
             + (1 - 2 / np.pi) * math.cos(np.pi / (4 * beta))
         )
-    return taps / math.sqrt(float(np.sum(taps**2)))
-
-
-@lru_cache(maxsize=None)
-def _cached_taps(rolloff: float, sps: int, span: int) -> np.ndarray:
-    """`rrc_taps(...)`, shared by every caller and every thread, so read-only."""
-    taps = rrc_taps(rolloff, sps, span)
+    taps /= math.sqrt(float(np.sum(taps**2)))
     taps.flags.writeable = False
     return taps
-
-
-def _spec_taps(spec: FrameSpec) -> np.ndarray:
-    return _cached_taps(spec.rolloff, spec.sps, spec.rrc_span)
 
 
 def _tap_bank(taps: np.ndarray, sps: int) -> np.ndarray:
@@ -302,7 +289,7 @@ def _upsample_and_shape(symbols: np.ndarray, spec: FrameSpec) -> np.ndarray:
     phase p filters the symbols with `taps[p::sps]`; the bank rows are
     reversed to match a window.  Works on the last axis of (..., n).
     """
-    bank = _tap_bank(_spec_taps(spec), spec.sps)[::-1]
+    bank = _tap_bank(rrc_taps(spec), spec.sps)[::-1]
     n = symbols.shape[-1]
     phases = _filter_symbols(symbols, bank, 1 - bank.shape[0], n + bank.shape[0] - 1)
     return phases.reshape(symbols.shape[:-1] + (-1,))[..., : n * spec.sps + spec.ntaps - 1]
@@ -416,7 +403,7 @@ def matched_filter_downsample(
         n_symbols = available
     if not 0 <= n_symbols <= available:
         raise RangeError(f"stream holds {available} symbols after start, need {n_symbols}")
-    taps = _spec_taps(spec)[::-1, None]
+    taps = rrc_taps(spec)[::-1, None]
     if not np.iscomplexobj(samples):
         return _block_fir(samples[..., start:].astype(np.float64, copy=False), taps, spec.sps, n_symbols)[..., 0]
     y = _block_fir(np.stack([samples.real, samples.imag])[..., start:], taps, spec.sps, n_symbols)[..., 0]
@@ -424,9 +411,9 @@ def matched_filter_downsample(
 
 
 @lru_cache(maxsize=None)
-def _cached_cascade(rolloff: float, sps: int, span: int) -> np.ndarray:
-    """The RRC x RRC cascade, 2*span*sps + 1 taps; shared, so read-only."""
-    taps = _cached_taps(rolloff, sps, span)
+def _cached_cascade(spec: FrameSpec) -> np.ndarray:
+    """The RRC x RRC cascade, 2*rrc_span*sps + 1 taps; shared, so read-only."""
+    taps = rrc_taps(spec)
     cascade = np.convolve(taps, taps)
     cascade.flags.writeable = False
     return cascade
@@ -443,7 +430,7 @@ def matched_filter_frame(symbols: np.ndarray, spec: FrameSpec, start: int) -> np
     g[c mod sps :: sps], shifted by c // sps.
     """
     c = start + spec.ntaps - 1
-    phase = _cached_cascade(spec.rolloff, spec.sps, spec.rrc_span)[c % spec.sps :: spec.sps]
+    phase = _cached_cascade(spec)[c % spec.sps :: spec.sps]
     first = c // spec.sps - (phase.size - 1)   # symbol under the first tap of output 0
     return _filter_symbols(symbols, phase[::-1, None], first, symbols.shape[-1])[..., 0]
 
@@ -462,7 +449,7 @@ def _best_start(stream: np.ndarray, spec: FrameSpec, last: int) -> tuple[int, fl
     head = stream[: reach + ntaps - 1]
     if head.size < reach + ntaps - 1:
         head = np.concatenate([head, np.zeros(reach + ntaps - 1 - head.size, dtype=np.complex128)])
-    z = np.convolve(head, _spec_taps(spec), mode="valid")
+    z = np.convolve(head, rrc_taps(spec), mode="valid")
     corr = np.empty(last + 1)
     for p in range(min(sps, last + 1)):
         np.abs(np.correlate(z[p::sps], pre, mode="valid"), out=corr[p::sps])

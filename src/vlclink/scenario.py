@@ -11,10 +11,11 @@ per branch).  `snr_db` in a config means 10 log10(p_total / n0).
 Config files are line-oriented `key = value` text with `#` comments.  Each
 key is declared once, as a `ScenarioConfig` field with its name, default and
 range rule; a key that sets a `Geometry`, `Obstacle`, `FrameSpec` or
-`AdaptPolicy` field reads its default from that type.  The README documents
-the keys, and unknown keys are rejected.  A
-`ScenarioConfig` checks its values when it is built, so text, a file, direct
-construction and `dataclasses.replace` all give the same guarantee.
+`AdaptPolicy` field takes its default and range rule from that type, and its
+errors still name the key.  The README documents the keys, and unknown keys
+are rejected.  A `ScenarioConfig` checks its values when it is built, so
+text, a file, direct construction and `dataclasses.replace` all give the
+same guarantee.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import product
 from typing import IO, Callable, Sequence
 
 import numpy as np
 
 from .adapt import (
+    MODES,
     AdaptPolicy,
     ControllerState,
     Mode,
@@ -80,6 +81,7 @@ MAX_GRID_POINTS = 10_000   # cap on sweep positions and on BER-sweep SNR points
 MAX_BER_POINT_FRAMES = 1 << 16   # cap on the frames one BER point may run: 49 at the defaults
 MAX_STREAM_SAMPLES = 1 << 20   # cap on the samples per branch of a frame's received stream
 MAX_RRC_SPAN = 64   # longest RRC filter, in symbols
+MAX_ABS_DB = 300.0   # bound on the dB keys, so their linear powers 10^(dB/10) stay finite and nonzero
 # the matched filter's banded tap matrix holds 16 (rrc_span + 1)^2 sps bytes; the cap admits the
 # 16.5 MB of rrc_span = 64 at sps = 244, the largest sps the stream cap admits at the default frame lengths
 MAX_TAP_MATRIX_BYTES = 1 << 24
@@ -91,20 +93,29 @@ _ROLE_NOISE = 12
 _BER_SWEEP_TAG = 0xB5
 
 
-def _key(name: str, default, rule: Callable[[object], bool] | None = None, parse: type | None = None):
+def _key(name: str, default, rule: Callable[[object], bool] | None = None, parse: type | None = None, part=None):
     """A ScenarioConfig field that is a config key: its name in config text,
-    its default and its range rule.  The text is parsed as the default's type,
-    or as `parse` where the default is None; `rule` None admits every value.
+    its default and the config's own range rule.  The text is parsed as the
+    default's type, or as `parse` where the default is None; `rule` None
+    admits every value.  `part` is the (domain type, attribute) the key sets.
     """
-    return field(default=default, metadata={"key": name, "rule": rule, "parse": parse or type(default)})
+    return field(default=default, metadata={"key": name, "rule": rule, "parse": parse or type(default), "part": part})
+
+
+def _part(name: str, owner: type, attr: str, rule: Callable[[object], bool] | None = None):
+    """A key that sets `owner`'s field `attr`: it takes that field's default
+    (a mode's name for a mode), and `owner` checks its range when the config
+    builds it."""
+    default = getattr(owner, attr)
+    return _key(name, default.name if isinstance(default, Mode) else default, rule, part=(owner, attr))
 
 
 def _positive(value) -> bool:
     return value > 0
 
 
-def _nonneg(value) -> bool:
-    return value >= 0
+def _db(value) -> bool:
+    return abs(value) <= MAX_ABS_DB
 
 
 def _mode_name(value: str) -> bool:
@@ -117,36 +128,38 @@ def _mode_name(value: str) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """The config key table: every field is one key, declared once (see `_key`).
+    """The config key table: every field is one key, declared once (see `_key`
+    and `_part`).
 
     Built from text, a file, directly or by `dataclasses.replace`, it checks
     each field's type (an int passes for a float; None only where it is the
     default), that each float field is finite and that each field passes its
-    range rule, in field order, then the cross-field checks; a failure raises
-    `ValidationError`.
+    config rule, in field order; then it builds the geometry, frame and policy,
+    which check their own fields, then the cross-field and budget checks.  A
+    failure raises `ValidationError` naming the key at fault.
     """
 
-    led_sep: float = _key("geometry.led_sep", Geometry.led_sep, _positive)
-    pd_sep: float = _key("geometry.pd_sep", Geometry.pd_sep, _positive)
-    link_len: float = _key("geometry.link_len", Geometry.link_len, _positive)
-    obstacle_diam: float = _key("geometry.obstacle_diam", Obstacle.diameter_cm, _positive)
-    obstacle_z: float = _key("geometry.obstacle_z", Obstacle.z_cm, _positive)
-    lambert_m: float = _key("geometry.lambert_m", Geometry.lambert_m, _positive)
-    fov_deg: float = _key("geometry.fov_deg", Geometry.fov_deg, lambda v: 0 < v <= 90)
-    beam_radius: float = _key("geometry.beam_radius", Geometry.beam_radius_cm, _nonneg)
+    led_sep: float = _part("geometry.led_sep", Geometry, "led_sep")
+    pd_sep: float = _part("geometry.pd_sep", Geometry, "pd_sep")
+    link_len: float = _part("geometry.link_len", Geometry, "link_len")
+    obstacle_diam: float = _part("geometry.obstacle_diam", Obstacle, "diameter_cm")
+    obstacle_z: float = _part("geometry.obstacle_z", Obstacle, "z_cm")
+    lambert_m: float = _part("geometry.lambert_m", Geometry, "lambert_m")
+    fov_deg: float = _part("geometry.fov_deg", Geometry, "fov_deg")
+    beam_radius: float = _part("geometry.beam_radius", Geometry, "beam_radius_cm")
 
-    preamble_len: int = _key("frame.preamble_len", FrameSpec.preamble_len, _positive)
-    pilot_len: int = _key("frame.pilot_len", FrameSpec.pilot_len, lambda v: v >= 4)
-    payload_len: int = _key("frame.payload_len", FrameSpec.payload_len, _positive)
-    cp_len: int = _key("frame.cp_len", FrameSpec.cp_len, _nonneg)
-    sps: int = _key("frame.sps", FrameSpec.sps, lambda v: v >= 2)
-    rolloff: float = _key("frame.rolloff", FrameSpec.rolloff, lambda v: 0 < v <= 1)
-    rrc_span: int = _key("frame.rrc_span", FrameSpec.rrc_span, lambda v: 4 <= v <= MAX_RRC_SPAN)
+    preamble_len: int = _part("frame.preamble_len", FrameSpec, "preamble_len")
+    pilot_len: int = _part("frame.pilot_len", FrameSpec, "pilot_len")
+    payload_len: int = _part("frame.payload_len", FrameSpec, "payload_len")
+    cp_len: int = _part("frame.cp_len", FrameSpec, "cp_len")
+    sps: int = _part("frame.sps", FrameSpec, "sps")
+    rolloff: float = _part("frame.rolloff", FrameSpec, "rolloff")
+    rrc_span: int = _part("frame.rrc_span", FrameSpec, "rrc_span", lambda v: v <= MAX_RRC_SPAN)
 
-    ber_tgt: float = _key("policy.ber_tgt", AdaptPolicy.ber_tgt, lambda v: 0 < v < 0.5)
-    margin_db: float = _key("policy.margin_db", AdaptPolicy.margin_db, _nonneg)
-    initial: str = _key("policy.initial", AdaptPolicy.initial.name, _mode_name)
-    fallback: str = _key("policy.fallback", AdaptPolicy.fallback.name, _mode_name)
+    ber_tgt: float = _part("policy.ber_tgt", AdaptPolicy, "ber_tgt")
+    margin_db: float = _part("policy.margin_db", AdaptPolicy, "margin_db")
+    initial: str = _part("policy.initial", AdaptPolicy, "initial", _mode_name)
+    fallback: str = _part("policy.fallback", AdaptPolicy, "fallback", _mode_name)
 
     positions_start: float = _key("sweep.positions.start", -65.0)
     positions_step: float = _key("sweep.positions.step", 5.0, _positive)
@@ -154,13 +167,13 @@ class ScenarioConfig:
     frames_per_position: int = _key("sweep.frames_per_position", 4, lambda v: 3 <= v <= _MAX_FRAMES_PER_POSITION)
     payload_bits: int = _key("sweep.payload_bits", 100_000, _positive)
 
-    snr_db: float | None = _key("snr_db", None, parse=float)
-    calibrate_margin_db: float = _key("calibrate.margin_db", 1.0)
-    base_seed: int = _key("base_seed", 1, _nonneg)
+    snr_db: float | None = _key("snr_db", None, _db, parse=float)
+    calibrate_margin_db: float = _key("calibrate.margin_db", 1.0, _db)
+    base_seed: int = _key("base_seed", 1, lambda v: v >= 0)
 
-    bersweep_snr_start: float = _key("bersweep.snr_start", 8.0)
+    bersweep_snr_start: float = _key("bersweep.snr_start", 8.0, _db)
     bersweep_snr_step: float = _key("bersweep.snr_step", 2.0, _positive)
-    bersweep_snr_stop: float = _key("bersweep.snr_stop", 34.0)
+    bersweep_snr_stop: float = _key("bersweep.snr_stop", 34.0, _db)
     bersweep_max_bits: int = _key("bersweep.max_bits", 400_000, _positive)
     bersweep_min_errors: int = _key("bersweep.min_errors", 100, _positive)
 
@@ -175,12 +188,15 @@ class ScenarioConfig:
                 raise ValidationError(key, f"value '{value}' is not finite")
             if rule is not None and not rule(value):
                 raise ValidationError(key, f"value {value!r} out of range")
-        if not 0 < self.obstacle_z < self.link_len:
-            raise ValidationError("geometry.obstacle_z", "must lie strictly inside the link")
+        # each domain type checks its own fields and names the attribute at fault, if one is
+        builds = {"geometry": lambda: self.geometry(obstacle_x=0.0), "frame": self.frame_spec, "policy": self.policy}
+        for prefix, build in builds.items():
+            try:
+                build()
+            except ParameterError as exc:
+                raise ValidationError(_PART_KEYS.get(exc.field, prefix), str(exc)) from None
         if self.positions_start > self.positions_stop:
             raise ValidationError("sweep.positions.start", "start must be <= stop")
-        if self.cp_len >= self.payload_len:
-            raise ValidationError("frame.cp_len", "must be smaller than payload_len")
         if self.bersweep_snr_start > self.bersweep_snr_stop:
             raise ValidationError("bersweep.snr_start", "start must be <= stop")
         # the fixed SD-64 run measures every frame index but the settling ones
@@ -204,13 +220,8 @@ class ScenarioConfig:
             raise ValidationError(
                 "bersweep.max_bits", f"an SD-4 point would run {frames} frames, over the cap of {MAX_BER_POINT_FRAMES}"
             )
-        try:
-            spec = self.frame_spec()
-            self.geometry(obstacle_x=0.0)
-            self.policy()
-        except ParameterError as exc:
-            raise ValidationError("config", str(exc)) from None
-        samples = _stream_len(spec)   # each sweep task draws 2 x 2 x samples float64 noise values per frame index
+        # each sweep task draws 2 x 2 x samples float64 noise values per frame index
+        samples = _stream_len(self.frame_spec())
         if samples > MAX_STREAM_SAMPLES:
             raise ValidationError("frame", f"stream of {samples} samples per branch exceeds the cap of {MAX_STREAM_SAMPLES}")
         tap_bytes = 16 * (self.rrc_span + 1) ** 2 * self.sps
@@ -219,38 +230,24 @@ class ScenarioConfig:
                 "frame", f"matched-filter tap matrix of {tap_bytes} bytes exceeds the cap of {MAX_TAP_MATRIX_BYTES}"
             )
 
+    def _args(self, owner: type) -> dict:
+        """Keyword arguments of `owner` from the keys that set its fields; a mode key's name becomes its Mode."""
+        args = {}
+        for f in fields(self):
+            if f.metadata["part"] and f.metadata["part"][0] is owner:
+                value = getattr(self, f.name)
+                args[f.metadata["part"][1]] = parse_mode(value) if f.metadata["rule"] is _mode_name else value
+        return args
+
     def geometry(self, obstacle_x: float | None = None) -> Geometry:
-        obstacle = None
-        if obstacle_x is not None:
-            obstacle = Obstacle(diameter_cm=self.obstacle_diam, z_cm=self.obstacle_z, x_cm=obstacle_x)
-        return Geometry(
-            led_sep=self.led_sep,
-            pd_sep=self.pd_sep,
-            link_len=self.link_len,
-            obstacle=obstacle,
-            lambert_m=self.lambert_m,
-            fov_deg=self.fov_deg,
-            beam_radius_cm=self.beam_radius,
-        )
+        obstacle = None if obstacle_x is None else Obstacle(x_cm=obstacle_x, **self._args(Obstacle))
+        return Geometry(obstacle=obstacle, **self._args(Geometry))
 
     def frame_spec(self) -> FrameSpec:
-        return FrameSpec(
-            preamble_len=self.preamble_len,
-            pilot_len=self.pilot_len,
-            payload_len=self.payload_len,
-            cp_len=self.cp_len,
-            sps=self.sps,
-            rolloff=self.rolloff,
-            rrc_span=self.rrc_span,
-        )
+        return FrameSpec(**self._args(FrameSpec))
 
     def policy(self) -> AdaptPolicy:
-        return AdaptPolicy(
-            ber_tgt=self.ber_tgt,
-            margin_db=self.margin_db,
-            initial=parse_mode(self.initial),
-            fallback=parse_mode(self.fallback),
-        )
+        return AdaptPolicy(**self._args(AdaptPolicy))
 
     def positions(self) -> np.ndarray:
         return _grid(self.positions_start, self.positions_step, self.positions_stop)
@@ -268,6 +265,7 @@ def _grid_points(start: float, step: float, stop: float) -> float:
 
 
 _KEY_FIELDS = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
+_PART_KEYS = {f.metadata["part"][1]: key for key, f in _KEY_FIELDS.items() if f.metadata["part"]}
 
 
 def _build_aliases() -> dict[str, str]:
@@ -808,10 +806,9 @@ def run_ber_sweep(config: ScenarioConfig, jobs: int | None = None) -> list[BerSw
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=None))
     est_true = _true_estimate(h_norm)
     grid = _grid(config.bersweep_snr_start, config.bersweep_snr_step, config.bersweep_snr_stop)
-    curves = list(product(("SD", "SM"), (4, 16, 64, 256)))
     points = [
-        (curve_idx, point_idx, Mode(scheme, order), snr_db, 10.0 ** (snr_db / 10.0))
-        for curve_idx, (scheme, order) in enumerate(curves)
+        (curve_idx, point_idx, mode, snr_db, 10.0 ** (snr_db / 10.0))
+        for curve_idx, mode in enumerate(MODES)
         for point_idx, snr_db in enumerate(grid)
     ]
     workers = _worker_count(jobs, len(points), _usable_cpus())

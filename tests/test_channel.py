@@ -1,6 +1,7 @@
 """Channel tests: Lambertian gains, occlusion geometry, mixing and noise."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,6 +116,75 @@ class TestChannelMatrix:
             sa = svd2(alpha * h)
             assert sa.sigma1 == pytest.approx(alpha * s.sigma1, rel=1e-12)
             assert sa.sigma2 == pytest.approx(alpha * s.sigma2, rel=1e-12)
+
+
+class TestGeometryChecks:
+    @pytest.mark.parametrize(
+        "kwargs, attr",
+        [
+            ({"led_sep": 0.0}, "led_sep"),
+            ({"pd_sep": -1.0}, "pd_sep"),
+            ({"link_len": -5.0, "obstacle": None}, "link_len"),
+            ({"lambert_m": 0.0}, "lambert_m"),
+            ({"fov_deg": 90.5}, "fov_deg"),
+            ({"beam_radius_cm": -1.0}, "beam_radius_cm"),
+            ({"obstacle": Obstacle(z_cm=218.0)}, "z_cm"),   # the obstacle plane must lie inside the link
+        ],
+    )
+    def test_error_names_the_attribute(self, kwargs, attr):
+        with pytest.raises(ParameterError) as err:
+            Geometry(**kwargs)
+        assert err.value.field == attr
+
+    def test_zero_direct_path_gain_rejected(self):
+        # 24 degrees off axis is inside the field of view, but cos(24 deg)^20000 underflows to 0
+        assert los_gain((-2.5, 0.0), (-100.0, 218.0), 20000.0, 60.0) == 0.0
+        with pytest.raises(ParameterError, match="gain is 0.0") as err:
+            Geometry(pd_sep=200.0)
+        assert err.value.field is None
+        assert channel_matrix(Geometry(pd_sep=200.0, lambert_m=1.0))[1] > 0.0
+
+    @pytest.mark.parametrize("link_len", [1e-160, 1e-200])   # the squared length is subnormal, or 0
+    def test_overflowing_direct_path_gain_rejected(self, link_len):
+        with pytest.raises(ParameterError, match="gain is inf"):
+            Geometry(link_len=link_len, obstacle=None)
+
+
+# Metamorphic relations of the default soft-shadow link, over obstacle positions
+# x = k * 0.37 cm on +-65 cm (the sweep's span, off its 5 cm grid).
+GRID = [k * 0.37 for k in range(-175, 176)]
+
+
+def at(geom, x):
+    return replace(geom, obstacle=replace(geom.obstacle, x_cm=x))
+
+
+class TestChannelMetamorphic:
+    def test_mirror_swaps_both_ends_exactly(self):
+        # the link is symmetric about x = 0: moving the obstacle to -x swaps LED 1 with
+        # LED 2 and PD 1 with PD 2
+        p = np.array([[0, 1], [1, 0]])
+        for x in GRID:
+            h, _ = channel_matrix(at(Geometry(), x))
+            mirrored, _ = channel_matrix(at(Geometry(), -x))
+            assert np.array_equal(h, p @ mirrored @ p), x
+
+    @pytest.mark.parametrize("k", [0.5, 3.0, 7.0])
+    def test_scaling_every_length_keeps_the_normalised_matrix(self, k):
+        # angles and the ratios of distances do not change, so neither does h
+        g = Geometry()
+        scaled = replace(
+            g,
+            led_sep=k * g.led_sep,
+            pd_sep=k * g.pd_sep,
+            link_len=k * g.link_len,
+            beam_radius_cm=k * g.beam_radius_cm,
+            obstacle=Obstacle(k * g.obstacle.diameter_cm, k * g.obstacle.z_cm),
+        )
+        for x in GRID:
+            h, _ = channel_matrix(at(g, x))
+            h_scaled, _ = channel_matrix(at(scaled, k * x))
+            np.testing.assert_allclose(h_scaled, h, rtol=0.0, atol=2e-14)
 
 
 class TestApplyChannel:

@@ -1,10 +1,11 @@
 """The documented config keys against the key table.
 
-Each key's name and range rule are declared once, on its `ScenarioConfig`
-field; a key that sets a `Geometry`, `Obstacle`, `FrameSpec` or
-`AdaptPolicy` field takes its default from that type.  The README "Config
-format" table and `configs/default.cfg` restate the names and defaults for
-readers; these tests hold them to the table.
+Each key is declared once, on its `ScenarioConfig` field.  A key that sets a
+`Geometry`, `Obstacle`, `FrameSpec` or `AdaptPolicy` field is declared by
+that type and attribute, and takes its default and its range rule from the
+type; the other keys declare both on the field.  The README "Config format"
+table and `configs/default.cfg` restate the names and defaults for readers;
+these tests hold them to the table.
 """
 
 import re

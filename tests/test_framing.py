@@ -43,7 +43,7 @@ def make_payload(rng, order, spec, scheme):
 
 class TestRrcTaps:
     def test_shape_symmetry_energy(self):
-        taps = rrc_taps(0.35, 4, 10)
+        taps = rrc_taps(SPEC)   # rolloff 0.35, sps 4, span 10
         assert taps.size == 41
         assert np.array_equal(taps, taps[::-1])
         assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-9)
@@ -52,7 +52,7 @@ class TestRrcTaps:
         # Self-convolution sampled at symbol spacing approximates an impulse.
         # The span-10 truncation leaves residual ISI near 5e-3 per lag
         # (measured); longer spans shrink it but never to zero.
-        taps = rrc_taps(0.35, 4, 10)
+        taps = rrc_taps(SPEC)
         cascade = np.convolve(taps, taps)
         center = taps.size - 1
         assert cascade[center] == pytest.approx(1.0, abs=1e-9)
@@ -60,17 +60,19 @@ class TestRrcTaps:
         assert max(abs(cascade[center + 4 * m]) for m in lags) < 5e-3
 
     def test_rolloff_one_singularity_handled(self):
-        taps = rrc_taps(1.0, 4, 10)
+        taps = rrc_taps(FrameSpec(rolloff=1.0))
         assert np.all(np.isfinite(taps))
         assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-9)
 
     def test_parameter_errors(self):
-        with pytest.raises(ParameterError):
-            rrc_taps(0.0, 4, 10)
-        with pytest.raises(ParameterError):
-            rrc_taps(0.35, 1, 10)
-        with pytest.raises(ParameterError):
-            rrc_taps(0.35, 4, 2)
+        # the taps' parameters are a FrameSpec's, which checks them and names the one at fault
+        for attr, value in (("rolloff", 0.0), ("sps", 1), ("rrc_span", 2)):
+            with pytest.raises(ParameterError) as err:
+                FrameSpec(**{attr: value})
+            assert err.value.field == attr
+
+    def test_one_table_per_spec(self):
+        assert rrc_taps(FrameSpec()) is rrc_taps(SPEC)
 
 
 class TestPreamble:
@@ -296,14 +298,14 @@ class TestSynchronize:
 
 
 def ref_matched_filter(samples, spec, start, n_symbols):
-    z = np.convolve(samples, rrc_taps(spec.rolloff, spec.sps, spec.rrc_span))
+    z = np.convolve(samples, rrc_taps(spec))
     return z[start + spec.ntaps - 1 + spec.sps * np.arange(n_symbols)]
 
 
 def ref_sync_metric(samples, spec):
     """Best start over the whole stream and its normalised correlation."""
     pre = preamble_symbols(spec)
-    z = np.convolve(samples, rrc_taps(spec.rolloff, spec.sps, spec.rrc_span))
+    z = np.convolve(samples, rrc_taps(spec))
     tpl = np.zeros((pre.size - 1) * spec.sps + 1, dtype=complex)
     tpl[:: spec.sps] = pre
     ones = np.zeros(tpl.size)
@@ -417,7 +419,7 @@ class TestFrontEndEquivalence:
         rng = make_rng(5)
         symbols = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
         got = _upsample_and_shape(symbols, spec)
-        taps = rrc_taps(spec.rolloff, spec.sps, spec.rrc_span)
+        taps = rrc_taps(spec)
         for b in range(2):
             up = np.zeros(symbols.shape[1] * spec.sps, dtype=complex)
             up[:: spec.sps] = symbols[b]

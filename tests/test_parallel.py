@@ -28,7 +28,7 @@ from vlclink import (
     write_blockage_csv,
 )
 from vlclink import scenario
-from vlclink.framing import FrameSpec, _band_pair, _cached_cascade, _cached_mseq, _cached_taps, pilot_symbols
+from vlclink.framing import FrameSpec, _band_pair, _cached_cascade, _cached_mseq, pilot_symbols, rrc_taps
 from vlclink.scenario import _usable_cpus, _worker_count
 
 # The adaptive run at x = 1 (index 0, seed 14) alternates SM-16 and SM-64;
@@ -184,8 +184,8 @@ class TestSharedCachesReadOnly:
     def test_framing_caches(self):
         tables = (
             _cached_mseq(63),
-            _cached_taps(0.35, 4, 10),
-            _cached_cascade(0.35, 4, 10),
+            rrc_taps(FrameSpec()),
+            _cached_cascade(FrameSpec()),
             _band_pair(np.ones(41).tobytes(), (41, 1), 4),
             pilot_symbols(FrameSpec()),
         )

@@ -30,6 +30,7 @@ from vlclink.receiver import stream_snrs
 from vlclink.scenario import (
     _ALIASES,
     _KEY_FIELDS,
+    MAX_ABS_DB,
     MAX_BER_POINT_FRAMES,
     MAX_GRID_POINTS,
     MAX_RRC_SPAN,
@@ -223,6 +224,52 @@ class TestConfigChecksItself:
             assert err.value.key == key
             messages.add(str(err.value))
         assert len(messages) == 1
+
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"led_sep": 0.0}, "geometry.led_sep"),
+            ({"pd_sep": -1.0}, "geometry.pd_sep"),
+            ({"link_len": 0.0}, "geometry.link_len"),
+            ({"obstacle_diam": 0.0}, "geometry.obstacle_diam"),
+            ({"obstacle_z": 0.0}, "geometry.obstacle_z"),
+            ({"lambert_m": 0.0}, "geometry.lambert_m"),
+            ({"fov_deg": 90.5}, "geometry.fov_deg"),
+            ({"beam_radius": -1.0}, "geometry.beam_radius"),
+            ({"preamble_len": 10}, "frame.preamble_len"),
+            ({"pilot_len": 3}, "frame.pilot_len"),
+            ({"payload_len": 0}, "frame.payload_len"),
+            ({"cp_len": -1}, "frame.cp_len"),
+            ({"sps": 1}, "frame.sps"),
+            ({"rolloff": 0.0}, "frame.rolloff"),
+            ({"rrc_span": 3}, "frame.rrc_span"),
+            ({"ber_tgt": 0.5}, "policy.ber_tgt"),
+            ({"margin_db": -1.0}, "policy.margin_db"),
+            ({"initial": "SM-3"}, "policy.initial"),
+            ({"fallback": "QAM-16"}, "policy.fallback"),
+            ({"sps": 3, "rrc_span": 5}, "frame.rrc_span"),   # rrc_span * sps must be even
+            ({"pd_sep": 200.0}, "geometry"),                 # the direct path's gain underflows to 0
+            ({"link_len": 1e-200, "obstacle_z": 1e-201}, "geometry"),   # its squared length underflows
+        ],
+    )
+    def test_domain_rule_raises_with_its_key(self, values, key):
+        # the domain type names the attribute at fault and the config names the key that sets it
+        text = "".join(f"{_FIELD_KEYS[name]} = {value}\n" for name, value in values.items())
+        for build in (lambda: parse_config(text), lambda: ScenarioConfig(**values)):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert err.value.key == key
+
+    @pytest.mark.parametrize("name", ["snr_db", "calibrate_margin_db", "bersweep_snr_start", "bersweep_snr_stop"])
+    def test_db_keys_bounded_so_their_linear_power_is_finite(self, name):
+        # 10^(dB/10) is 1e30 or 1e-30 at the bound; a BER-sweep grid sets both ends so start <= stop holds
+        for value in (-MAX_ABS_DB, MAX_ABS_DB):
+            values = {"bersweep_snr_start": value, "bersweep_snr_stop": value} if name.startswith("bersweep") else {}
+            assert getattr(ScenarioConfig(**{name: value, **values}), name) == value
+        for value in (-MAX_ABS_DB - 0.5, MAX_ABS_DB + 0.5, 4000.0):
+            with pytest.raises(ValidationError) as err:
+                parse_config(f"{_FIELD_KEYS[name]} = {value}\n")
+            assert err.value.key == _FIELD_KEYS[name]
 
     def test_oversized_frame_raises_before_any_array_is_built(self):
         # the frame would span 4,000,000,900 samples per branch

@@ -69,7 +69,7 @@ def stream_len(spec):
 
 def shaped_stream(symbols, spec):
     """Zero-stuffed symbols convolved with the RRC taps, at sample LEAD_PAD of the stream."""
-    taps = rrc_taps(spec.rolloff, spec.sps, spec.rrc_span)
+    taps = rrc_taps(spec)
     stream = np.zeros((2, stream_len(spec)), dtype=np.complex128)
     for b in range(2):
         up = np.zeros(spec.n_symbols * spec.sps, dtype=np.complex128)
