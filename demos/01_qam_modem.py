@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from vlclink import QAM_ORDERS, ber_theoretical, constellation, make_rng, qam_demap, qam_map
+from vlclink import ber_theoretical, make_rng, qam_demap, qam_map
+from vlclink.modem import QAM_ORDERS, constellation
 
 print("=== Constellations ===")
 for order in QAM_ORDERS:

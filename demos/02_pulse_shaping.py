@@ -8,16 +8,8 @@ import math
 
 import numpy as np
 
-from vlclink import (
-    FrameSpec,
-    build_frame,
-    make_rng,
-    matched_filter_downsample,
-    mseq,
-    qam_map,
-    rrc_taps,
-    synchronize,
-)
+from vlclink import make_rng, qam_map
+from vlclink.framing import FrameSpec, build_frame, matched_filter_downsample, mseq, rrc_taps, synchronize
 
 spec = FrameSpec()
 print("=== Root-raised-cosine cascade ===")

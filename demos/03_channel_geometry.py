@@ -8,7 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from vlclink import Geometry, ScenarioConfig, channel_matrix, los_gain, svd2
+from vlclink import ScenarioConfig, channel_matrix, svd2
+from vlclink.channel import Geometry, los_gain
 
 print("=== Lambertian line-of-sight gain ===")
 g_onaxis = los_gain((0.0, 0.0), (0.0, 218.0), 1.0, 60.0)

@@ -6,18 +6,9 @@ Run:  python demos/04_mode_selection.py
 
 import numpy as np
 
-from vlclink import (
-    AdaptPolicy,
-    ChannelEstimate,
-    MODES,
-    StreamSnrs,
-    controller_step,
-    encode_mode,
-    new_controller,
-    predicted_ber,
-    select_mode,
-)
-from vlclink.adapt import estimate_snrs
+from vlclink import MODES, StreamSnrs, encode_mode, select_mode
+from vlclink.adapt import AdaptPolicy, controller_step, estimate_snrs, new_controller, predicted_ber
+from vlclink.receiver import ChannelEstimate
 
 policy = AdaptPolicy()
 print("=== Mode table (3-bit wire codes) ===")

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from vlclink import ScenarioConfig, calibrate, channel_matrix, dump_constellation, run_blockage_sweep
+from vlclink import ScenarioConfig, calibrate, channel_matrix, run_blockage_sweep
+from vlclink.metrics import dump_constellation
 from vlclink.scenario import _bits_rng, _frame_bits, _FrontEnds, _packed_bits, _run_frame, write_blockage_csv
 
 cfg = ScenarioConfig()

@@ -17,6 +17,7 @@ otherwise untouched.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "Obstacle",
     "Geometry",
     "los_gain",
-    "occlusion",
     "occlusion_factor",
     "channel_matrix",
     "apply_channel",
@@ -74,11 +74,8 @@ class Geometry:
             raise ParameterError(f"beam_radius_cm must be >= 0, got {self.beam_radius_cm}", "beam_radius_cm")
         if self.obstacle is not None and not 0.0 < self.obstacle.z_cm < self.link_len:
             raise ParameterError("obstacle must sit strictly between the TX and RX planes", "z_cm")
-        try:
-            gain = los_gain(self.tx_pos[0], self.rx_pos[0], self.lambert_m, self.fov_deg)
-        except ZeroDivisionError:   # the squared length of a tiny link underflows to 0
-            gain = math.inf
-        if not 0.0 < gain < math.inf:
+        gain = los_gain(self.tx_pos[0], self.rx_pos[0], self.lambert_m, self.fov_deg)
+        if gain == 0.0:
             raise ParameterError(f"direct path gain is {gain}: the link is outside the field of view or too short")
 
     @property
@@ -96,17 +93,24 @@ def los_gain(tx: Point, rx: Point, lambert_m: float, fov_deg: float) -> float:
     gain = (m+1) / (2 pi d^2) * cos(phi)^m * cos(psi), zero outside the
     receiver field of view.  With boresights along the z axis, phi = psi.  The
     detector area would scale all four links alike, so `channel_matrix`'s
-    normalisation cancels it and it is left out.
+    normalisation cancels it and it is left out.  A squared distance that
+    underflows to a subnormal or zero, or a gain that is not finite, raises
+    ParameterError.
     """
     dx = rx[0] - tx[0]
     dz = rx[1] - tx[1]
     if dz == 0:
         raise ParameterError("tx and rx must lie in different z planes")
     d2 = dx * dx + dz * dz
+    if d2 < sys.float_info.min:
+        raise ParameterError(f"squared tx-rx distance {d2} underflows")
     cos_ang = abs(dz) / math.sqrt(d2)
     if cos_ang < math.cos(math.radians(fov_deg)):
         return 0.0
-    return (lambert_m + 1.0) / (2.0 * math.pi * d2) * cos_ang**lambert_m * cos_ang
+    gain = (lambert_m + 1.0) / (2.0 * math.pi * d2) * cos_ang**lambert_m * cos_ang
+    if not math.isfinite(gain):
+        raise ParameterError(f"gain {gain} over a tx-rx distance of {math.sqrt(d2)} is not finite")
+    return gain
 
 
 def _crossing_distance(tx: Point, rx: Point, obstacle: Obstacle) -> float:
@@ -117,19 +121,14 @@ def _crossing_distance(tx: Point, rx: Point, obstacle: Obstacle) -> float:
     return abs(crossing_x - obstacle.x_cm)
 
 
-def occlusion(tx: Point, rx: Point, obstacle: Obstacle) -> int:
-    """Hard ray shadowing: 0 when the ray hits the obstacle, else 1."""
-    return 0 if _crossing_distance(tx, rx, obstacle) < obstacle.diameter_cm / 2.0 else 1
-
-
 def occlusion_factor(tx: Point, rx: Point, obstacle: Obstacle | None, beam_radius_cm: float = 0.0) -> float:
     """Shadowing factor in [0, 1]; binary ray model when beam_radius_cm is 0."""
     if obstacle is None:
         return 1.0
-    if beam_radius_cm <= 0.0:
-        return float(occlusion(tx, rx, obstacle))
     d = _crossing_distance(tx, rx, obstacle)
     radius = obstacle.diameter_cm / 2.0
+    if beam_radius_cm <= 0.0:
+        return 0.0 if d < radius else 1.0
     return float(np.clip((d - radius + beam_radius_cm) / (2.0 * beam_radius_cm), 0.0, 1.0))
 
 

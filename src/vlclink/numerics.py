@@ -49,9 +49,6 @@ class Svd2:
     u: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ np.diag([self.sigma1, self.sigma2]) @ self.v.conj().T
-
 
 def _orthonormal_complement(w: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(w[1]), np.conj(w[0])])

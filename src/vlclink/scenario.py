@@ -199,12 +199,12 @@ class ScenarioConfig:
             raise ValidationError("sweep.positions.start", "start must be <= stop")
         if self.bersweep_snr_start > self.bersweep_snr_stop:
             raise ValidationError("bersweep.snr_start", "start must be <= stop")
-        # the fixed SD-64 run measures every frame index but the settling ones
-        most_bits = (_MAX_FRAMES_PER_POSITION - SETTLING_FRAMES) * Mode("SD", 64).bits_per_symbol * self.payload_len
+        # a run measures every frame index but the settling ones; SD-4 frames carry the fewest bits
+        most_bits = (_MAX_FRAMES_PER_POSITION - SETTLING_FRAMES) * Mode("SD", 4).bits_per_symbol * self.payload_len
         if self.payload_bits > most_bits:
             raise ValidationError(
                 "sweep.payload_bits",
-                f"exceeds the {most_bits} bits the fixed SD-64 run measures in the frame budget of "
+                f"exceeds the {most_bits} bits an SD-4 run measures in the frame budget of "
                 f"{_MAX_FRAMES_PER_POSITION} frames",
             )
         for key, start, step, stop in (
@@ -524,9 +524,9 @@ def _lockstep(
     p_total: float,
     seed: tuple[int, ...],
     frame_limit: int,
-) -> bool:
-    """Step `runs` together by frame index, at most `frame_limit` indices;
-    whether every run stopped.
+) -> None:
+    """Step `runs` together by frame index, until every run stops or for
+    `frame_limit` indices.
 
     A run has `mode`, the mode of its next frame, a `done` flag and
     `record(frame_idx, result)`, which applies its own stop rule.  The runs
@@ -553,7 +553,6 @@ def _lockstep(
             if mode not in results:
                 results[mode] = _run_frame(mode, bits, front_end)
             run.record(frame_idx, results[mode])
-    return all(run.done for run in runs)
 
 
 @dataclass
@@ -658,8 +657,9 @@ def run_position(
 
     Seeded per position, so any single position reproduces its sweep rows
     bit-exactly without running the others.  The three runs step in lockstep
-    (see `_lockstep`), so they see identical noise.  A run that has not met
-    its budgets after _MAX_FRAMES_PER_POSITION frame indices raises.
+    (see `_lockstep`), so they see identical noise.  The config bounds
+    `frames_per_position` and `payload_bits` so that every run, whatever modes
+    it sends, meets its budgets within _MAX_FRAMES_PER_POSITION frame indices.
     """
     positions = config.positions()
     if not 0 <= index < positions.size:
@@ -672,8 +672,7 @@ def run_position(
         _Run(config, policy, mode, None if mode is not None else new_controller(policy))
         for mode in (None, Mode("SM", 64), Mode("SD", 64))
     ]
-    if not _lockstep(runs, config, x, p_total, (config.base_seed + index,), _MAX_FRAMES_PER_POSITION):
-        raise RuntimeError(f"position {x}: frame budget of {_MAX_FRAMES_PER_POSITION} frames exhausted")
+    _lockstep(runs, config, x, p_total, (config.base_seed + index,), _MAX_FRAMES_PER_POSITION)
     adaptive, sm64, sd64 = (run.report(x) for run in runs)
     return adaptive, sm64, sd64
 

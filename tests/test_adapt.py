@@ -8,27 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from vlclink import (
-    AdaptPolicy,
-    ChannelEstimate,
-    MODES,
-    Mode,
-    ParameterError,
-    SchemeError,
-    StreamSnrs,
-    ber_theoretical,
-    controller_step,
-    encode_mode,
-    make_rng,
-    new_controller,
-    parse_mode,
-    predicted_ber,
-    qam_demap,
-    qam_map,
-    select_mode,
-)
-from vlclink.adapt import estimate_snrs
-from vlclink.receiver import stream_snrs
+from vlclink import MODES, Mode, StreamSnrs, ber_theoretical, encode_mode, make_rng, qam_demap, qam_map, select_mode
+from vlclink.adapt import AdaptPolicy, controller_step, estimate_snrs, new_controller, parse_mode, predicted_ber
+from vlclink.errors import ParameterError, SchemeError
+from vlclink.receiver import ChannelEstimate, stream_snrs
 
 POLICY = AdaptPolicy()
 

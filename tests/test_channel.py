@@ -6,19 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vlclink import (
-    Geometry,
-    Obstacle,
-    ParameterError,
-    apply_channel,
-    channel_matrix,
-    los_gain,
-    make_rng,
-    occlusion,
-    occlusion_factor,
-    svd2,
-)
-from vlclink.channel import awgn
+from vlclink import channel_matrix, make_rng, svd2
+from vlclink.channel import Geometry, Obstacle, apply_channel, awgn, los_gain, occlusion_factor
+from vlclink.errors import ParameterError
 
 DEFAULT_OBS = Obstacle(diameter_cm=4.5, z_cm=109.0, x_cm=0.0)
 
@@ -43,19 +33,31 @@ class TestLosGain:
         with pytest.raises(ParameterError):
             los_gain((0.0, 0.0), (1.0, 0.0), 1.0, 60.0)
 
+    @pytest.mark.parametrize("dz", [1e-200, 1e-160])   # the squared distance is 0, or subnormal
+    def test_underflowing_squared_distance_rejected(self, dz):
+        with pytest.raises(ParameterError, match="underflows"):
+            los_gain((0.0, 0.0), (0.0, dz), 1.0, 60.0)
+
+    def test_overflowing_gain_rejected(self):
+        # a normal squared distance of 1e-200 with m = 1e300 overflows (m+1) / (2 pi d^2)
+        with pytest.raises(ParameterError, match="not finite"):
+            los_gain((0.0, 0.0), (0.0, 1e-100), 1e300, 60.0)
+
 
 class TestOcclusion:
+    """The ray model (beam radius 0): a link is 0 when its ray hits the obstacle, else 1."""
+
     def test_cross_link_blocked_at_center(self):
-        assert occlusion((-2.5, 0.0), (2.5, 218.0), DEFAULT_OBS) == 0
+        assert occlusion_factor((-2.5, 0.0), (2.5, 218.0), DEFAULT_OBS) == 0
 
     def test_direct_link_clear_at_center(self):
-        assert occlusion((-2.5, 0.0), (-2.5, 218.0), DEFAULT_OBS) == 1
+        assert occlusion_factor((-2.5, 0.0), (-2.5, 218.0), DEFAULT_OBS) == 1
 
     def test_all_links_clear_far_away(self):
         obs = Obstacle(diameter_cm=4.5, z_cm=109.0, x_cm=65.0)
         for tx in ((-2.5, 0.0), (2.5, 0.0)):
             for rx in ((-2.5, 218.0), (2.5, 218.0)):
-                assert occlusion(tx, rx, obs) == 1
+                assert occlusion_factor(tx, rx, obs) == 1
 
     def test_mirror_symmetry(self):
         # x -> -x with swapped LED/PD indices leaves the pattern unchanged
@@ -66,7 +68,7 @@ class TestOcclusion:
             b = Obstacle(4.5, 109.0, float(-x))
             for i in range(2):
                 for j in range(2):
-                    assert occlusion(txs[i], rxs[j], a) == occlusion(txs[1 - i], rxs[1 - j], b)
+                    assert occlusion_factor(txs[i], rxs[j], a) == occlusion_factor(txs[1 - i], rxs[1 - j], b)
 
     def test_soft_edge_ramp(self):
         obs = Obstacle(diameter_cm=4.5, z_cm=109.0, x_cm=0.0)
@@ -80,7 +82,7 @@ class TestOcclusion:
 
     def test_obstacle_outside_planes_rejected(self):
         with pytest.raises(ParameterError):
-            occlusion((-2.5, 0.0), (-2.5, 218.0), Obstacle(4.5, 300.0, 0.0))
+            occlusion_factor((-2.5, 0.0), (-2.5, 218.0), Obstacle(4.5, 300.0, 0.0))
 
 
 class TestChannelMatrix:
@@ -145,8 +147,8 @@ class TestGeometryChecks:
         assert channel_matrix(Geometry(pd_sep=200.0, lambert_m=1.0))[1] > 0.0
 
     @pytest.mark.parametrize("link_len", [1e-160, 1e-200])   # the squared length is subnormal, or 0
-    def test_overflowing_direct_path_gain_rejected(self, link_len):
-        with pytest.raises(ParameterError, match="gain is inf"):
+    def test_underflowing_link_length_rejected(self, link_len):
+        with pytest.raises(ParameterError, match="underflows"):
             Geometry(link_len=link_len, obstacle=None)
 
 

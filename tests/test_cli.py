@@ -105,7 +105,16 @@ class TestErrors:
     def test_payload_bits_beyond_the_frame_budget_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("frame.payload_len = 64\nsweep.positions.start = 0\nsweep.positions.stop = 0\n"
-                        "sweep.payload_bits = 97537\n")
+                        "sweep.payload_bits = 32513\n")
+        assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: sweep.payload_bits" in capsys.readouterr().err
+
+    def test_payload_bits_an_sd4_fallback_cannot_meet_is_config_error(self, tmp_path, capsys):
+        # the fixed SD-64 run meets 24384 bits in 254 frames of 96; at 15 dB the
+        # adaptive run sends SD-4 frames of 32 bits, which would need 762
+        path = tmp_path / "bad.cfg"
+        path.write_text("frame.payload_len = 16\nsnr_db = 15\nsweep.payload_bits = 24384\n"
+                        "sweep.positions.start = 0\nsweep.positions.stop = 0\n")
         assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
         assert "config error: sweep.payload_bits" in capsys.readouterr().err
 

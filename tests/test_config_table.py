@@ -12,7 +12,10 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from vlclink import AdaptPolicy, FrameSpec, Geometry, ScenarioConfig, load_config, parse_config
+from vlclink import ScenarioConfig, load_config, parse_config
+from vlclink.adapt import AdaptPolicy
+from vlclink.channel import Geometry
+from vlclink.framing import FrameSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CFG = ROOT / "configs" / "default.cfg"

@@ -7,26 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlclink import (
+from vlclink import make_rng, qam_demap, qam_map
+from vlclink.channel import apply_channel, awgn
+from vlclink.errors import LengthError, ParameterError, RangeError, SchemeError, SyncNotFound
+from vlclink.framing import (
+    SYNC_THRESHOLD,
     FrameSpec,
-    LengthError,
-    ParameterError,
-    RangeError,
-    SchemeError,
-    SyncNotFound,
+    _best_start,
+    _upsample_and_shape,
     build_frame,
-    make_rng,
+    build_symbols,
+    build_tx_symbols,
     matched_filter_downsample,
     mseq,
     pilot_symbols,
     preamble_symbols,
-    qam_demap,
-    qam_map,
     rrc_taps,
     synchronize,
 )
-from vlclink.channel import apply_channel, awgn
-from vlclink.framing import SYNC_THRESHOLD, _best_start, _upsample_and_shape, build_symbols, build_tx_symbols
 
 SPEC = FrameSpec()
 

@@ -55,6 +55,7 @@ PILOT8_GOLDEN = {
 }
 
 DEMO_STDOUT = {
+    "01_qam_modem.py": "35aa2ac473652c13f4a595ebf21e3f78da1238b6b6627a7be62c410e90a43762",
     "02_pulse_shaping.py": "3cf98f4b85bbd86c7e12d10f3ad9c8990b8083916a7fc7275bb2d82121874dd6",
     "03_channel_geometry.py": "9b7b42da2a0637225bc66d90b6dff21f1c61c942844665fc9963e9a20720d97f",
     "04_mode_selection.py": "11d3122380468a3d3fd7fd3b7324369993b3e832706463c2dd6bd5cda0b7b1e7",

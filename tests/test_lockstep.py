@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_modem import pack_labels
-from vlclink import Mode, ScenarioConfig, calibrate, channel_matrix, parse_config, run_blockage_sweep, run_position
+from vlclink import Mode, ScenarioConfig, calibrate, channel_matrix, parse_config, run_blockage_sweep
 from vlclink import scenario
 from vlclink.adapt import controller_step, estimate_snrs, new_controller
-from vlclink.framing import head_symbols
+from vlclink.framing import FrameSpec, head_symbols
 from vlclink.metrics import LinkReport, error_free_efficiency
 from vlclink.modem import unpack_labels
 from vlclink.numerics import make_rng
@@ -36,6 +36,7 @@ from vlclink.scenario import (
     _frame_bits,
     _packed_bits,
     _run_frame,
+    run_position,
 )
 
 # Adaptive run alternates SM-16 and SM-64 inside its measured window.
@@ -45,16 +46,6 @@ sweep.payload_bits = 30000
 sweep.positions.start = 1
 sweep.positions.stop = 1
 base_seed = 14
-"""
-
-# The largest budget the fixed SD-64 run can meet: 254 measured frames of 96
-# bits.  At 15 dB the adaptive run sends SD-4 frames of 32 bits and cannot.
-BUDGET_TEXT = """
-frame.payload_len = 16
-snr_db = 15
-sweep.payload_bits = 24384
-sweep.positions.start = 0
-sweep.positions.stop = 0
 """
 
 SMALL_SWEEP_TEXT = """
@@ -256,7 +247,7 @@ class TestPayloadBits:
             assert np.array_equal(unpack_labels(_packed_bits(make_rng(seed), n_bits), order, count), want)
 
     def test_frame_seeds_give_the_same_labels(self):
-        spec = ScenarioConfig(payload_len=100).frame_spec()
+        spec = FrameSpec(payload_len=100)
         for mode in (Mode("SD", 4), Mode("SM", 64), Mode("SM", 256)):
             want = pack_labels(_bits_rng((7,), 3).integers(0, 2, size=_frame_bits(mode, spec)), mode.order)
             got = unpack_labels(_packed_bits(_bits_rng((7,), 3), 16 * 2 * 100), mode.order, mode.streams * 100)
@@ -289,22 +280,6 @@ class TestPayloadBits:
         result = _run_frame(mode, _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec)), front_end)
         assert result.ref_power == float(np.sum(np.abs(result.payload) ** 2))
         assert result.snrs == estimate_snrs(result.est, P_TOTAL_REF, N0)
-
-
-class TestFrameBudget:
-    def test_unreachable_budget_stops_at_256_frame_indices(self, monkeypatch):
-        cfg = parse_config(BUDGET_TEXT)
-        noise_indices = []
-        real_frame_noise = scenario._frame_noise
-
-        def spy_frame_noise(spec, seed, frame_idx, out=None):
-            noise_indices.append(frame_idx)
-            return real_frame_noise(spec, seed, frame_idx, out=out)
-
-        monkeypatch.setattr(scenario, "_frame_noise", spy_frame_noise)
-        with pytest.raises(RuntimeError, match="frame budget"):
-            run_position(cfg, 0)
-        assert noise_indices == list(range(256))
 
 
 def count_calls(monkeypatch, names):

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from vlclink import (
-    Mode,
-    dump_constellation,
-    error_free_efficiency,
-    make_rng,
-    qam_map,
-)
-from vlclink.metrics import LinkReport, REPORT_HEADER, format_report_row
+from vlclink import Mode, make_rng, qam_map
+from vlclink.metrics import REPORT_HEADER, LinkReport, dump_constellation, error_free_efficiency, format_report_row
 
 
 class TestEfficiency:

@@ -8,17 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from vlclink import (
-    LengthError,
-    ParameterError,
-    QAM_ORDERS,
-    ber_theoretical,
-    constellation,
-    make_rng,
-    qam_demap,
-    qam_map,
-)
-from vlclink.modem import demap_labels, label_bit_errors, map_labels, unpack_labels
+from vlclink import ber_theoretical, make_rng, qam_demap, qam_map
+from vlclink.errors import LengthError, ParameterError
+from vlclink.modem import QAM_ORDERS, constellation, demap_labels, label_bit_errors, map_labels, unpack_labels
 
 
 def bits_of(label: int, k: int) -> list[int]:

@@ -15,12 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from test_lockstep import BUDGET_TEXT, SMALL_SWEEP_TEXT, SWITCHING_TEXT
+from test_lockstep import SMALL_SWEEP_TEXT, SWITCHING_TEXT
 from vlclink import (
     Mode,
-    ParameterError,
     channel_matrix,
-    constellation,
     parse_config,
     run_ber_sweep,
     run_blockage_sweep,
@@ -28,8 +26,10 @@ from vlclink import (
     write_blockage_csv,
 )
 from vlclink import scenario
+from vlclink.errors import ParameterError, SyncNotFound
 from vlclink.framing import FrameSpec, _band_pair, _cached_cascade, _cached_mseq, pilot_symbols, rrc_taps
-from vlclink.scenario import _usable_cpus, _worker_count
+from vlclink.modem import constellation
+from vlclink.scenario import _usable_cpus, _worker_count, run_position
 
 # The adaptive run at x = 1 (index 0, seed 14) alternates SM-16 and SM-64;
 # two more positions give the pool something to share out.
@@ -47,8 +47,9 @@ bersweep.max_bits = 20000
 bersweep.min_errors = 20
 """
 
-# Three positions that each exhaust the frame budget.
-BUDGET_SWEEP_TEXT = BUDGET_TEXT + "sweep.positions.stop = 10\nsweep.positions.step = 5\n"
+# Three positions around x = 0 at -10 dB: each loses sync on its first frame,
+# with its own correlation in the message.
+NO_SYNC_SWEEP_TEXT = "snr_db = -10\nsweep.positions.start = -5\nsweep.positions.stop = 5\n"
 
 
 @pytest.fixture()
@@ -134,13 +135,17 @@ class TestSameOutputForEveryJobs:
 
 class TestFailure:
     def test_same_error_as_serial(self, three_cpus):
+        cfg = parse_config(NO_SYNC_SWEEP_TEXT)
         messages = []
-        for jobs in (1, 2):
-            with pytest.raises(RuntimeError, match="frame budget") as info:
-                run_blockage_sweep(parse_config(BUDGET_SWEEP_TEXT), jobs=jobs)
+        for index in range(cfg.positions().size):
+            with pytest.raises(SyncNotFound) as info:
+                run_position(cfg, index)
             messages.append(str(info.value))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("position 0.0:")
+        assert len(set(messages)) == len(messages)
+        for jobs in (1, 2, 3):
+            with pytest.raises(SyncNotFound) as info:
+                run_blockage_sweep(cfg, jobs=jobs)
+            assert str(info.value) == messages[0]
 
     def test_queued_tasks_do_not_start_after_failure(self, monkeypatch):
         """Position 0 fails while position 1 runs: positions 3.. must never start.

@@ -7,19 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vlclink import (
-    ChannelEstimate,
-    DeadChannel,
-    LengthError,
-    SingularMatrix,
-    combine_sd_mrc,
-    detect_sm_zf,
-    estimate_channel,
-    make_rng,
-    qam_map,
-    stream_snrs,
-)
+from vlclink import estimate_channel, make_rng, qam_map
+from vlclink.errors import DeadChannel, LengthError, SingularMatrix
 from vlclink.framing import FrameSpec, pilot_symbols
+from vlclink.receiver import ChannelEstimate, combine_sd_mrc, detect_sm_zf, stream_snrs
 
 PILOTS = pilot_symbols(FrameSpec(pilot_len=32))
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlclink import (
-    FrameSpec,
     Mode,
     ParseError,
     ScenarioConfig,
@@ -21,11 +20,11 @@ from vlclink import (
     parse_config,
     run_ber_sweep,
     run_blockage_sweep,
-    run_position,
     write_ber_csv,
     write_blockage_csv,
 )
 from vlclink.adapt import predicted_ber
+from vlclink.framing import FrameSpec
 from vlclink.receiver import stream_snrs
 from vlclink.scenario import (
     _ALIASES,
@@ -42,6 +41,7 @@ from vlclink.scenario import (
     _grid_points,
     _stream_len,
     _true_estimate,
+    run_position,
 )
 
 # small scenario for fast plumbing tests: short payload, single position
@@ -157,12 +157,12 @@ class TestParseConfig:
                 parse_config(f"sweep.frames_per_position = {value}\n")
             assert err.value.key == "sweep.frames_per_position"
 
-    def test_payload_bits_capped_at_what_fixed_sd64_can_measure(self):
-        # 254 measured frames of 64 SD-64 symbols carry 254 * 6 * 64 = 97536 bits
+    def test_payload_bits_capped_at_what_an_sd4_run_can_measure(self):
+        # an adaptive run may fall back to SD-4: 254 measured frames of 64 symbols carry 254 * 2 * 64 = 32512 bits
         short = "frame.payload_len = 64\nsweep.positions.start = 0\nsweep.positions.stop = 0\n"
-        assert parse_config(short + "sweep.payload_bits = 97536\n").payload_bits == 97536
+        assert parse_config(short + "sweep.payload_bits = 32512\n").payload_bits == 32512
         with pytest.raises(ValidationError) as err:
-            parse_config(short + "sweep.payload_bits = 97537\n")
+            parse_config(short + "sweep.payload_bits = 32513\n")
         assert err.value.key == "sweep.payload_bits"
 
     @pytest.mark.parametrize(
@@ -309,7 +309,7 @@ class TestConfigChecksItself:
             with pytest.raises(ValidationError) as err:
                 ScenarioConfig(
                     payload_len=1, preamble_len=7, pilot_len=4, cp_len=0, sps=13103, rrc_span=64,
-                    payload_bits=1524, bersweep_max_bits=131071,
+                    payload_bits=508, bersweep_max_bits=131071,
                 )
             peak = tracemalloc.get_traced_memory()[1]
         finally:

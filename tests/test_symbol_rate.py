@@ -15,23 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlclink import (
-    MODES,
+from vlclink import MODES, Mode, ScenarioConfig, channel_matrix, estimate_channel, make_rng
+from vlclink import scenario
+from vlclink.errors import LengthError
+from vlclink.framing import (
     FrameSpec,
-    LengthError,
-    Mode,
-    ScenarioConfig,
-    channel_matrix,
     build_frame,
-    estimate_channel,
-    make_rng,
+    build_head,
     matched_filter_downsample,
+    matched_filter_frame,
     pilot_symbols,
     rrc_taps,
     synchronize,
 )
-from vlclink import scenario
-from vlclink.framing import build_head, matched_filter_frame
 from vlclink.scenario import (
     LEAD_PAD,
     N0,
