@@ -9,7 +9,15 @@ import math
 import numpy as np
 
 from vlclink import make_rng, qam_map
-from vlclink.framing import FrameSpec, build_frame, matched_filter_downsample, mseq, rrc_taps, synchronize
+from vlclink.framing import (
+    FrameSpec,
+    build_head,
+    build_tx_symbols,
+    matched_filter_frame,
+    mseq,
+    rrc_taps,
+    synchronize,
+)
 
 spec = FrameSpec()
 print("=== Root-raised-cosine cascade ===")
@@ -36,8 +44,8 @@ print("\n=== Loopback, no channel and no noise ===")
 rng = make_rng(31)
 bits = rng.integers(0, 2, size=(2, 8 * spec.payload_len))
 payload = np.stack([qam_map(bits[0], 256), qam_map(bits[1], 256)])
-frame = build_frame(payload, spec, "SM")
-symbols = matched_filter_downsample(frame.branch_samples[0], spec, 0, spec.n_symbols)
+tx = build_tx_symbols(payload, spec)
+symbols = matched_filter_frame(tx[0], spec, 0)
 got = symbols[lay.payload : lay.end]
 err = np.abs(got - payload[0])
 evm = math.sqrt(float(np.sum(err**2) / np.sum(np.abs(payload[0]) ** 2)))
@@ -46,5 +54,6 @@ print(f"payload peak error {err.max():.2e}, EVM {evm:.2e} "
 
 print("\n=== Synchronization against an unknown offset ===")
 offset = 1234
-stream = np.concatenate([np.zeros(offset, complex), frame.branch_samples[0], np.zeros(64, complex)])
-print(f"frame hidden at sample {offset}, synchronize() says {synchronize(stream, spec)}")
+n = offset + spec.n_samples + 64
+head = build_head(tx[:1], spec, offset, n)[0]   # the part of the stream sync reads
+print(f"frame hidden at sample {offset}, synchronize() says {synchronize(head, spec, stream_len=n)}")

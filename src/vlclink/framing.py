@@ -9,21 +9,22 @@ branch 2 does the opposite, so the pilot blocks are time-orthogonal and
 least-squares channel estimation reduces to one correlation per entry.
 Both branches transmit the same preamble simultaneously.
 
-The symbol stream is up-sampled by `sps` and shaped with a unit-energy
-root-raised-cosine filter; the receiver applies the matched RRC so the
-cascade sampled at symbol spacing is (truncated) raised cosine.  Symbol k of
-a frame starting at sample index `start` is taken from the matched-filter
-output at index `start + (ntaps - 1) + k * sps`.
+`build_tx_symbols` assembles a frame's symbols.  On the air they are
+up-sampled by `sps` and shaped with a unit-energy root-raised-cosine filter;
+the receiver applies the matched RRC so the cascade sampled at symbol
+spacing is (truncated) raised cosine.  Symbol k of a frame starting at
+sample index `start` is taken from the matched-filter output at index
+`start + (ntaps - 1) + k * sps`.
 
-Both filters are polyphase (Vaidyanathan, Multirate Systems and Filter
-Banks, 1993): shaping filters the symbols once per output phase instead of
-convolving a zero-stuffed stream, and `matched_filter_downsample` computes
-only the outputs at the symbol instants.  `synchronize` considers only the
-starts that leave room for a whole frame, start <= n - 1 - (n_symbols - 1)
-* sps, and filters only the stream head those starts need, which is all
-`build_head` shapes.  `matched_filter_frame` gives the noise-free
-matched-filter output at symbol rate, through one phase of the RRC x RRC
-cascade.  Shaping and both matched filters run as banded matrix products.
+The chain shapes only the stream head that sync reads (`build_head`), and
+`synchronize` considers only the starts that leave room for a whole frame,
+start <= n - 1 - (n_symbols - 1) * sps, filtering only the head those
+starts need.  Past sync the frame is never shaped: `matched_filter_frame`
+gives its noise-free matched-filter output at symbol rate, through one phase
+of the RRC x RRC cascade, and `matched_filter_downsample` filters the real
+noise at the symbol instants alone.  Shaping and both filters are polyphase
+(Vaidyanathan, Multirate Systems and Filter Banks, 1993) and run as banded
+matrix products.
 """
 
 from __future__ import annotations
@@ -34,19 +35,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LengthError, ParameterError, RangeError, SchemeError, SyncNotFound
+from .errors import LengthError, ParameterError, RangeError, SyncNotFound
 
 __all__ = [
     "FrameSpec",
     "FrameLayout",
-    "TxFrame",
     "mseq",
     "preamble_symbols",
     "pilot_symbols",
     "rrc_taps",
-    "build_symbols",
     "build_tx_symbols",
-    "build_frame",
     "build_head",
     "head_symbols",
     "matched_filter_downsample",
@@ -131,13 +129,6 @@ class FrameLayout:
     cp: int
     payload: int
     end: int
-
-
-@dataclass(frozen=True)
-class TxFrame:
-    branch_samples: np.ndarray   # (2, n_samples) complex, pulse shaped
-    branch_symbols: np.ndarray   # (2, n_symbols) complex, before shaping
-    layout: FrameLayout
 
 
 def mseq(length: int) -> np.ndarray:
@@ -295,27 +286,6 @@ def _upsample_and_shape(symbols: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return phases.reshape(symbols.shape[:-1] + (-1,))[..., : n * spec.sps + spec.ntaps - 1]
 
 
-def build_symbols(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> np.ndarray:
-    """Assemble the (2, n_symbols) symbols of one frame for both branches.
-
-    `payload_syms` has shape (2, payload_len).  Under SD both rows must be
-    identical (the caller provides the repetition); under SM they are the two
-    independent streams.  Checks its input, then fills it in as
-    `build_tx_symbols` does.
-    """
-    payload_syms = np.asarray(payload_syms, dtype=np.complex128)
-    if payload_syms.shape != (2, spec.payload_len):
-        raise LengthError(
-            f"payload must have shape (2, {spec.payload_len}), got {payload_syms.shape}"
-        )
-    scheme = scheme.upper()
-    if scheme not in ("SM", "SD"):
-        raise SchemeError(f"scheme must be 'SM' or 'SD', got {scheme!r}")
-    if scheme == "SD" and not np.array_equal(payload_syms[0], payload_syms[1]):
-        raise SchemeError("SD requires identical payload symbols on both branches")
-    return build_tx_symbols(payload_syms, spec)
-
-
 @lru_cache(maxsize=None)
 def _symbol_template(spec: FrameSpec) -> np.ndarray:
     """The symbols of a frame with an all-zero payload: preamble on both
@@ -345,13 +315,6 @@ def build_tx_symbols(payload_syms: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return symbols
 
 
-def build_frame(payload_syms: np.ndarray, spec: FrameSpec, scheme: str) -> TxFrame:
-    """Assemble (see `build_symbols`) and pulse-shape one frame for both branches."""
-    symbols = build_symbols(payload_syms, spec, scheme)
-    samples = _upsample_and_shape(symbols, spec)
-    return TxFrame(branch_samples=samples, branch_symbols=symbols, layout=spec.layout())
-
-
 def _sync_reach(spec: FrameSpec, n: int) -> int:
     """Leading samples of an n-sample stream that `synchronize` reads: the
     matched-filter span of the preamble at the last admissible start."""
@@ -367,9 +330,9 @@ def head_symbols(spec: FrameSpec, lead: int, stream_len: int) -> int:
 
 def build_head(symbols: np.ndarray, spec: FrameSpec, lead: int, stream_len: int) -> np.ndarray:
     """The head `synchronize` reads of a `stream_len`-sample stream: `lead` zero
-    samples, then the frame `build_frame` shapes from the (..., n_symbols)
-    `symbols`.  Only the first `head_symbols` symbols are read, so `symbols`
-    may hold just those."""
+    samples, then the frame shaped from the (..., n_symbols) `symbols`.  Only
+    the first `head_symbols` symbols are read, so `symbols` may hold just
+    those."""
     width = _sync_reach(spec, stream_len)
     used = min(symbols.shape[-1], head_symbols(spec, lead, stream_len))
     head = np.zeros(symbols.shape[:-1] + (width,), dtype=np.complex128)
@@ -379,35 +342,23 @@ def build_head(symbols: np.ndarray, spec: FrameSpec, lead: int, stream_len: int)
     return head
 
 
-def matched_filter_downsample(
-    samples: np.ndarray, spec: FrameSpec, start: int, n_symbols: int | None = None
-) -> np.ndarray:
-    """RRC matched filter evaluated only at the symbol instants after `start`.
+def matched_filter_downsample(samples: np.ndarray, spec: FrameSpec, start: int, n_symbols: int) -> np.ndarray:
+    """RRC matched filter evaluated only at `n_symbols` symbol instants after `start`.
 
-    `samples` is an (..., n) array of streams, complex or real; the result
-    has the same leading shape, and real input is filtered in place with a
-    real result.  Symbol k is the full-convolution output at index `start +
-    ntaps - 1 + k*sps`, i.e. the window `samples[start + k*sps : start +
-    k*sps + ntaps]` (zero past the end) times the reversed taps.  Raises
-    RangeError when `start` lies outside the stream or fewer than
+    `samples` is a real (..., n) array of streams, read in place; the result
+    is (..., n_symbols).  Symbol k is the full-convolution output at index
+    `start + ntaps - 1 + k*sps`, i.e. the window `samples[start + k*sps :
+    start + k*sps + ntaps]` (zero past the end) times the reversed taps.
+    Raises RangeError when `start` lies outside the stream or fewer than
     `n_symbols` symbol instants follow it.
     """
-    samples = np.asarray(samples)
-    if samples.ndim < 1:
-        raise LengthError("matched_filter_downsample expects an (..., n) sample stream")
     n = samples.shape[-1]
     if not 0 <= start < max(n, 1):
         raise RangeError(f"start {start} outside stream of {n} samples")
     available = (n - 1 - start) // spec.sps + 1 if n > start else 0
-    if n_symbols is None:
-        n_symbols = available
     if not 0 <= n_symbols <= available:
         raise RangeError(f"stream holds {available} symbols after start, need {n_symbols}")
-    taps = rrc_taps(spec)[::-1, None]
-    if not np.iscomplexobj(samples):
-        return _block_fir(samples[..., start:].astype(np.float64, copy=False), taps, spec.sps, n_symbols)[..., 0]
-    y = _block_fir(np.stack([samples.real, samples.imag])[..., start:], taps, spec.sps, n_symbols)[..., 0]
-    return y[0] + 1j * y[1]
+    return _block_fir(samples[..., start:], rrc_taps(spec)[::-1, None], spec.sps, n_symbols)[..., 0]
 
 
 @lru_cache(maxsize=None)
@@ -422,12 +373,13 @@ def _cached_cascade(spec: FrameSpec) -> np.ndarray:
 def matched_filter_frame(symbols: np.ndarray, spec: FrameSpec, start: int) -> np.ndarray:
     """Noise-free matched-filter output of a frame at its symbol instants.
 
-    `matched_filter_downsample(stream, spec, s, n_symbols)` of a stream that
-    holds the frame `build_frame` shapes from the (..., n_symbols) `symbols`
-    at sample s - start and zeros elsewhere; `start` may be any integer.  With
-    g the RRC x RRC cascade and c = start + ntaps - 1, symbol k is sum_m
-    symbols[m] * g[(k - m)*sps + c]: the symbols filtered by the phase
-    g[c mod sps :: sps], shifted by c // sps.
+    The RRC matched filter, at the n_symbols instants after s that
+    `matched_filter_downsample` samples, of a stream that holds the frame
+    shaped from the (..., n_symbols) `symbols` at sample s - start and zeros
+    elsewhere; `start` may be any integer.  With g the RRC x RRC cascade and
+    c = start + ntaps - 1, symbol k is sum_m symbols[m] * g[(k - m)*sps + c]:
+    the symbols filtered by the phase g[c mod sps :: sps], shifted by
+    c // sps.
     """
     c = start + spec.ntaps - 1
     phase = _cached_cascade(spec)[c % spec.sps :: spec.sps]

@@ -6,17 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_chain import (
+    admissible_last,
+    assert_close,
+    frame_specs,
+    make_payload,
+    ref_matched_filter,
+    ref_sync_metric,
+    ref_synchronize,
+    received,
+    rrc_shape,
+)
 
-from vlclink import make_rng, qam_demap, qam_map
+from vlclink import framing, make_rng, qam_demap, qam_map
 from vlclink.channel import apply_channel, awgn
-from vlclink.errors import LengthError, ParameterError, RangeError, SchemeError, SyncNotFound
+from vlclink.errors import ParameterError, RangeError, SyncNotFound
 from vlclink.framing import (
     SYNC_THRESHOLD,
     FrameSpec,
     _best_start,
     _upsample_and_shape,
-    build_frame,
-    build_symbols,
+    build_head,
     build_tx_symbols,
     matched_filter_downsample,
     mseq,
@@ -27,16 +37,6 @@ from vlclink.framing import (
 )
 
 SPEC = FrameSpec()
-
-
-def make_payload(rng, order, spec, scheme):
-    k = int(math.log2(order))
-    if scheme == "SM":
-        bits = rng.integers(0, 2, size=(2, k * spec.payload_len))
-        return bits, np.stack([qam_map(bits[0], order), qam_map(bits[1], order)])
-    bits = rng.integers(0, 2, size=k * spec.payload_len)
-    row = qam_map(bits, order)
-    return bits, np.stack([row, row])
 
 
 class TestRrcTaps:
@@ -127,7 +127,7 @@ class TestCyclicPrefix:
 
 class TestBuildFrame:
     def test_layout_offsets_closed_form(self):
-        lay = build_frame(make_payload(make_rng(0), 4, SPEC, "SM")[1], SPEC, "SM").layout
+        lay = SPEC.layout()
         assert lay.preamble == 0
         assert lay.pilot1 == SPEC.preamble_len
         assert lay.pilot2 == SPEC.preamble_len + SPEC.pilot_len
@@ -136,33 +136,24 @@ class TestBuildFrame:
         assert lay.end == SPEC.n_symbols
 
     def test_pilot_slots_time_orthogonal(self):
-        frame = build_frame(make_payload(make_rng(1), 16, SPEC, "SM")[1], SPEC, "SM")
-        lay = frame.layout
+        symbols = build_tx_symbols(make_payload(make_rng(1), 16, SPEC, "SM")[1], SPEC)
+        lay = SPEC.layout()
         n = SPEC.pilot_len
-        b1 = frame.branch_symbols[0]
-        b2 = frame.branch_symbols[1]
+        b1 = symbols[0]
+        b2 = symbols[1]
         assert np.all(b2[lay.pilot1 : lay.pilot1 + n] == 0)
         assert np.all(b1[lay.pilot2 : lay.pilot2 + n] == 0)
-        seg1 = frame.branch_symbols[0, lay.pilot1 : lay.pilot2 + n]
-        seg2 = frame.branch_symbols[1, lay.pilot1 : lay.pilot2 + n]
+        seg1 = symbols[0, lay.pilot1 : lay.pilot2 + n]
+        seg2 = symbols[1, lay.pilot1 : lay.pilot2 + n]
         assert np.vdot(seg1, seg2) == 0.0  # exact, time multiplexed
 
     def test_cp_copies_payload_tail(self):
         bits, payload = make_payload(make_rng(2), 64, SPEC, "SM")
-        frame = build_frame(payload, SPEC, "SM")
-        lay = frame.layout
+        symbols = build_tx_symbols(payload, SPEC)
+        lay = SPEC.layout()
         for b in range(2):
-            cp = frame.branch_symbols[b, lay.cp : lay.cp + SPEC.cp_len]
+            cp = symbols[b, lay.cp : lay.cp + SPEC.cp_len]
             assert np.array_equal(cp, payload[b, -SPEC.cp_len :])
-
-    def test_sd_requires_identical_branches(self):
-        _, payload = make_payload(make_rng(3), 4, SPEC, "SM")
-        with pytest.raises(SchemeError):
-            build_frame(payload, SPEC, "SD")
-
-    def test_wrong_payload_shape(self):
-        with pytest.raises(LengthError):
-            build_frame(np.zeros((2, 5), complex), SPEC, "SM")
 
 
 def ref_symbols(payload: np.ndarray, spec: FrameSpec) -> np.ndarray:
@@ -181,7 +172,7 @@ def ref_symbols(payload: np.ndarray, spec: FrameSpec) -> np.ndarray:
 class TestTxTemplate:
     @given(st.sampled_from(["SM", "SD"]), st.integers(1, 40), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_template_fill_equals_build_symbols(self, scheme, payload_len, data):
+    def test_template_fill_equals_segment_assembly(self, scheme, payload_len, data):
         spec = FrameSpec(
             preamble_len=data.draw(st.sampled_from([7, 15, 31, 63, 127])),
             pilot_len=data.draw(st.integers(4, 12)),
@@ -195,14 +186,12 @@ class TestTxTemplate:
         want = ref_symbols(both, spec)
         got = build_tx_symbols(payload, spec)
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
-        assert np.array_equal(build_symbols(both, spec, scheme).view(np.float64), want.view(np.float64))
         assert got.flags.writeable   # a copy, not the shared template
 
     def test_cp_len_zero(self):
         spec = FrameSpec(payload_len=16, cp_len=0)
         payload = np.arange(32.0).reshape(2, 16) + 0.5j
         assert np.array_equal(build_tx_symbols(payload, spec), ref_symbols(payload, spec))
-        assert np.array_equal(build_symbols(payload, spec, "SM"), ref_symbols(payload, spec))
 
 
 class TestLoopback:
@@ -210,10 +199,10 @@ class TestLoopback:
         # Zero-noise loopback: residual error is the truncated-RRC ISI floor,
         # measured near 2e-2 peak / 8e-3 rms at the default span of 10.
         bits, payload = make_payload(make_rng(4), 256, SPEC, "SM")
-        frame = build_frame(payload, SPEC, "SM")
-        lay = frame.layout
+        samples = rrc_shape(build_tx_symbols(payload, SPEC), SPEC)
+        lay = SPEC.layout()
         for b in range(2):
-            syms = matched_filter_downsample(frame.branch_samples[b], SPEC, 0, SPEC.n_symbols)
+            syms = ref_matched_filter(samples[b], SPEC, 0, SPEC.n_symbols)
             got = syms[lay.payload : lay.end]
             err = np.abs(got - payload[b])
             assert err.max() < 0.03
@@ -226,32 +215,42 @@ class TestLoopback:
 
     def test_mistimed_by_half_symbol_degrades(self):
         _, payload = make_payload(make_rng(5), 4, SPEC, "SM")
-        frame = build_frame(payload, SPEC, "SM")
-        lay = frame.layout
-        syms = matched_filter_downsample(
-            frame.branch_samples[0], SPEC, SPEC.sps // 2, SPEC.n_symbols - 1
-        )
+        samples = rrc_shape(build_tx_symbols(payload, SPEC), SPEC)
+        lay = SPEC.layout()
+        syms = ref_matched_filter(samples[0], SPEC, SPEC.sps // 2, SPEC.n_symbols - 1)
         got = syms[lay.payload : lay.end - 1]
         ref = payload[0][: got.size]
         err = math.sqrt(float(np.sum(np.abs(got - ref) ** 2) / np.sum(np.abs(ref) ** 2)))
         assert err > 0.1
 
     def test_zero_input_zero_output(self):
-        out = matched_filter_downsample(np.zeros(4096, complex), SPEC, 0, 100)
+        out = matched_filter_downsample(np.zeros((2, 2, 4096)), SPEC, 0, 100)
+        assert out.shape == (2, 2, 100)
         assert np.all(out == 0)
+
+    def test_noise_is_read_in_place(self, monkeypatch):
+        # the sweeps matched-filter every frame's noise buffer, so it must not be copied
+        noise = make_rng(3).standard_normal((2, 2, 4096))
+        before = noise.copy()
+        seen = []
+        block_fir = framing._block_fir
+        monkeypatch.setattr(framing, "_block_fir", lambda x, *args: seen.append(x) or block_fir(x, *args))
+        matched_filter_downsample(noise, SPEC, 100, 50)
+        assert np.shares_memory(seen[0], noise)
+        assert np.array_equal(noise, before)
 
     def test_range_errors(self):
         with pytest.raises(RangeError):
-            matched_filter_downsample(np.zeros(64, complex), SPEC, 70)
+            matched_filter_downsample(np.zeros(64), SPEC, 70, 0)
         with pytest.raises(RangeError):
-            matched_filter_downsample(np.zeros(64, complex), SPEC, 0, 100)
+            matched_filter_downsample(np.zeros(64), SPEC, 0, 100)
 
 
 class TestSynchronize:
     def test_clean_frame_at_known_offset(self):
         _, payload = make_payload(make_rng(6), 4, SPEC, "SM")
-        frame = build_frame(payload, SPEC, "SM")
-        stream = np.concatenate([np.zeros(1000, complex), frame.branch_samples[0], np.zeros(50, complex)])
+        samples = rrc_shape(build_tx_symbols(payload, SPEC), SPEC)
+        stream = np.concatenate([np.zeros(1000, complex), samples[0], np.zeros(50, complex)])
         assert synchronize(stream, SPEC) == 1000
 
     def test_awgn_only_raises(self):
@@ -268,13 +267,10 @@ class TestSynchronize:
         rng = make_rng(42)
         bits = rng.integers(0, 2, size=(2, 2 * 256))
         payload = np.stack([qam_map(bits[0], 4), qam_map(bits[1], 4)])
-        frame = build_frame(payload, spec, "SM")
-        mean_power = float(np.mean(np.abs(frame.branch_samples[0]) ** 2))
+        samples = rrc_shape(build_tx_symbols(payload, spec), spec)
+        mean_power = float(np.mean(np.abs(samples[0]) ** 2))
         offset = 500
-        tx = np.concatenate(
-            [np.zeros((2, offset), complex), frame.branch_samples, np.zeros((2, 40), complex)],
-            axis=1,
-        )
+        tx = np.concatenate([np.zeros((2, offset), complex), samples, np.zeros((2, 40), complex)], axis=1)
 
         def hit_rate(n0: float, trials: int) -> float:
             hits = 0
@@ -290,55 +286,12 @@ class TestSynchronize:
         assert hit_rate(1.0, 1000) >= 0.98
 
 
-# Reference front end: full convolutions over the whole stream and a sync
-# search over every start.  The production code filters only the samples its
-# output depends on; these tests pin it to the reference.
-
-
-def ref_matched_filter(samples, spec, start, n_symbols):
-    z = np.convolve(samples, rrc_taps(spec))
-    return z[start + spec.ntaps - 1 + spec.sps * np.arange(n_symbols)]
-
-
-def ref_sync_metric(samples, spec):
-    """Best start over the whole stream and its normalised correlation."""
-    pre = preamble_symbols(spec)
-    z = np.convolve(samples, rrc_taps(spec))
-    tpl = np.zeros((pre.size - 1) * spec.sps + 1, dtype=complex)
-    tpl[:: spec.sps] = pre
-    ones = np.zeros(tpl.size)
-    ones[:: spec.sps] = 1.0
-    offset = spec.ntaps - 1
-    corr = np.abs(np.correlate(z, tpl))[offset:]
-    energy = np.correlate(np.abs(z) ** 2, ones).real[offset:]
-    peak = int(np.argmax(corr))
-    return peak, min(float(corr[peak]) / math.sqrt(max(float(energy[peak]), 1e-300) * pre.size), 1.0)
-
-
-def ref_synchronize(streams, spec):
-    """Two-branch rule: raw-correlation argmax per branch, branch 0 on ties."""
-    (i0, m0), (i1, m1) = (ref_sync_metric(s, spec) for s in streams)
-    if max(m0, m1) < SYNC_THRESHOLD:
-        return None
-    return i0 if m0 >= m1 else i1
+# The production front end filters only the samples its output depends on;
+# these tests pin it to the full-convolution reference in
+# tests/reference_chain.py.
 
 
 SMALL = FrameSpec(payload_len=256)
-
-
-def received(spec, seed, h, n0):
-    """A frame at a random offset, through `h`; noise-free when n0 is None."""
-    rng = make_rng(seed)
-    _, payload = make_payload(rng, 16, spec, "SM")
-    frame = build_frame(payload, spec, "SM")
-    offset = int(rng.integers(0, 600))
-    tx = np.concatenate(
-        [np.zeros((2, offset), complex), frame.branch_samples, np.zeros((2, 63), complex)], axis=1
-    )
-    h = np.asarray(h, dtype=complex)
-    if n0 is None:
-        return offset, h @ tx
-    return offset, apply_channel(tx, h, awgn(tx.shape, n0, make_rng(seed)))
 
 
 class TestFrontEndEquivalence:
@@ -356,7 +309,7 @@ class TestFrontEndEquivalence:
         _, h, n0 = case
         offset, rx = received(SMALL, seed, h, n0)
         ref = ref_synchronize(rx, SMALL)
-        last = rx.shape[1] - 1 - (SMALL.n_symbols - 1) * SMALL.sps
+        last = admissible_last(SMALL, rx.shape[1])
         assert ref is not None and ref <= last  # the reference decodes this frame
         assert synchronize(rx, SMALL) == ref == offset
         for j in range(2):
@@ -376,7 +329,7 @@ class TestFrontEndEquivalence:
         # the preamble does not correlate.  The full-stream reference still
         # peaks at the frame.
         _, payload = make_payload(make_rng(9), 4, SMALL, "SM")
-        tx = build_frame(payload, SMALL, "SM").branch_samples
+        tx = rrc_shape(build_tx_symbols(payload, SMALL), SMALL)
         offset = 100
         stream = np.concatenate([np.zeros((2, offset), complex), tx], axis=1)
         stream = stream[:, : offset + (SMALL.n_symbols - 2) * SMALL.sps + 1]
@@ -388,7 +341,7 @@ class TestFrontEndEquivalence:
         # Branch 1 carries the same frame one symbol later: the normalised
         # metrics tie exactly and the peaks differ.
         _, payload = make_payload(make_rng(10), 4, SMALL, "SM")
-        tx = build_frame(payload, SMALL, "SM").branch_samples[0]
+        tx = rrc_shape(build_tx_symbols(payload, SMALL), SMALL)[0]
         pad = np.zeros(200, complex)
         early = np.concatenate([pad[:100], tx, pad])
         late = np.concatenate([pad[: 100 + SMALL.sps], tx, pad[SMALL.sps :]])
@@ -399,29 +352,26 @@ class TestFrontEndEquivalence:
     def test_matched_filter_matches_reference(self, seed):
         rng = make_rng(seed)
         n = int(rng.integers(200, 2000))
-        x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        x = rng.standard_normal((2, 2, n))   # the noise layout: real parts, then imaginary parts
         start = int(rng.integers(0, n))
         available = (n - 1 - start) // SMALL.sps + 1
         for count in (available, int(rng.integers(0, available + 1)), 0):
             got = matched_filter_downsample(x, SMALL, start, count)
-            assert got.shape == (2, count)
-            for j in range(2):
-                ref = ref_matched_filter(x[j], SMALL, start, count)
-                np.testing.assert_allclose(got[j], ref, rtol=1e-12)
-                np.testing.assert_allclose(
-                    matched_filter_downsample(x[j], SMALL, start, count), ref, rtol=1e-12
-                )
+            assert got.shape == (2, 2, count)
+            for part in range(2):
+                for j in range(2):
+                    ref = ref_matched_filter(x[part, j], SMALL, start, count)
+                    np.testing.assert_allclose(got[part, j], ref, rtol=1e-12)
+                    np.testing.assert_allclose(
+                        matched_filter_downsample(x[part, j], SMALL, start, count), ref, rtol=1e-12
+                    )
 
-    @pytest.mark.parametrize("spec", [SPEC, FrameSpec(sps=3, rrc_span=6), FrameSpec(sps=8, rolloff=1.0)])
-    def test_shaping_matches_zero_stuffed_convolution(self, spec):
-        rng = make_rng(5)
-        symbols = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
-        got = _upsample_and_shape(symbols, spec)
-        taps = rrc_taps(spec)
-        for b in range(2):
-            up = np.zeros(symbols.shape[1] * spec.sps, dtype=complex)
-            up[:: spec.sps] = symbols[b]
-            np.testing.assert_allclose(got[b], np.convolve(up, taps), rtol=1e-12)
+    @given(frame_specs(), st.integers(1, 300), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_shaping_matches_zero_stuffed_convolution(self, spec, n, seed):
+        rng = make_rng(seed)
+        symbols = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        assert_close(_upsample_and_shape(symbols, spec), rrc_shape(symbols, spec))
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (64,), (2, 64), (2, (SPEC.n_symbols - 1) * SPEC.sps)])
     def test_stream_shorter_than_frame_raises_sync_not_found(self, shape):
@@ -431,7 +381,66 @@ class TestFrontEndEquivalence:
     def test_shortest_decodable_stream(self):
         # One frame's worth of symbol instants: start 0 is the only candidate.
         _, payload = make_payload(make_rng(8), 4, SPEC, "SM")
-        samples = build_frame(payload, SPEC, "SM").branch_samples
+        samples = rrc_shape(build_tx_symbols(payload, SPEC), SPEC)
         stream = samples[:, : (SPEC.n_symbols - 1) * SPEC.sps + 1]
         assert synchronize(stream, SPEC) == 0
-        assert matched_filter_downsample(stream, SPEC, 0, SPEC.n_symbols).shape == (2, SPEC.n_symbols)
+        parts = np.stack([stream.real, stream.imag])
+        assert matched_filter_downsample(parts, SPEC, 0, SPEC.n_symbols).shape == (2, 2, SPEC.n_symbols)
+
+
+class TestSyncDifferential:
+    """`_best_start` and `synchronize` against the reference correlation over
+    random specs.  The reference is restricted to the admissible starts <= last:
+    the whole-stream peak, and even the true offset, may lie past `last`,
+    where sync must not look."""
+
+    @given(frame_specs(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_best_start_and_two_branch_rule_match_reference(self, spec, seed):
+        rng = make_rng(seed)
+        _, payload = make_payload(rng, 4, spec, "SM")
+        offset = int(rng.integers(1, 4 * spec.sps))
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        tx = np.concatenate(
+            [np.zeros((2, offset)), rrc_shape(build_tx_symbols(payload, spec), spec), np.zeros((2, 63))], axis=1
+        )
+        rx = h @ tx + 0.3 * (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape))
+        # the frame starts one sample past the last admissible start, at it, and well before it
+        for last in (offset - 1, offset, admissible_last(spec, rx.shape[1])):
+            stream = rx[:, : last + 1 + (spec.n_symbols - 1) * spec.sps]
+            found = []
+            for branch in stream:
+                peak, metric = ref_sync_metric(branch, spec, last)
+                got_peak, got_metric = _best_start(branch, spec, last)
+                assert got_peak == peak <= last
+                assert got_metric == pytest.approx(metric, rel=1e-9)
+                found.append((got_peak, got_metric))
+            (i0, m0), (i1, m1) = found
+            if max(m0, m1) < SYNC_THRESHOLD:
+                with pytest.raises(SyncNotFound):
+                    synchronize(stream, spec)
+            else:
+                assert synchronize(stream, spec) == (i0 if m0 >= m1 else i1)
+
+    @given(frame_specs(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_head_sync_matches_whole_stream_reference(self, spec, seed):
+        # sync as the sweeps run it, on the head `build_head` shapes at a random
+        # lead, against the reference on the whole stream
+        rng = make_rng(seed)
+        _, payload = make_payload(rng, 4, spec, "SM")
+        symbols = build_tx_symbols(payload, spec)
+        lead = int(rng.integers(0, 8 * spec.sps))
+        n = lead + spec.n_samples + int(rng.integers(0, 4 * spec.sps))
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        noise = 0.3 * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+        whole = np.zeros((2, n), dtype=complex)
+        whole[:, lead : lead + spec.n_samples] = rrc_shape(symbols, spec)
+        want = ref_synchronize(h @ whole + noise, spec, admissible_last(spec, n))
+        head = build_head(symbols, spec, lead, n)
+        rx_head = h @ head + noise[:, : head.shape[-1]]
+        if want is None:
+            with pytest.raises(SyncNotFound):
+                synchronize(rx_head, spec, stream_len=n)
+        else:
+            assert synchronize(rx_head, spec, stream_len=n) == want

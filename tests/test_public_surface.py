@@ -54,8 +54,8 @@ MOVED = {
     "channel": ["Geometry", "Obstacle", "apply_channel", "los_gain", "occlusion_factor"],
     "errors": ["DeadChannel", "LengthError", "ParameterError", "RangeError", "SchemeError", "SingularMatrix",
                "SyncNotFound"],
-    "framing": ["FrameSpec", "TxFrame", "build_frame", "matched_filter_downsample", "mseq", "pilot_symbols",
-                "preamble_symbols", "rrc_taps", "synchronize"],
+    "framing": ["FrameSpec", "matched_filter_downsample", "mseq", "pilot_symbols", "preamble_symbols", "rrc_taps",
+                "synchronize"],
     "metrics": ["LinkReport", "dump_constellation", "error_free_efficiency"],
     "modem": ["Constellation", "QAM_ORDERS", "constellation"],
     "numerics": ["Svd2", "inv2", "qfunc"],
@@ -99,3 +99,10 @@ def test_acceptance_and_benchmark_names_resolve():
 def test_moved_name_imports_from_its_module_only(module, name):
     assert hasattr(importlib.import_module(f"vlclink.{module}"), name)
     assert not hasattr(vlclink, name)
+
+
+def test_framing_has_one_tx_assembly_and_no_sample_rate_frame():
+    # the sample-rate frame chain lives in tests/reference_chain.py
+    for name in ("TxFrame", "build_frame", "build_symbols"):
+        assert not hasattr(vlclink.framing, name)
+        assert name not in vlclink.framing.__all__

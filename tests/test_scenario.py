@@ -69,6 +69,19 @@ class TestParseConfig:
         assert cfg.positions_stop == 65
         assert cfg.ber_tgt == 1e-4
 
+    @pytest.mark.parametrize(
+        "text, field, value",
+        [
+            ("snr_db = 20\nsnr_db = 25\n", "snr_db", 25),
+            ("led_sep = 3\ngeometry.led_sep = 7\n", "led_sep", 7),
+            ("geometry.led_sep = 7\nled_sep = 3\n", "led_sep", 3),
+        ],
+    )
+    def test_later_line_overrides_earlier(self, text, field, value):
+        # tests override a shared config by appending a line; the key may be
+        # written in full or by its tail on either line
+        assert getattr(parse_config(text), field) == value
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError) as err:
             parse_config("no.such.key = 1\n")

@@ -1,11 +1,11 @@
-"""Symbol-rate frame chain against the sample-rate chain it replaced.
+"""Symbol-rate frame chain against the sample-rate reference.
 
 `_run_frame` shapes only the stream head that sync reads, computes the
 noise-free received symbols at symbol rate through the RRC x RRC cascade
 (`matched_filter_frame`) and matched-filters the noise on its own.  The
-references below keep the sample-rate chain: shape the whole frame, pad it,
-mix it and add complex noise at every sample, sync on the whole stream and
-matched-filter it.
+sample-rate chain it replaced lives in `tests/reference_chain.py`: shape the
+whole frame, pad it, mix it and add complex noise at every sample, sync on
+the whole stream and matched-filter it.
 """
 
 import math
@@ -14,18 +14,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_chain import (
+    assert_close,
+    frame_specs,
+    ref_matched_filter,
+    reference_chain,
+    shaped_stream,
+    stream_len,
+)
 
 from vlclink import MODES, Mode, ScenarioConfig, channel_matrix, estimate_channel, make_rng
 from vlclink import scenario
 from vlclink.errors import LengthError
 from vlclink.framing import (
     FrameSpec,
-    build_frame,
     build_head,
-    matched_filter_downsample,
+    build_tx_symbols,
     matched_filter_frame,
     pilot_symbols,
-    rrc_taps,
     synchronize,
 )
 from vlclink.scenario import (
@@ -42,43 +48,6 @@ from vlclink.scenario import (
 )
 
 
-@st.composite
-def frame_specs(draw):
-    """Valid specs: preamble 7..127, sps 2..8, any rolloff, even span * sps."""
-    sps = draw(st.integers(2, 8))
-    span = draw(st.integers(4, 12).filter(lambda span: span * sps % 2 == 0))
-    payload_len = draw(st.integers(1, 40))
-    return FrameSpec(
-        preamble_len=draw(st.sampled_from([7, 15, 31, 63, 127])),
-        pilot_len=draw(st.integers(4, 12)),
-        payload_len=payload_len,
-        cp_len=draw(st.integers(0, payload_len - 1)),
-        sps=sps,
-        rolloff=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        rrc_span=span,
-    )
-
-
-def stream_len(spec):
-    return LEAD_PAD + spec.n_samples + TAIL_PAD
-
-
-def shaped_stream(symbols, spec):
-    """Zero-stuffed symbols convolved with the RRC taps, at sample LEAD_PAD of the stream."""
-    taps = rrc_taps(spec)
-    stream = np.zeros((2, stream_len(spec)), dtype=np.complex128)
-    for b in range(2):
-        up = np.zeros(spec.n_symbols * spec.sps, dtype=np.complex128)
-        up[:: spec.sps] = symbols[b]
-        stream[b, LEAD_PAD : LEAD_PAD + spec.n_samples] = np.convolve(up, taps)
-    return stream
-
-
-def assert_close(got, want):
-    """Equal to rtol 1e-12, the absolute slack scaled to the largest value."""
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(float(np.abs(want).max()), 1e-300))
-
-
 class TestCascadeKernel:
     @given(frame_specs(), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -90,8 +59,8 @@ class TestCascadeKernel:
         symbols = rng.standard_normal((2, spec.n_symbols)) + 1j * rng.standard_normal((2, spec.n_symbols))
         stream = shaped_stream(symbols, spec)
         for d in range(-LEAD_PAD, TAIL_PAD + spec.ntaps):
-            want = matched_filter_downsample(stream, spec, LEAD_PAD + d, spec.n_symbols)
-            assert_close(matched_filter_frame(symbols, spec, d), want)
+            want = [ref_matched_filter(branch, spec, LEAD_PAD + d, spec.n_symbols) for branch in stream]
+            assert_close(matched_filter_frame(symbols, spec, d), np.stack(want))
 
     @given(frame_specs(), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -104,20 +73,11 @@ class TestCascadeKernel:
 
     def test_sync_needs_the_whole_head(self):
         spec = FrameSpec(payload_len=64)
-        symbols = build_frame(np.ones((2, 64)), spec, "SD").branch_symbols
+        symbols = build_tx_symbols(np.ones((1, 64)), spec)
         head = build_head(symbols, spec, LEAD_PAD, stream_len(spec))
         assert synchronize(head, spec, stream_len=stream_len(spec)) == LEAD_PAD
         with pytest.raises(LengthError):
             synchronize(head[:, :-1], spec, stream_len=stream_len(spec))
-
-
-def reference_chain(payload, scheme, h_eff, spec, noise):
-    """Sample-rate chain: (sync index, received symbols) from the whole stream."""
-    frame = build_frame(payload, spec, scheme)
-    tx = shaped_stream(frame.branch_symbols, spec)
-    rx = h_eff @ tx + (noise[0] + 1j * noise[1])
-    start = synchronize(rx, spec)
-    return start, matched_filter_downsample(rx, spec, start, spec.n_symbols)
 
 
 class TestRunFrameMatchesSampleRateChain:
@@ -143,7 +103,7 @@ class TestRunFrameMatchesSampleRateChain:
 
         lay = spec.layout()
         payload = np.broadcast_to(seen["build_tx_symbols"][0], (2, spec.payload_len))
-        start, symbols = reference_chain(payload, scheme, h_eff, spec, noise)
+        start, symbols = reference_chain(payload, h_eff, spec, noise)
         assert result.sync_index == start
         n_p = spec.pilot_len
         want_segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
