@@ -145,9 +145,16 @@ def map_labels(labels: np.ndarray, order: int) -> np.ndarray:
 def _axis_indices(x: np.ndarray, c: Constellation) -> np.ndarray:
     # Level index grows as amplitude falls; round-half-up picks the larger
     # index at an exact decision boundary, i.e. the smaller coordinate.
+    # Evaluates np.clip(np.floor((side - 1 - x / scale) / 2.0 + 0.5), 0, side - 1)
+    # step by step in one float64 temporary.
     side = 1 << (c.bits_per_symbol // 2)
-    raw = (side - 1 - x / c.scale) / 2.0
-    return np.clip(np.floor(raw + 0.5), 0, side - 1).astype(np.uint8)
+    raw = np.divide(x, c.scale)
+    np.subtract(side - 1, raw, out=raw)
+    np.divide(raw, 2.0, out=raw)
+    np.add(raw, 0.5, out=raw)
+    np.floor(raw, out=raw)
+    np.clip(raw, 0, side - 1, out=raw)
+    return raw.astype(np.uint8)
 
 
 def demap_labels(symbols: np.ndarray, order: int) -> np.ndarray:

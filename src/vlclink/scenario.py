@@ -357,17 +357,32 @@ def _transmit_p_total(config: ScenarioConfig) -> float:
 
 @dataclass
 class FrameResult:
-    """What one chain run measured.  The SNRs and the error and reference
-    powers are computed on first read: the BER sweep reads none of them."""
+    """What one chain run measured.  The chain stops at the channel estimate:
+    detection, demapping, the errors, the SNRs and the error and reference
+    powers are computed the first time they are read.  An adaptive run's
+    settling frames read only the SNRs, and the BER sweep reads only the
+    errors.  The result shares no array with the task's noise buffer, so a
+    later draw leaves what it computes unchanged."""
 
     mode: Mode
     bits: int
-    errors: int
     est: ChannelEstimate
     sync_index: int
-    detected: np.ndarray   # payload symbols after ZF / MRC, one row per stream
+    received: np.ndarray   # received payload symbols, (2, payload_len)
     labels: np.ndarray     # payload labels sent, one row per stream
     payload: np.ndarray    # their symbols: (2, n) under SM, the (n,) row under SD
+
+    @cached_property
+    def detected(self) -> np.ndarray:
+        """Payload symbols after ZF / MRC, one row per stream."""
+        if self.mode.scheme == "SM":
+            return detect_sm_zf(self.received, self.est)
+        return combine_sd_mrc(self.received, self.est)[None, :]
+
+    @cached_property
+    def errors(self) -> int:
+        """Bit errors of the hard decisions on `detected`."""
+        return label_bit_errors(self.labels, demap_labels(self.detected, self.mode.order))
 
     @cached_property
     def snrs(self) -> tuple[StreamSnrs | None, StreamSnrs]:
@@ -439,12 +454,15 @@ class _FrontEnds:
     index share it per distinct head-symbol block, and the shaped head of the
     last block is kept across frame indices.  At the defaults that block is
     preamble and pilots only, the same for every mode and frame; a head that
-    reaches the payload just keys more blocks.
+    reaches the payload just keys more blocks.  It also holds the frame
+    layout and the pilots, which every chain run of the task reads.
     """
 
     def __init__(self, h_eff: np.ndarray, spec: FrameSpec, noise: np.ndarray | None = None):
         self.h = h_eff
         self.spec = spec
+        self.layout = spec.layout()
+        self.pilots = pilot_symbols(spec)
         self.noise = noise
         self.used = head_symbols(spec, LEAD_PAD, _stream_len(spec))
         self._ends: dict[bytes, tuple[int, np.ndarray]] = {}
@@ -471,7 +489,7 @@ class _FrontEnds:
 
 
 def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResult:
-    """One frame through the whole chain: build, channel, sync, estimate, detect.
+    """One frame through the chain: build, channel, sync, estimate.
 
     `bits` holds the frame's payload bits packed into bytes (`_packed_bits`),
     possibly followed by more.  `front_end` is the task's `_FrontEnds`: it
@@ -481,37 +499,27 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResu
     reads passes the channel at sample rate.  The chain is linear and the
     channel memoryless, so the received symbols are h times the frame's
     symbol-rate RRC cascade plus the matched-filtered noise.  The modem works
-    on k-bit labels, and errors are counted on them.
+    on k-bit labels; the result detects, demaps and counts errors on them
+    when they are first read (see `FrameResult`).
     """
-    h_eff, spec = front_end.h, front_end.spec
+    spec, lay = front_end.spec, front_end.layout
     tx_labels = unpack_labels(bits, mode.order, mode.streams * spec.payload_len).reshape(mode.streams, -1)
     sent = map_labels(tx_labels, mode.order)
     tx_symbols = build_tx_symbols(sent, spec)
     start, mf_noise = front_end(tx_symbols)
 
-    symbols = h_eff @ matched_filter_frame(tx_symbols, spec, start - LEAD_PAD)
+    symbols = front_end.h @ matched_filter_frame(tx_symbols, spec, start - LEAD_PAD)
     symbols.real += mf_noise[0]
     symbols.imag += mf_noise[1]
 
-    lay = spec.layout()
     n_p = spec.pilot_len
     segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
-    est = estimate_channel(segments, pilot_symbols(spec))
-
-    rx_payload = symbols[:, lay.payload : lay.end]
-    if mode.scheme == "SM":
-        detected = detect_sm_zf(rx_payload, est)
-    else:
-        detected = combine_sd_mrc(rx_payload, est)[None, :]
-    errors = label_bit_errors(tx_labels, demap_labels(detected, mode.order))
-
     return FrameResult(
         mode=mode,
         bits=tx_labels.size * mode.bits_per_symbol,
-        errors=errors,
-        est=est,
+        est=estimate_channel(segments, front_end.pilots),
         sync_index=start,
-        detected=detected,
+        received=symbols[:, lay.payload :],
         labels=tx_labels,
         payload=sent if mode.streams == 2 else sent[0],
     )
@@ -528,15 +536,16 @@ def _lockstep(
     """Step `runs` together by frame index, until every run stops or for
     `frame_limit` indices.
 
-    A run has `mode`, the mode of its next frame, a `done` flag and
-    `record(frame_idx, result)`, which applies its own stop rule.  The runs
-    share per-frame seeds, so frame index k carries the same noise and the
-    same payload-bit stream in each of them.  The noise and the payload bits
-    are drawn once per frame index while any run is active, the bits as many
-    as the most any active run needs, and the frame chain runs once per
-    distinct mode among the active runs; its result, which depends only on
-    (mode, h_eff, spec, seeds), goes to every run in that mode.  The chain
-    runs of a frame index share its sync front end (see `_FrontEnds`).
+    A run has `mode`, the mode of its next frame, a `done` flag,
+    `reads(frame_idx)`, whether it reads that frame, and `record(frame_idx,
+    result)`, which applies its own stop rule.  The runs share per-frame
+    seeds, so frame index k carries the same noise and the same payload-bit
+    stream in each of them.  A frame index is simulated only for the active
+    runs that read it: its noise and payload bits are drawn once, the bits
+    as many as the most any of those runs needs, and the frame chain runs
+    once per distinct mode among them; its result, which depends only on
+    (mode, h_eff, spec, seeds), goes to every such run in that mode.  The
+    chain runs of a frame index share its sync front end (see `_FrontEnds`).
     """
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=obstacle_x))
     spec = config.frame_spec()
@@ -545,10 +554,13 @@ def _lockstep(
         active = [run for run in runs if not run.done]
         if not active:
             break
+        readers = [run for run in active if run.reads(frame_idx)]
+        if not readers:
+            continue
         front_end.draw(seed, frame_idx)
-        bits = _packed_bits(_bits_rng(seed, frame_idx), max(_frame_bits(run.mode, spec) for run in active))
+        bits = _packed_bits(_bits_rng(seed, frame_idx), max(_frame_bits(run.mode, spec) for run in readers))
         results: dict[Mode, FrameResult] = {}
-        for run in active:
+        for run in readers:
             mode = run.mode
             if mode not in results:
                 results[mode] = _run_frame(mode, bits, front_end)
@@ -577,12 +589,18 @@ class _Run:
         """The mode this run transmits its next frame in."""
         return self.controller.pending if self.controller is not None else self.fixed_mode
 
+    def reads(self, frame_idx: int) -> bool:
+        """The controller reads every frame's estimate; a fixed run reads from
+        frame SETTLING_FRAMES on."""
+        return self.controller is not None or frame_idx >= SETTLING_FRAMES
+
     def record(self, frame_idx: int, result: FrameResult) -> None:
         """Account one frame sent in `result.mode`, then apply the stop rule.
 
         The first SETTLING_FRAMES frames are transmitted but excluded from the
-        report; measurement then continues until both the frames_per_position
-        budget and the payload_bits budget are met.
+        report, and only the controller reads them; measurement then continues
+        until both the frames_per_position budget and the payload_bits budget
+        are met.
         """
         if self.controller is not None:
             controller_step(self.controller, *result.snrs, self.policy)
@@ -632,6 +650,10 @@ class _BerRun:
     errors: int = 0
     bits: int = 0
     done: bool = False
+
+    def reads(self, frame_idx: int) -> bool:
+        """A BER point reads every frame."""
+        return True
 
     def record(self, frame_idx: int, result: FrameResult) -> None:
         """Account one frame; stop at `min_errors` errors or `max_bits` bits."""
@@ -700,11 +722,12 @@ def _worker_count(jobs: int | None, tasks: int, cpus: int) -> int:
 def _map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
     """[fn(t) for t in tasks], on `workers` threads, in task order.
 
-    The tasks must be independent.  The frame chain spends its time in numpy
-    kernels that release the interpreter lock, and threads keep every frame
-    in this process, where the caller can count and measure it.  The first
-    failing task in task order raises, as in a serial run, and tasks not yet
-    started are cancelled.
+    The tasks must be independent.  Threads keep every frame in this
+    process, where the caller can count and measure it.  Only the noise draw
+    and the BLAS matched filters release the interpreter lock; the chain's
+    many small steps hold it, so a second thread gains little (README
+    "Parallel runs").  The first failing task in task order raises, as in a
+    serial run, and tasks not yet started are cancelled.
     """
     if workers == 1:
         return list(map(fn, tasks))

@@ -2,9 +2,12 @@
 
 `run_position` steps the adaptive, fixed SM-64 and fixed SD-64 runs together,
 draws each frame index's noise once and runs the frame chain once per
-distinct mode.  The reference below is the loop it replaced: each run on its
-own, frame after frame, drawing its own noise with the former in-place
-formula.  Both must give identical reports, compared with exact equality.
+distinct mode among the runs that read the index: the fixed runs skip their
+settling frames, and the adaptive run's settling frames stop at the channel
+estimate.  The reference below is the loop it replaced: each run on its own,
+frame after frame, simulating and decoding every frame and drawing its own
+noise with the former in-place formula.  Both must give identical reports,
+compared with exact equality.
 """
 
 import math
@@ -186,11 +189,58 @@ class TestMatchesSequentialReference:
         ends = [run[-1][0] for run in used]
         assert len(set(ends)) == 3
 
+    @pytest.mark.parametrize(
+        "text, indices", [(SMALL_SWEEP_TEXT, range(3)), (PILOT8_TEXT, (0, 12, 13, 26))], ids=["small", "pilot8"]
+    )
+    def test_small_and_pilot8_configs(self, text, indices):
+        cfg = parse_config(text)
+        p_total = calibrate(cfg)
+        for index in indices:
+            assert_same_reports(cfg, index, p_total)
+
     def test_bit_budget_met_exactly(self):
         # two measured SM-64 frames of 512 symbols carry exactly 12288 bits
         cfg = parse_config(SMALL_SWEEP_TEXT + "sweep.payload_bits = 12288\n")
         _, used = assert_same_reports(cfg, 1, calibrate(cfg))
         assert used[1][-1][0] == SETTLING_FRAMES + 1
+
+
+def read_pairs(used):
+    """The (frame index, mode) pairs of `reference_run_position`'s runs that the
+    lockstep engine simulates: every frame of the adaptive run, the fixed runs'
+    frames from SETTLING_FRAMES on."""
+    adaptive, *fixed = used
+    return set(adaptive) | {(frame_idx, mode) for run in fixed for frame_idx, mode in run if frame_idx >= SETTLING_FRAMES}
+
+
+def spy_frame_indices(monkeypatch, pos_seed):
+    """(noise draws, chain runs, decodes): the frame index of each noise draw, the
+    (frame index, mode) of each `_run_frame` call and the frame index of each
+    call to a detector or the demapper, from now on."""
+    noise_draws, bits_frames, chain_runs, decodes = [], [], [], []
+    real_make_rng, real_run_frame = scenario.make_rng, scenario._run_frame
+
+    def spy_make_rng(seed):
+        seed_tuple, frame_idx, role = seed.entropy[:-2], seed.entropy[-2], seed.entropy[-1]
+        assert tuple(seed_tuple) == pos_seed
+        (noise_draws if role == _ROLE_NOISE else bits_frames).append(frame_idx)
+        return real_make_rng(seed)
+
+    def spy_run_frame(mode, *args):
+        chain_runs.append((bits_frames[-1], mode))
+        return real_run_frame(mode, *args)
+
+    monkeypatch.setattr(scenario, "make_rng", spy_make_rng)
+    monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
+    for name in ("detect_sm_zf", "combine_sd_mrc", "demap_labels"):
+        real = getattr(scenario, name)
+
+        def spy(*args, _real=real, _name=name):
+            decodes.append((bits_frames[-1], _name))
+            return _real(*args)
+
+        monkeypatch.setattr(scenario, name, spy)
+    return noise_draws, chain_runs, decodes
 
 
 class TestSharedWork:
@@ -199,25 +249,11 @@ class TestSharedWork:
         cfg = parse_config(SMALL_SWEEP_TEXT)
         p_total = calibrate(cfg)
         _, used = reference_run_position(cfg, index, p_total)
-        want_indices = {frame_idx for run in used for frame_idx, _ in run}
-        want_pairs = {pair for run in used for pair in run}
+        want_pairs = read_pairs(used)
+        want_indices = {frame_idx for frame_idx, _ in want_pairs}
+        assert want_indices == {frame_idx for run in used for frame_idx, _ in run}   # the adaptive run reads them all
 
-        pos_seed = cfg.base_seed + index
-        noise_draws, bits_frames, chain_runs = [], [], []
-        real_make_rng, real_run_frame = scenario.make_rng, scenario._run_frame
-
-        def spy_make_rng(seed):
-            seed_tuple, frame_idx, role = seed.entropy[:-2], seed.entropy[-2], seed.entropy[-1]
-            assert tuple(seed_tuple) == (pos_seed,)
-            (noise_draws if role == _ROLE_NOISE else bits_frames).append(frame_idx)
-            return real_make_rng(seed)
-
-        def spy_run_frame(mode, *args):
-            chain_runs.append((bits_frames[-1], mode))
-            return real_run_frame(mode, *args)
-
-        monkeypatch.setattr(scenario, "make_rng", spy_make_rng)
-        monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
+        noise_draws, chain_runs, _ = spy_frame_indices(monkeypatch, (cfg.base_seed + index,))
         run_position(cfg, index, p_total=p_total)
 
         assert sorted(noise_draws) == sorted(want_indices)
@@ -225,6 +261,34 @@ class TestSharedWork:
             want_pairs, key=lambda p: (p[0], p[1].name)
         )
         assert len(chain_runs) < sum(len(run) for run in used)
+
+    @pytest.mark.parametrize("index", [13, 0], ids=["shadowed-x0", "clear-x-65"])
+    def test_settling_frames_are_estimated_not_decoded(self, index, default_p_total, monkeypatch):
+        cfg = ScenarioConfig()
+        noise_draws, chain_runs, decodes = spy_frame_indices(monkeypatch, (cfg.base_seed + index,))
+        run_position(cfg, index, p_total=default_p_total)
+
+        settling = [(frame_idx, mode) for frame_idx, mode in chain_runs if frame_idx < SETTLING_FRAMES]
+        assert [frame_idx for frame_idx, _ in settling] == list(range(SETTLING_FRAMES))   # the adaptive run alone
+        assert noise_draws[:SETTLING_FRAMES] == list(range(SETTLING_FRAMES))
+        assert all(frame_idx >= SETTLING_FRAMES for frame_idx, _ in decodes)
+        # every measured chain run detects and demaps once, whichever runs share it
+        measured = Counter(frame_idx for frame_idx, _ in chain_runs if frame_idx >= SETTLING_FRAMES)
+        demaps = Counter(frame_idx for frame_idx, name in decodes if name == "demap_labels")
+        detections = Counter(frame_idx for frame_idx, name in decodes if name != "demap_labels")
+        assert demaps == detections == measured
+
+    @pytest.mark.parametrize("mode, snr_db", [(Mode("SD", 4), 10.0), (Mode("SM", 64), 32.0)], ids=["SD-4", "SM-64"])
+    def test_every_ber_frame_decodes(self, mode, snr_db, monkeypatch):
+        cfg = parse_config(SMALL_SWEEP_TEXT)
+        seed = (3, 1)
+        noise_draws, chain_runs, decodes = spy_frame_indices(monkeypatch, seed)
+        _, bits = scenario.measure_mode_ber(cfg, mode, 10.0 ** (snr_db / 10.0), seed, 40, 20_000)
+        frames = list(range(len(chain_runs)))
+        assert len(frames) > 1 and bits == len(frames) * _frame_bits(mode, cfg.frame_spec())
+        assert noise_draws == frames
+        assert [frame_idx for frame_idx, name in decodes if name == "demap_labels"] == frames
+        assert [frame_idx for frame_idx, name in decodes if name != "demap_labels"] == frames
 
     def test_single_position_reproduces_sweep_rows(self):
         cfg = parse_config(SMALL_SWEEP_TEXT)

@@ -1,6 +1,7 @@
 """Modem tests: mapping convention, Gray structure, BER model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ def former_demap(symbols, order):
 
 
 def former_demap_labels(symbols, order):
-    """The label demap the one-pass form replaced: each axis decided on its own."""
+    """The label demap the one-pass form replaced: each axis decided on its own,
+    by the one expression that `_axis_indices` now evaluates step by step."""
     c = constellation(order)
     side = 1 << (c.bits_per_symbol // 2)
 
@@ -218,10 +220,14 @@ class TestLabelChain:
     def test_one_pass_demap_matches_the_two_axis_form(self, order, data):
         c = constellation(order)
         side = 1 << (c.bits_per_symbol // 2)
+        boundary = st.integers(-side - 1, side + 1).map(lambda m: m * c.scale)   # decision boundaries at even m
         coordinate = st.one_of(
             st.floats(-2.0, 2.0),
-            st.sampled_from([0.0, -0.0, 1e9, -1e9, np.inf, -np.inf]),
-            st.integers(-side - 1, side + 1).map(lambda m: m * c.scale),   # decision boundaries at even m
+            st.floats(-1e300, 1e300),   # far off the grid, yet x / scale stays finite
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e9, -1e9, np.inf, -np.inf]),
+            boundary,
+            boundary.map(lambda v: math.nextafter(v, math.inf)),
+            boundary.map(lambda v: math.nextafter(v, -math.inf)),
         )
         shape = data.draw(st.sampled_from([(), (1,), (7,), (1, 9), (2, 5)]))
         n = int(np.prod(shape, dtype=int))
@@ -229,9 +235,11 @@ class TestLabelChain:
         y.real = data.draw(st.lists(coordinate, min_size=n, max_size=n))
         y.imag = data.draw(st.lists(coordinate, min_size=n, max_size=n))
         y = y.reshape(shape)
+        kept = y.copy()
         got = demap_labels(y, order)
         assert got.shape == shape and got.dtype == np.uint8
         assert np.array_equal(got, former_demap_labels(y, order))
+        assert y.tobytes() == kept.tobytes()   # the in-place steps leave the input alone
         if y.ndim == 2:   # a strided view decides the same
             wide = np.zeros((y.shape[0], 2 * y.shape[1]), dtype=np.complex128)
             wide[:, ::2] = y
@@ -258,6 +266,23 @@ class TestLabelChain:
         assert label_bit_errors(tx, rx) == 7
         every = np.arange(256, dtype=np.uint8)
         assert label_bit_errors(every, np.zeros(256, dtype=np.uint8)) == 8 * 128
+
+
+class TestDemapMemory:
+    @pytest.mark.parametrize("order", QAM_ORDERS)
+    def test_demap_peaks_at_one_float_copy_of_its_input(self, order):
+        symbols = map_labels(make_rng(order).integers(0, order, size=(2, 4096)).astype(np.uint8), order)
+        symbols += 0.01 * (1 + 1j)
+        want = demap_labels(symbols, order)   # first call fills the caches
+        tracemalloc.start()
+        try:
+            got = demap_labels(symbols, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        # one float64 view's worth of the input, plus uint8 axis indices and labels (1/8 of it each)
+        assert symbols.nbytes <= peak < symbols.nbytes * 5 // 4
 
 
 class TestBerTheoretical:

@@ -100,6 +100,7 @@ class TestRunFrameMatchesSampleRateChain:
                 mp.setattr(scenario, name, spy(name, getattr(scenario, name)))
             mode = Mode(scheme, 4)
             result = _run_frame(mode, _packed_bits(_bits_rng((seed,), 0), _frame_bits(mode, spec)), _FrontEnds(h_eff, spec, noise))
+            result.errors   # the result detects when its errors are first read
 
         lay = spec.layout()
         payload = np.broadcast_to(seen["build_tx_symbols"][0], (2, spec.payload_len))
