@@ -14,7 +14,9 @@ import numpy as np
 
 from vlclink import ScenarioConfig, calibrate, channel_matrix, run_blockage_sweep
 from vlclink.metrics import dump_constellation
-from vlclink.scenario import _bits_rng, _frame_bits, _FrontEnds, _packed_bits, _run_frame, write_blockage_csv
+from vlclink.receiver import stream_snrs
+from vlclink.scenario import N0, P_TOTAL_REF, write_blockage_csv
+from vlclink.scenario import _bits_rng, _frame_bits, _FrontEnds, _packed_bits, _run_frame
 
 cfg = ScenarioConfig()
 p_total = calibrate(cfg)
@@ -44,8 +46,8 @@ spec = cfg.frame_spec()
 seed = (cfg.base_seed + center_index,)
 front_end = _FrontEnds(h_eff, spec)
 front_end.draw(seed, 2)
-frame = _run_frame(mode, _packed_bits(_bits_rng(seed, 2), _frame_bits(mode, spec)), front_end)
-snrs = frame.sm_snrs if frame.sm_snrs is not None else (frame.sd_snr,)
+frame = _run_frame(mode, _packed_bits(_bits_rng(seed, 2), _frame_bits(mode, spec)), front_end, decode=True)
+snrs = stream_snrs(frame.est, P_TOTAL_REF, N0, mode.scheme).snr
 print(f"\nx = 0 runs {mode.name}; estimated stream SNRs "
       + ", ".join(f"{10*math.log10(s):.1f} dB" for s in snrs))
 print(f"payload EVM at x = 0: {math.sqrt(frame.err_power / frame.ref_power):.4f}")

@@ -24,7 +24,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import IO, Callable, Sequence
 
 import numpy as np
@@ -43,6 +42,7 @@ from .adapt import (
 from .channel import Geometry, Obstacle, apply_channel, awgn, channel_matrix
 from .errors import ParameterError, ParseError, SingularMatrix, ValidationError
 from .framing import (
+    _PILOT_SHIFT,
     FrameSpec,
     build_head,
     build_tx_symbols,
@@ -221,9 +221,16 @@ class ScenarioConfig:
                 "bersweep.max_bits", f"an SD-4 point would run {frames} frames, over the cap of {MAX_BER_POINT_FRAMES}"
             )
         # each sweep task draws 2 x 2 x samples float64 noise values per frame index
-        samples = _stream_len(self.frame_spec())
+        spec = self.frame_spec()
+        samples = _stream_len(spec)
         if samples > MAX_STREAM_SAMPLES:
             raise ValidationError("frame", f"stream of {samples} samples per branch exceeds the cap of {MAX_STREAM_SAMPLES}")
+        # the pilots are the preamble shifted by _PILOT_SHIFT and tiled, so pilot symbol j starts a whole
+        # copy of it; sync searches starts up to sps + ntaps + TAIL_PAD - 2 samples past the true one
+        p, j = spec.preamble_len, -_PILOT_SHIFT % spec.preamble_len
+        if spec.pilot_len >= j + p and (p + j) * spec.sps <= spec.ntaps + TAIL_PAD + spec.sps - 2:
+            msg = f"pilot symbols {j}-{j + p - 1} repeat the whole preamble inside sync's search window"
+            raise ValidationError("frame.pilot_len", msg)
         tap_bytes = 16 * (self.rrc_span + 1) ** 2 * self.sps
         if tap_bytes > MAX_TAP_MATRIX_BYTES:
             raise ValidationError(
@@ -317,6 +324,14 @@ def _true_estimate(h: np.ndarray) -> ChannelEstimate:
     return ChannelEstimate(h_hat=np.asarray(h, dtype=np.complex128))
 
 
+def _scheme_snrs(est: ChannelEstimate, scheme: str, p_total: float = P_TOTAL_REF) -> StreamSnrs | None:
+    """The stream SNRs of `scheme` from one estimate; SM is None when the estimate is rank-deficient."""
+    try:
+        return stream_snrs(est, p_total, N0, scheme)
+    except SingularMatrix:
+        return None
+
+
 def calibrate(config: ScenarioConfig) -> float:
     """Smallest p_total/n0 at which SM-256 meets the BER target, plus margin.
 
@@ -329,11 +344,8 @@ def calibrate(config: ScenarioConfig) -> float:
     mode = Mode("SM", 256)
 
     def feasible(p_lin: float) -> bool:
-        try:
-            snrs = stream_snrs(est, p_lin, N0, "SM")
-        except SingularMatrix:
-            return False
-        return predicted_ber(mode, snrs) <= config.ber_tgt
+        snrs = _scheme_snrs(est, "SM", p_lin)
+        return snrs is not None and predicted_ber(mode, snrs) <= config.ber_tgt
 
     lo_db, hi_db = -20.0, 120.0
     if not feasible(10.0 ** (hi_db / 10.0)):
@@ -357,55 +369,19 @@ def _transmit_p_total(config: ScenarioConfig) -> float:
 
 @dataclass
 class FrameResult:
-    """What one chain run measured.  The chain stops at the channel estimate:
-    detection, demapping, the errors, the SNRs and the error and reference
-    powers are computed the first time they are read.  An adaptive run's
-    settling frames read only the SNRs, and the BER sweep reads only the
-    errors.  The result shares no array with the task's noise buffer, so a
-    later draw leaves what it computes unchanged."""
+    """What one chain run measured: the channel estimate always, the decoded
+    payload only when `_run_frame` was asked to decode it (None otherwise).
+    The result shares no array with the task's noise buffer, so a later draw
+    leaves it unchanged."""
 
     mode: Mode
     bits: int
     est: ChannelEstimate
     sync_index: int
-    received: np.ndarray   # received payload symbols, (2, payload_len)
-    labels: np.ndarray     # payload labels sent, one row per stream
-    payload: np.ndarray    # their symbols: (2, n) under SM, the (n,) row under SD
-
-    @cached_property
-    def detected(self) -> np.ndarray:
-        """Payload symbols after ZF / MRC, one row per stream."""
-        if self.mode.scheme == "SM":
-            return detect_sm_zf(self.received, self.est)
-        return combine_sd_mrc(self.received, self.est)[None, :]
-
-    @cached_property
-    def errors(self) -> int:
-        """Bit errors of the hard decisions on `detected`."""
-        return label_bit_errors(self.labels, demap_labels(self.detected, self.mode.order))
-
-    @cached_property
-    def snrs(self) -> tuple[StreamSnrs | None, StreamSnrs]:
-        """SM (None when the estimate is singular) and SD stream SNRs."""
-        return estimate_snrs(self.est, P_TOTAL_REF, N0)
-
-    @property
-    def sm_snrs(self) -> tuple[float, ...] | None:
-        return self.snrs[0].snr if self.snrs[0] is not None else None
-
-    @property
-    def sd_snr(self) -> float:
-        return self.snrs[1].snr[0]
-
-    @cached_property
-    def err_power(self) -> float:
-        out = self.detected if self.payload.ndim == 2 else self.detected[0]
-        return float(np.sum(np.abs(out - self.payload) ** 2))
-
-    @cached_property
-    def ref_power(self) -> float:
-        """Sum of |sent point|^2, read from the constellation's power table."""
-        return float(np.sum(np.take(constellation(self.mode.order).power, self.labels)))
+    detected: np.ndarray | None = None   # payload symbols after ZF / MRC, one row per stream
+    errors: int | None = None            # bit errors of the hard decisions on `detected`
+    err_power: float | None = None       # sum of |detected - sent|^2
+    ref_power: float | None = None       # sum of |sent point|^2
 
 
 def _bits_rng(seed: tuple[int, ...], frame_idx: int) -> np.random.Generator:
@@ -488,8 +464,9 @@ class _FrontEnds:
         return self._ends[key]
 
 
-def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResult:
-    """One frame through the chain: build, channel, sync, estimate.
+def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, decode: bool = False) -> FrameResult:
+    """One frame through the chain: build, channel, sync, estimate and, when
+    `decode` is set, detect, demap and count errors.
 
     `bits` holds the frame's payload bits packed into bytes (`_packed_bits`),
     possibly followed by more.  `front_end` is the task's `_FrontEnds`: it
@@ -499,8 +476,8 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResu
     reads passes the channel at sample rate.  The chain is linear and the
     channel memoryless, so the received symbols are h times the frame's
     symbol-rate RRC cascade plus the matched-filtered noise.  The modem works
-    on k-bit labels; the result detects, demaps and counts errors on them
-    when they are first read (see `FrameResult`).
+    on k-bit labels.  A detector's `SingularMatrix` or `DeadChannel` raises
+    from here.
     """
     spec, lay = front_end.spec, front_end.layout
     tx_labels = unpack_labels(bits, mode.order, mode.streams * spec.payload_len).reshape(mode.streams, -1)
@@ -514,15 +491,20 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResu
 
     n_p = spec.pilot_len
     segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
-    return FrameResult(
-        mode=mode,
-        bits=tx_labels.size * mode.bits_per_symbol,
-        est=estimate_channel(segments, front_end.pilots),
-        sync_index=start,
-        received=symbols[:, lay.payload :],
-        labels=tx_labels,
-        payload=sent if mode.streams == 2 else sent[0],
-    )
+    est = estimate_channel(segments, front_end.pilots)
+    result = FrameResult(mode, tx_labels.size * mode.bits_per_symbol, est, start)
+    if decode:
+        received = symbols[:, lay.payload :]
+        detected = detect_sm_zf(received, est) if mode.scheme == "SM" else combine_sd_mrc(received, est)[None, :]
+        result.detected = detected
+        result.errors = label_bit_errors(tx_labels, demap_labels(detected, mode.order))
+        result.err_power = float(np.sum(np.abs(detected - sent) ** 2))
+        result.ref_power = float(np.sum(np.take(constellation(mode.order).power, tx_labels)))
+    return result
+
+
+# What a run reads of a frame: nothing, only the channel estimate, or the decoded payload.
+_NOTHING, _ESTIMATE, _DECODED = range(3)
 
 
 def _lockstep(
@@ -537,15 +519,17 @@ def _lockstep(
     `frame_limit` indices.
 
     A run has `mode`, the mode of its next frame, a `done` flag,
-    `reads(frame_idx)`, whether it reads that frame, and `record(frame_idx,
-    result)`, which applies its own stop rule.  The runs share per-frame
-    seeds, so frame index k carries the same noise and the same payload-bit
-    stream in each of them.  A frame index is simulated only for the active
-    runs that read it: its noise and payload bits are drawn once, the bits
-    as many as the most any of those runs needs, and the frame chain runs
-    once per distinct mode among them; its result, which depends only on
-    (mode, h_eff, spec, seeds), goes to every such run in that mode.  The
-    chain runs of a frame index share its sync front end (see `_FrontEnds`).
+    `reads(frame_idx)`, what it reads of that frame (`_NOTHING`, `_ESTIMATE`
+    or `_DECODED`), and `record(frame_idx, result)`, which applies its own
+    stop rule.  The runs share per-frame seeds, so frame index k carries the
+    same noise and the same payload-bit stream in each of them.  A frame
+    index is simulated only for the active runs that read it: its noise and
+    payload bits are drawn once, the bits as many as the most any of those
+    runs needs, and the frame chain runs once per distinct mode among them,
+    decoding when any of them reads the decoded frame; its result, which
+    depends only on (mode, h_eff, spec, seeds), goes to every such run in
+    that mode.  The chain runs of a frame index share its sync front end
+    (see `_FrontEnds`).
     """
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=obstacle_x))
     spec = config.frame_spec()
@@ -554,16 +538,18 @@ def _lockstep(
         active = [run for run in runs if not run.done]
         if not active:
             break
-        readers = [run for run in active if run.reads(frame_idx)]
+        readers, decode = [], {}
+        for run in active:
+            level = run.reads(frame_idx)
+            if level != _NOTHING:
+                readers.append((run, run.mode))
+                decode[run.mode] = decode.get(run.mode, False) or level == _DECODED
         if not readers:
             continue
         front_end.draw(seed, frame_idx)
-        bits = _packed_bits(_bits_rng(seed, frame_idx), max(_frame_bits(run.mode, spec) for run in readers))
-        results: dict[Mode, FrameResult] = {}
-        for run in readers:
-            mode = run.mode
-            if mode not in results:
-                results[mode] = _run_frame(mode, bits, front_end)
+        bits = _packed_bits(_bits_rng(seed, frame_idx), max(_frame_bits(mode, spec) for mode in decode))
+        results = {mode: _run_frame(mode, bits, front_end, dec) for mode, dec in decode.items()}
+        for run, mode in readers:
             run.record(frame_idx, results[mode])
 
 
@@ -589,10 +575,12 @@ class _Run:
         """The mode this run transmits its next frame in."""
         return self.controller.pending if self.controller is not None else self.fixed_mode
 
-    def reads(self, frame_idx: int) -> bool:
-        """The controller reads every frame's estimate; a fixed run reads from
-        frame SETTLING_FRAMES on."""
-        return self.controller is not None or frame_idx >= SETTLING_FRAMES
+    def reads(self, frame_idx: int) -> int:
+        """The decoded frame from SETTLING_FRAMES on; before that the
+        controller reads the estimate and a fixed run nothing."""
+        if frame_idx >= SETTLING_FRAMES:
+            return _DECODED
+        return _ESTIMATE if self.controller is not None else _NOTHING
 
     def record(self, frame_idx: int, result: FrameResult) -> None:
         """Account one frame sent in `result.mode`, then apply the stop rule.
@@ -600,21 +588,24 @@ class _Run:
         The first SETTLING_FRAMES frames are transmitted but excluded from the
         report, and only the controller reads them; measurement then continues
         until both the frames_per_position budget and the payload_bits budget
-        are met.
+        are met.  The controller computes both schemes' SNRs and the report
+        reuses its mode's; a fixed run computes only its own scheme's.
         """
+        snrs = None
         if self.controller is not None:
-            controller_step(self.controller, *result.snrs, self.policy)
+            snrs = estimate_snrs(result.est, P_TOTAL_REF, N0)
+            controller_step(self.controller, *snrs, self.policy)
         if frame_idx >= SETTLING_FRAMES:
+            scheme = result.mode.scheme
+            own = _scheme_snrs(result.est, scheme) if snrs is None else snrs[0 if scheme == "SM" else 1]
             self.measured_frames += 1
             self.bits += result.bits
             self.errors += result.errors
             self.err_power += result.err_power
             self.ref_power += result.ref_power
             self.last_mode = result.mode
-            if result.mode.scheme == "SM" and result.sm_snrs is not None:
-                self.snr_records.append(("SM", result.sm_snrs))
-            elif result.mode.scheme == "SD":
-                self.snr_records.append(("SD", (result.sd_snr,)))
+            if own is not None:
+                self.snr_records.append((scheme, own.snr))
         self.done = (
             self.measured_frames >= self.config.frames_per_position - SETTLING_FRAMES
             and self.bits >= self.config.payload_bits
@@ -651,9 +642,9 @@ class _BerRun:
     bits: int = 0
     done: bool = False
 
-    def reads(self, frame_idx: int) -> bool:
-        """A BER point reads every frame."""
-        return True
+    def reads(self, frame_idx: int) -> int:
+        """A BER point reads every frame decoded."""
+        return _DECODED
 
     def record(self, frame_idx: int, result: FrameResult) -> None:
         """Account one frame; stop at `min_errors` errors or `max_bits` bits."""
@@ -725,8 +716,8 @@ def _map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
     The tasks must be independent.  Threads keep every frame in this
     process, where the caller can count and measure it.  Only the noise draw
     and the BLAS matched filters release the interpreter lock; the chain's
-    many small steps hold it, so a second thread gains little (README
-    "Parallel runs").  The first failing task in task order raises, as in a
+    many small steps hold it, so a second thread gains only what it overlaps
+    of those (README "Parallel runs").  The first failing task in task order raises, as in a
     serial run, and tasks not yet started are cancelled.
     """
     if workers == 1:

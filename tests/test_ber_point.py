@@ -62,6 +62,7 @@ def reference_measure_mode_ber(config, mode, p_total, seed, min_errors, max_bits
             mode,
             _packed_bits(bits_rng, _frame_bits(mode, spec)),
             _FrontEnds(h_eff, spec, reference_noise(spec, seed, frame_idx)),
+            decode=True,
         )
         errors += result.errors
         bits += result.bits
@@ -110,7 +111,7 @@ class TestMatchesFormerLoop:
 
 class TestNoQualityReads:
     def test_ber_point_computes_no_stream_snrs(self, monkeypatch):
-        """A BER point reads errors and bits only, never the lazy SNRs of a frame."""
+        """A BER point reads errors and bits only, and computes no stream SNRs."""
         calls = []
         for module in (scenario, adapt):
             real = module.stream_snrs

@@ -118,6 +118,19 @@ class TestErrors:
         assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
         assert "config error: sweep.payload_bits" in capsys.readouterr().err
 
+    def test_pilots_repeating_the_preamble_where_sync_searches_is_config_error(self, tmp_path, capsys):
+        # preamble 7 shifted by 17 puts a whole copy at pilot symbol 4, 11 symbols after the start;
+        # such a sweep read a BER of 8e-2 at 20 dB, against 4.5e-24 in theory
+        text = "frame.preamble_len = 7\nframe.payload_len = 512\nbersweep.snr_start = 20\nbersweep.snr_stop = 20\n" \
+            "bersweep.max_bits = 20000\n"
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "frame.pilot_len = 11\n")
+        assert main(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "ber.csv")]) == EXIT_CONFIG
+        assert "config error: frame.pilot_len" in capsys.readouterr().err
+        path.write_text(text + "frame.pilot_len = 10\n")
+        assert main(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "ber.csv"), "--jobs", "1"]) == EXIT_OK
+        assert "SD,4,20.00,0.000000e+00," in (tmp_path / "ber.csv").read_text()
+
     @pytest.mark.parametrize("command", ["blockage-sweep", "ber-sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_config_error(self, command, jobs, fast_config, monkeypatch, capsys):

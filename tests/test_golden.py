@@ -7,10 +7,14 @@ three times more; and of both sweeps on the small config with
 `frame.pilot_len = 8` that CI also runs, where the sync head reaches the
 payload, so the modes of one frame index do not share a front end.  The
 demos that print without writing files are pinned by their stdout.  A
-change that alters any output must say why and re-baseline the digest here.
+change that alters any output must say why and re-baseline the digest here;
+the seed-1 digests of the default sweeps and of the short-frame sweep, and
+that sweep's config, are read from the benchmark's workload table
+(`bench/spec.py`), so a re-baseline of those is one edit there.
 """
 
 import hashlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -24,18 +28,24 @@ from vlclink import load_config, parse_config, run_ber_sweep, run_blockage_sweep
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CFG = ROOT / "configs" / "default.cfg"
 
+
+def bench_workloads():
+    """`WORKLOADS` of `bench/spec.py`, which is not an importable package."""
+    module_spec = importlib.util.spec_from_file_location("bench_spec", ROOT / "bench" / "spec.py")
+    module = importlib.util.module_from_spec(module_spec)
+    sys.modules[module_spec.name] = module   # its dataclasses resolve their annotations through it
+    module_spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = bench_workloads()
 GOLDEN = {
-    "blockage-sweep": "c51c15554cec85360529f9179e1f2d4b1c84f45722c3f7ea1bf57ba1c5f2c890",
-    "ber-sweep": "a795bcdc1160856957a712eeb947fa8426d83f3e16077d38a7ca27b0d7ab538b",
+    "blockage-sweep": WORKLOADS["blockage-default"].seed1_sha256,
+    "ber-sweep": WORKLOADS["ber-default"].seed1_sha256,
 }
 
-SHORT_FRAMES_TEXT = """
-frame.payload_len = 256
-sweep.positions.step = 1
-sweep.frames_per_position = 8
-sweep.payload_bits = 4096
-"""
-SHORT_FRAMES_DIGEST = "f79310691e086405c5b6253f4b6449e4f3c1d41dd7fd0824281d97ff6fd0310c"
+SHORT_FRAMES_TEXT = WORKLOADS["blockage-short"].config_text
+SHORT_FRAMES_DIGEST = WORKLOADS["blockage-short"].seed1_sha256
 
 PILOT8_TEXT = """
 frame.payload_len = 512

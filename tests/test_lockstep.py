@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 
 from test_modem import pack_labels
 from vlclink import Mode, ScenarioConfig, calibrate, channel_matrix, parse_config, run_blockage_sweep
-from vlclink import scenario
+from vlclink import adapt, scenario
 from vlclink.adapt import controller_step, estimate_snrs, new_controller
+from vlclink.errors import SingularMatrix
 from vlclink.framing import FrameSpec, head_symbols
 from vlclink.metrics import LinkReport, error_free_efficiency
-from vlclink.modem import unpack_labels
+from vlclink.modem import map_labels, unpack_labels
 from vlclink.numerics import make_rng
+from vlclink.receiver import stream_snrs
 from vlclink.scenario import (
     LEAD_PAD,
     N0,
@@ -108,10 +110,12 @@ def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, 
             mode,
             _packed_bits(bits_rng, _frame_bits(mode, spec)),
             _FrontEnds(h_eff, spec, reference_noise(spec, pos_seed, frame_idx)),
+            decode=True,
         )
         used.append((frame_idx, mode))
+        sm_snrs, sd_snrs = estimate_snrs(result.est, P_TOTAL_REF, N0)
         if state is not None:
-            controller_step(state, *estimate_snrs(result.est, P_TOTAL_REF, N0), policy)
+            controller_step(state, sm_snrs, sd_snrs, policy)
         if frame_idx >= SETTLING_FRAMES:
             measured_frames += 1
             bits_total += result.bits
@@ -119,10 +123,10 @@ def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, 
             err_power += result.err_power
             ref_power += result.ref_power
             last_mode = mode
-            if mode.scheme == "SM" and result.sm_snrs is not None:
-                snr_records.append(("SM", result.sm_snrs))
+            if mode.scheme == "SM" and sm_snrs is not None:
+                snr_records.append(("SM", sm_snrs.snr))
             elif mode.scheme == "SD":
-                snr_records.append(("SD", (result.sd_snr,)))
+                snr_records.append(("SD", sd_snrs.snr))
         frame_idx += 1
         if measured_frames >= min_measured and bits_total >= config.payload_bits:
             break
@@ -341,9 +345,82 @@ class TestPayloadBits:
         h_eff = 30.0 * np.eye(2, dtype=complex)
         front_end = _FrontEnds(h_eff, spec)
         front_end.draw((5,), 0)
-        result = _run_frame(mode, _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec)), front_end)
-        assert result.ref_power == float(np.sum(np.abs(result.payload) ** 2))
-        assert result.snrs == estimate_snrs(result.est, P_TOTAL_REF, N0)
+        bits = _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec))
+        result = _run_frame(mode, bits, front_end, decode=True)
+        sent = map_labels(unpack_labels(bits, mode.order, mode.streams * spec.payload_len), mode.order)
+        assert result.ref_power == float(np.sum(np.abs(sent.reshape(mode.streams, -1)) ** 2))
+        # without `decode` the chain stops at the same estimate and sync start
+        estimated = _run_frame(mode, bits, front_end)
+        assert (estimated.detected, estimated.errors, estimated.err_power, estimated.ref_power) == (None,) * 4
+        assert np.array_equal(estimated.est.h_hat, result.est.h_hat)
+        assert (estimated.sync_index, estimated.bits) == (result.sync_index, result.bits)
+
+
+def spy_stream_snrs(monkeypatch):
+    """The scheme of each `stream_snrs` call from `scenario` or `adapt`, from now on."""
+    schemes = []
+    for module in (scenario, adapt):
+        real = module.stream_snrs
+
+        def spy(est, p_total, n0, scheme, _real=real):
+            schemes.append(scheme)
+            return _real(est, p_total, n0, scheme)
+
+        monkeypatch.setattr(module, "stream_snrs", spy)
+    return schemes
+
+
+class TestDecodeInOnePlace:
+    """`_run_frame` decodes when a reader asks; each run derives the SNRs it reads from the estimate."""
+
+    def test_stream_snrs_calls_of_the_default_sweep(self, monkeypatch):
+        schemes = spy_stream_snrs(monkeypatch)
+        run_blockage_sweep(ScenarioConfig(), jobs=1)
+        # 82 for calibration, both schemes for each of the controller's 111 frames and one for
+        # each of the fixed runs' 216 measured frames; 718 when every chain run computed both
+        assert len(schemes) == 82 + 2 * 111 + 216
+
+    @pytest.mark.parametrize(
+        "fixed_mode, want",
+        [(Mode("SM", 64), ["SM"]), (Mode("SD", 64), ["SD"]), (None, ["SM", "SD"])],
+        ids=["fixed-SM-64", "fixed-SD-64", "adaptive"],
+    )
+    def test_each_run_computes_the_snrs_it_reads(self, fixed_mode, want, monkeypatch):
+        cfg = ScenarioConfig()
+        policy = cfg.policy()
+        mode = fixed_mode or policy.initial
+        spec = cfg.frame_spec()
+        front_end = _FrontEnds(30.0 * np.eye(2, dtype=complex), spec)
+        front_end.draw((5,), SETTLING_FRAMES)
+        bits = _packed_bits(_bits_rng((5,), SETTLING_FRAMES), _frame_bits(mode, spec))
+        result = _run_frame(mode, bits, front_end, decode=True)
+        run = scenario._Run(cfg, policy, fixed_mode, None if fixed_mode else new_controller(policy))
+        schemes = spy_stream_snrs(monkeypatch)
+        run.record(SETTLING_FRAMES, result)
+        assert schemes == want   # the controller's SNRs serve its report too
+        assert run.snr_records == [(mode.scheme, stream_snrs(result.est, P_TOTAL_REF, N0, mode.scheme).snr)]
+
+    def test_detector_error_raises_from_run_frame(self, monkeypatch):
+        decodes, raised = [], []
+        real_run_frame = scenario._run_frame
+
+        def spy_run_frame(mode, bits, front_end, decode=False):
+            decodes.append(decode)
+            try:
+                return real_run_frame(mode, bits, front_end, decode)
+            except SingularMatrix:
+                raised.append(mode)
+                raise
+
+        def singular(*args):
+            raise SingularMatrix("injected singular estimate")
+
+        monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
+        monkeypatch.setattr(scenario, "detect_sm_zf", singular)
+        with pytest.raises(SingularMatrix, match="injected"):
+            run_position(parse_config(SMALL_SWEEP_TEXT), 0)
+        assert raised == [Mode("SM", 64)]   # the fixed SM-64 run's first measured frame
+        assert decodes[:SETTLING_FRAMES] == [False] * SETTLING_FRAMES and decodes[-1] is True
 
 
 def count_calls(monkeypatch, names):

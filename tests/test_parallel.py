@@ -166,7 +166,7 @@ class TestFailure:
         other_started = threading.Event()
         real_run_frame = scenario._run_frame
 
-        def spy_run_frame(mode, bits, front_end):
+        def spy_run_frame(mode, bits, front_end, *args):
             key = front_end.h.tobytes()
             started.add(key)
             if key == keys[0]:
@@ -174,7 +174,7 @@ class TestFailure:
                 raise RuntimeError("injected failure at position 0")
             other_started.set()
             time.sleep(0.05)   # keep the running positions busy while the failure propagates
-            return real_run_frame(mode, bits, front_end)
+            return real_run_frame(mode, bits, front_end, *args)
 
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)

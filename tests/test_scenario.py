@@ -331,6 +331,28 @@ class TestConfigChecksItself:
         assert f"cap of {MAX_TAP_MATRIX_BYTES}" in str(err.value)
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "values, rejected",
+        [
+            # (P + j) sps samples in, against the search reach ntaps + TAIL_PAD + sps - 2
+            ({"preamble_len": 7, "pilot_len": 11}, True),    # j = 4: 44 samples in, reach 106
+            ({"preamble_len": 7, "pilot_len": 10}, False),   # the pilots end one symbol short of a copy
+            ({"preamble_len": 15, "pilot_len": 28}, False),  # j = 13: 112 samples in, reach 106
+            ({"preamble_len": 15, "pilot_len": 28, "sps": 2}, True),          # 56 in, reach 84
+            ({"preamble_len": 15, "pilot_len": 28, "rrc_span": 30}, True),    # 112 in, reach 186
+            ({"pilot_len": 128}, False),                     # j = 46: 436 samples in, reach 106
+        ],
+    )
+    def test_pilots_repeating_the_preamble_where_sync_searches_are_rejected(self, values, rejected):
+        if not rejected:
+            assert ScenarioConfig(**values).pilot_len == values["pilot_len"]
+            return
+        text = "".join(f"{_FIELD_KEYS[name]} = {value}\n" for name, value in values.items())
+        for build in (lambda: parse_config(text), lambda: ScenarioConfig(**values)):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert err.value.key == "frame.pilot_len"
+
     def test_tap_matrix_cap_admits_the_longest_filter_at_default_frame_lengths(self):
         # sps = 244 is the largest the stream cap admits at the default frame lengths
         assert ScenarioConfig(rrc_span=MAX_RRC_SPAN, sps=244).sps == 244

@@ -99,8 +99,8 @@ class TestRunFrameMatchesSampleRateChain:
             for name in ("build_tx_symbols", "estimate_channel", "detect_sm_zf", "combine_sd_mrc"):
                 mp.setattr(scenario, name, spy(name, getattr(scenario, name)))
             mode = Mode(scheme, 4)
-            result = _run_frame(mode, _packed_bits(_bits_rng((seed,), 0), _frame_bits(mode, spec)), _FrontEnds(h_eff, spec, noise))
-            result.errors   # the result detects when its errors are first read
+            bits = _packed_bits(_bits_rng((seed,), 0), _frame_bits(mode, spec))
+            result = _run_frame(mode, bits, _FrontEnds(h_eff, spec, noise), decode=True)   # decoding calls the detector
 
         lay = spec.layout()
         payload = np.broadcast_to(seen["build_tx_symbols"][0], (2, spec.payload_len))
@@ -139,7 +139,7 @@ class TestZeroNoise:
         spec = cfg.frame_spec()
         h_norm, _ = channel_matrix(cfg.geometry(obstacle_x=None))
         front_end = _FrontEnds(h_norm, spec, np.zeros((2, 2, stream_len(spec))))
-        result = _run_frame(mode, _packed_bits(_bits_rng((7,), 0), _frame_bits(mode, spec)), front_end)
+        result = _run_frame(mode, _packed_bits(_bits_rng((7,), 0), _frame_bits(mode, spec)), front_end, decode=True)
         assert result.sync_index == LEAD_PAD
         assert result.bits == _frame_bits(mode, spec)
         assert result.errors == 0
