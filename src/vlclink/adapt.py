@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, SchemeError
+from .errors import ParameterError, SingularMatrix
 from .modem import QAM_ORDERS, ber_theoretical
 from .receiver import ChannelEstimate, StreamSnrs, stream_snrs
-from .numerics import SingularMatrix
 
 __all__ = [
     "Mode",
@@ -102,7 +101,7 @@ def predicted_ber(mode: Mode, snrs: StreamSnrs) -> float:
     because the payload is split equally across streams.
     """
     if snrs.scheme != mode.scheme:
-        raise SchemeError(f"mode {mode.name} given {snrs.scheme} SNRs")
+        raise ParameterError(f"mode {mode.name} given {snrs.scheme} SNRs")
     bers = [ber_theoretical(mode.order, s) for s in snrs.snr]
     return sum(bers) / len(bers)
 

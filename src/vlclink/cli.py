@@ -92,6 +92,9 @@ def main(argv: list[str] | None = None) -> int:
             buf.write(f"p_total_linear={p_total:.6f}\n")
             buf.write(f"p_total_db={10.0 * math.log10(p_total):.6f}\n")
         _emit(buf.getvalue(), args.out)
+    except ValidationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,12 +1,14 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, one per way of handling it.
 
-
-class LengthError(ValueError):
-    """Sequence length violates an operation's contract, empty input included."""
+`ParseError` and `ValidationError` are config errors (the CLI exits 2);
+`ParameterError` means a caller broke a call's contract; `SyncNotFound` and
+`SingularMatrix` mean one frame cannot be decoded.
+"""
 
 
 class ParameterError(ValueError):
-    """A scalar parameter is outside its legal range, or a mode is not in the table.
+    """An argument breaks the call's contract: a value out of range, a wrong
+    length or shape, an index outside the samples, or a scheme mismatch.
 
     `field` names the attribute at fault where there is one, so a config can
     name the key that sets it.
@@ -17,24 +19,13 @@ class ParameterError(ValueError):
         self.field = field
 
 
-class SchemeError(ValueError):
-    """Branch contents, or an SNR record, do not match the requested MIMO scheme."""
-
-
-class RangeError(ValueError):
-    """An index or window falls outside the available samples."""
-
-
 class SyncNotFound(RuntimeError):
     """No preamble correlation peak exceeded the detection threshold."""
 
 
 class SingularMatrix(ArithmeticError):
-    """Matrix is rank deficient; typically a fully blocked channel."""
-
-
-class DeadChannel(RuntimeError):
-    """Combined channel gain is zero on every receive branch."""
+    """The channel estimate cannot be inverted for detection: ZF on a
+    rank-deficient estimate, or MRC on a zero combined gain."""
 
 
 class ParseError(ValueError):

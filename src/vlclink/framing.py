@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LengthError, ParameterError, RangeError, SyncNotFound
+from .errors import ParameterError, SyncNotFound
 
 __all__ = [
     "FrameSpec",
@@ -349,15 +349,15 @@ def matched_filter_downsample(samples: np.ndarray, spec: FrameSpec, start: int, 
     is (..., n_symbols).  Symbol k is the full-convolution output at index
     `start + ntaps - 1 + k*sps`, i.e. the window `samples[start + k*sps :
     start + k*sps + ntaps]` (zero past the end) times the reversed taps.
-    Raises RangeError when `start` lies outside the stream or fewer than
+    Raises ParameterError when `start` lies outside the stream or fewer than
     `n_symbols` symbol instants follow it.
     """
     n = samples.shape[-1]
     if not 0 <= start < max(n, 1):
-        raise RangeError(f"start {start} outside stream of {n} samples")
+        raise ParameterError(f"start {start} outside stream of {n} samples")
     available = (n - 1 - start) // spec.sps + 1 if n > start else 0
     if not 0 <= n_symbols <= available:
-        raise RangeError(f"stream holds {available} symbols after start, need {n_symbols}")
+        raise ParameterError(f"stream holds {available} symbols after start, need {n_symbols}")
     return _block_fir(samples[..., start:], rrc_taps(spec)[::-1, None], spec.sps, n_symbols)[..., 0]
 
 
@@ -429,13 +429,13 @@ def synchronize(samples: np.ndarray, spec: FrameSpec, stream_len: int | None = N
     """
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.ndim not in (1, 2):
-        raise LengthError("synchronize expects an (n,) or (2, n) sample stream")
+        raise ParameterError("synchronize expects an (n,) or (2, n) sample stream")
     n = samples.shape[-1] if stream_len is None else stream_len
     last = n - 1 - (spec.n_symbols - 1) * spec.sps
     if last < 0:
         raise SyncNotFound(f"stream of {n} samples is shorter than one frame")
     if samples.shape[-1] < _sync_reach(spec, n):
-        raise LengthError(f"sync reads {_sync_reach(spec, n)} samples, got {samples.shape[-1]}")
+        raise ParameterError(f"sync reads {_sync_reach(spec, n)} samples, got {samples.shape[-1]}")
     best, metric = 0, -1.0
     for stream in samples.reshape(-1, samples.shape[-1]):
         peak, m = _best_start(stream, spec, last)

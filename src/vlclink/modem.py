@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LengthError, ParameterError
+from .errors import ParameterError
 from .numerics import qfunc
 
 __all__ = [
@@ -185,7 +185,7 @@ def qam_map(bits, order: int) -> np.ndarray:
     k = constellation(order).bits_per_symbol
     bits = np.asarray(bits).ravel()
     if bits.size % k != 0:
-        raise LengthError(f"bit count {bits.size} not divisible by {k}")
+        raise ParameterError(f"bit count {bits.size} not divisible by {k}")
     if not np.all((bits == 0) | (bits == 1)):
         raise ParameterError("bits must be 0 or 1")
     return map_labels(unpack_labels(np.packbits(bits == 1), order, bits.size // k), order)

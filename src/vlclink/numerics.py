@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import ParameterError, SingularMatrix
 
 __all__ = ["Svd2", "qfunc", "svd2", "inv2", "make_rng"]
 
@@ -36,7 +36,7 @@ def qfunc(x: float) -> float:
     """
     x = float(x)
     if math.isnan(x):
-        raise ValueError("qfunc: x must not be NaN")
+        raise ParameterError("qfunc: x must not be NaN")
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
@@ -64,7 +64,7 @@ def svd2(a: np.ndarray) -> Svd2:
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (2, 2):
-        raise ValueError("svd2 expects a 2x2 matrix")
+        raise ParameterError("svd2 expects a 2x2 matrix")
     b = a.conj().T @ a
     b11 = b[0, 0].real
     b22 = b[1, 1].real
@@ -109,7 +109,7 @@ def inv2(a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (2, 2):
-        raise ValueError("inv2 expects a 2x2 matrix")
+        raise ParameterError("inv2 expects a 2x2 matrix")
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     scale = float(np.sum(np.abs(a) ** 2))
     if abs(det) <= 1e-12 * scale or scale == 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeadChannel, LengthError, ParameterError
+from .errors import ParameterError, SingularMatrix
 from .numerics import inv2
 
 __all__ = [
@@ -64,9 +64,9 @@ def estimate_channel(rx_pilot_segments: np.ndarray, pilots: np.ndarray) -> Chann
     pilots = np.asarray(pilots, dtype=np.complex128)
     n_p = pilots.size
     if n_p < 4:
-        raise LengthError(f"need at least 4 pilot symbols, got {n_p}")
+        raise ParameterError(f"need at least 4 pilot symbols, got {n_p}")
     if y.shape != (2, 2, n_p):
-        raise LengthError(f"pilot segments must have shape (2, 2, {n_p}), got {y.shape}")
+        raise ParameterError(f"pilot segments must have shape (2, 2, {n_p}), got {y.shape}")
     energy = float(np.sum(np.abs(pilots) ** 2))
     if energy == 0.0:
         raise ParameterError("pilot sequence has zero energy")
@@ -102,7 +102,7 @@ def detect_sm_zf(y: np.ndarray, est: ChannelEstimate) -> np.ndarray:
     """Zero-forcing demultiplexer: x_hat[n] = H^-1 y[n] for a (2, n) block."""
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 2 or y.shape[0] != 2:
-        raise LengthError("y must have shape (2, n)")
+        raise ParameterError("y must have shape (2, n)")
     return inv2(est.h_hat) @ y
 
 
@@ -114,15 +114,15 @@ def combine_sd_mrc(y: np.ndarray, est: ChannelEstimate) -> np.ndarray:
     so a noise-free input returns the transmitted symbols exactly.  Each
     branch is weighted by conj(g_j) / ||g||^2 and the two terms are summed
     elementwise: a (2,) @ (2, n) product goes to BLAS, which splits it
-    across threads for no gain.
+    across threads for no gain.  A zero combined gain raises SingularMatrix.
     """
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 2 or y.shape[0] != 2:
-        raise LengthError("y must have shape (2, n)")
+        raise ParameterError("y must have shape (2, n)")
     g = est.h_hat @ np.ones(2, dtype=np.complex128)
     norm2 = float(np.sum(np.abs(g) ** 2))
     if norm2 < 1e-24:
-        raise DeadChannel("both combined branch gains are zero")
+        raise SingularMatrix("both combined branch gains are zero")
     w = np.conj(g) / norm2
     out = w[0] * y[0]
     out += w[1] * y[1]

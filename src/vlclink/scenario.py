@@ -337,7 +337,8 @@ def calibrate(config: ScenarioConfig) -> float:
 
     Evaluated on the unobstructed channel with exact channel knowledge; the
     result is the linear transmit SNR used by the sweeps when `snr_db` is not
-    set explicitly.
+    set explicitly.  A geometry on which no SNR is enough raises
+    `ValidationError` naming `snr_db`.
     """
     h, _ = channel_matrix(config.geometry(obstacle_x=None))
     est = _true_estimate(h)
@@ -349,7 +350,7 @@ def calibrate(config: ScenarioConfig) -> float:
 
     lo_db, hi_db = -20.0, 120.0
     if not feasible(10.0 ** (hi_db / 10.0)):
-        raise RuntimeError("SM-256 infeasible even at 120 dB transmit SNR")
+        raise ValidationError("snr_db", "SM-256 infeasible even at 120 dB transmit SNR; the sweeps need snr_db set")
     if feasible(10.0 ** (lo_db / 10.0)):
         hi_db = lo_db
     for _ in range(80):
@@ -476,8 +477,7 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, decode: bool
     reads passes the channel at sample rate.  The chain is linear and the
     channel memoryless, so the received symbols are h times the frame's
     symbol-rate RRC cascade plus the matched-filtered noise.  The modem works
-    on k-bit labels.  A detector's `SingularMatrix` or `DeadChannel` raises
-    from here.
+    on k-bit labels.  A detector's `SingularMatrix` raises from here.
     """
     spec, lay = front_end.spec, front_end.layout
     tx_labels = unpack_labels(bits, mode.order, mode.streams * spec.payload_len).reshape(mode.streams, -1)

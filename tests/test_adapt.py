@@ -10,7 +10,7 @@ from scipy.special import erfc
 
 from vlclink import MODES, Mode, StreamSnrs, ber_theoretical, encode_mode, make_rng, qam_demap, qam_map, select_mode
 from vlclink.adapt import AdaptPolicy, controller_step, estimate_snrs, new_controller, parse_mode, predicted_ber
-from vlclink.errors import ParameterError, SchemeError
+from vlclink.errors import ParameterError
 from vlclink.receiver import ChannelEstimate, stream_snrs
 
 POLICY = AdaptPolicy()
@@ -98,7 +98,7 @@ class TestPredictedBer:
         assert got == pytest.approx(1e-3, rel=1e-3)
 
     def test_scheme_mismatch(self):
-        with pytest.raises(SchemeError):
+        with pytest.raises(ParameterError, match="SM-4 given SD SNRs"):
             predicted_ber(Mode("SM", 4), StreamSnrs("SD", (10.0,)))
 
     @given(st.sampled_from(MODES), st.floats(0.0, 1e6), st.floats(0.0, 1e6))

@@ -131,6 +131,17 @@ class TestErrors:
         assert main(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "ber.csv"), "--jobs", "1"]) == EXIT_OK
         assert "SD,4,20.00,0.000000e+00," in (tmp_path / "ber.csv").read_text()
 
+    def test_infeasible_calibration_is_config_error(self, tmp_path, capsys):
+        # LEDs and photodiodes 1 um apart give a rank-one channel: no SNR carries SM-256
+        path = tmp_path / "bad.cfg"
+        path.write_text(FAST + "geometry.led_sep = 0.0001\ngeometry.pd_sep = 0.0001\n")
+        for command in ("calibrate", "blockage-sweep"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            assert "config error: snr_db: SM-256 infeasible even at 120 dB" in capsys.readouterr().err
+        # with snr_db set the sweep does not calibrate
+        path.write_text(path.read_text() + "snr_db = 30\n")
+        assert main(["blockage-sweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
+
     @pytest.mark.parametrize("command", ["blockage-sweep", "ber-sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_config_error(self, command, jobs, fast_config, monkeypatch, capsys):

@@ -20,7 +20,7 @@ from reference_chain import (
 
 from vlclink import framing, make_rng, qam_demap, qam_map
 from vlclink.channel import apply_channel, awgn
-from vlclink.errors import ParameterError, RangeError, SyncNotFound
+from vlclink.errors import ParameterError, SyncNotFound
 from vlclink.framing import (
     SYNC_THRESHOLD,
     FrameSpec,
@@ -240,9 +240,9 @@ class TestLoopback:
         assert np.array_equal(noise, before)
 
     def test_range_errors(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(ParameterError, match="start 70 outside stream of 64 samples"):
             matched_filter_downsample(np.zeros(64), SPEC, 70, 0)
-        with pytest.raises(RangeError):
+        with pytest.raises(ParameterError, match="need 100"):
             matched_filter_downsample(np.zeros(64), SPEC, 0, 100)
 
 

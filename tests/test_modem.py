@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from vlclink import ber_theoretical, make_rng, qam_demap, qam_map
-from vlclink.errors import LengthError, ParameterError
+from vlclink.errors import ParameterError
 from vlclink.modem import QAM_ORDERS, constellation, demap_labels, label_bit_errors, map_labels, unpack_labels
 
 
@@ -115,7 +115,7 @@ class TestMapDemap:
         assert qam_map([1, 0], 4)[0] == pytest.approx(-s + 1j * s)
 
     def test_length_error(self):
-        with pytest.raises(LengthError):
+        with pytest.raises(ParameterError, match="bit count 3 not divisible by 2"):
             qam_map([0, 1, 0], 4)
 
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from vlclink import make_rng, svd2
-from vlclink.errors import SingularMatrix
+from vlclink.errors import ParameterError, SingularMatrix
 from vlclink.numerics import inv2, qfunc
 
 
@@ -129,6 +129,19 @@ class TestInv2:
             if abs(np.linalg.det(a)) < 1e-3:
                 continue
             assert np.allclose(inv2(a) @ a, np.eye(2), atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: qfunc(math.nan), "qfunc: x must not be NaN"),
+        (lambda: svd2(np.eye(3)), "svd2 expects a 2x2 matrix"),
+        (lambda: inv2(np.eye(3)), "inv2 expects a 2x2 matrix"),
+    ],
+)
+def test_broken_contract_is_a_parameter_error(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
 
 
 class TestRng:

@@ -52,8 +52,7 @@ SUBMODULES = {"adapt", "channel", "errors", "framing", "metrics", "modem", "nume
 MOVED = {
     "adapt": ["AdaptPolicy", "ControllerState", "controller_step", "new_controller", "parse_mode", "predicted_ber"],
     "channel": ["Geometry", "Obstacle", "apply_channel", "los_gain", "occlusion_factor"],
-    "errors": ["DeadChannel", "LengthError", "ParameterError", "RangeError", "SchemeError", "SingularMatrix",
-               "SyncNotFound"],
+    "errors": ["ParameterError", "SingularMatrix", "SyncNotFound"],
     "framing": ["FrameSpec", "matched_filter_downsample", "mseq", "pilot_symbols", "preamble_symbols", "rrc_taps",
                 "synchronize"],
     "metrics": ["LinkReport", "dump_constellation", "error_free_efficiency"],

@@ -445,7 +445,7 @@ class TestCalibrate:
     def test_impossible_on_rank_deficient_channel(self):
         # co-located photodiodes make the two rows identical: no ZF, ever
         cfg = parse_config("geometry.pd_sep = 1e-9\n")
-        with pytest.raises(RuntimeError, match="SM-256 infeasible even at 120 dB"):
+        with pytest.raises(ValidationError, match="SM-256 infeasible even at 120 dB"):
             calibrate(cfg)
 
 
