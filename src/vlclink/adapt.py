@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, SingularMatrix
+from .errors import ParameterError
 from .modem import QAM_ORDERS, ber_theoretical
 from .receiver import ChannelEstimate, StreamSnrs, stream_snrs
 
@@ -108,12 +108,8 @@ def predicted_ber(mode: Mode, snrs: StreamSnrs) -> float:
 
 def estimate_snrs(est: ChannelEstimate, p_total: float, n0: float) -> tuple[StreamSnrs | None, StreamSnrs]:
     """The SM and SD stream SNRs a controller reads from one estimate; SM is
-    None when the estimate is rank-deficient."""
-    try:
-        sm = stream_snrs(est, p_total, n0, "SM")
-    except SingularMatrix:
-        sm = None
-    return sm, stream_snrs(est, p_total, n0, "SD")
+    None when the estimate cannot carry two streams (see `stream_snrs`)."""
+    return stream_snrs(est, p_total, n0, "SM"), stream_snrs(est, p_total, n0, "SD")
 
 
 def select_mode(sm_snrs: StreamSnrs | None, sd_snrs: StreamSnrs, policy: AdaptPolicy) -> Mode:

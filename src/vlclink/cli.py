@@ -6,6 +6,9 @@
 
 Exit codes: 0 on success, 2 on a config error, 3 on a runtime error.
 Without --config all defaults apply; without --out results go to stdout.
+An --out path that is a directory, or whose directory is missing or not
+writable, is a config error found before any work; the file is written only
+after a successful run.
 --jobs sets the sweep's worker threads (default: the usable CPUs); the output
 is the same for every value.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -62,6 +66,12 @@ def _load(args) -> ScenarioConfig:
         cfg = replace(cfg, base_seed=args.seed)
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise ValidationError("--jobs", "must be >= 1")
+    if args.out not in (None, "-"):
+        folder = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out):
+            raise ValidationError("--out", f"{args.out!r} is a directory")
+        if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+            raise ValidationError("--out", f"{folder!r} is not a writable directory")
     return cfg
 
 

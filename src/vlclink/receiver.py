@@ -73,14 +73,16 @@ def estimate_channel(rx_pilot_segments: np.ndarray, pilots: np.ndarray) -> Chann
     return ChannelEstimate(h_hat=(y @ np.conj(pilots)) / energy)
 
 
-def stream_snrs(est: ChannelEstimate, p_total: float, n0: float, scheme: str) -> StreamSnrs:
+def stream_snrs(est: ChannelEstimate, p_total: float, n0: float, scheme: str) -> StreamSnrs | None:
     """Predict post-detection SNR per stream from the channel estimate.
 
     SM (zero forcing):  snr_i = (p_total/2) / (n0 [(H^H H)^-1]_ii)
     SD (MRC over both PDs):  snr = (p_total/2) ||H [1,1]^T||^2 / n0
 
-    The SM form raises SingularMatrix on a rank-deficient estimate, which the
-    mode selector treats as "SM infeasible"; the SD form is total.
+    The SM form is None when the Gram matrix H^H H fails `inv2`'s singularity
+    test: a channel that cannot carry two streams has no SM SNRs, so the mode
+    selector skips SM and the BER theory of SM is undefined.  The SD form is
+    total.
     """
     if not p_total > 0 or not n0 > 0:
         raise ParameterError("p_total and n0 must be positive")
@@ -88,7 +90,10 @@ def stream_snrs(est: ChannelEstimate, p_total: float, n0: float, scheme: str) ->
     h = est.h_hat
     per_branch = p_total / 2.0
     if scheme == "SM":
-        gram_inv = inv2(h.conj().T @ h)
+        try:
+            gram_inv = inv2(h.conj().T @ h)
+        except SingularMatrix:
+            return None
         snrs = tuple(per_branch / (n0 * float(gram_inv[i, i].real)) for i in range(2))
         return StreamSnrs("SM", snrs)
     if scheme == "SD":

@@ -20,6 +20,7 @@ same guarantee.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
@@ -40,7 +41,7 @@ from .adapt import (
     predicted_ber,
 )
 from .channel import Geometry, Obstacle, apply_channel, awgn, channel_matrix
-from .errors import ParameterError, ParseError, SingularMatrix, ValidationError
+from .errors import ParameterError, ParseError, ValidationError
 from .framing import (
     _PILOT_SHIFT,
     FrameSpec,
@@ -55,7 +56,7 @@ from .framing import (
 from .metrics import LinkReport, error_free_efficiency, write_report_block
 from .modem import constellation, demap_labels, label_bit_errors, map_labels, unpack_labels
 from .numerics import make_rng
-from .receiver import ChannelEstimate, StreamSnrs, combine_sd_mrc, detect_sm_zf, estimate_channel, stream_snrs
+from .receiver import ChannelEstimate, combine_sd_mrc, detect_sm_zf, estimate_channel, stream_snrs
 
 __all__ = [
     "ScenarioConfig",
@@ -324,14 +325,6 @@ def _true_estimate(h: np.ndarray) -> ChannelEstimate:
     return ChannelEstimate(h_hat=np.asarray(h, dtype=np.complex128))
 
 
-def _scheme_snrs(est: ChannelEstimate, scheme: str, p_total: float = P_TOTAL_REF) -> StreamSnrs | None:
-    """The stream SNRs of `scheme` from one estimate; SM is None when the estimate is rank-deficient."""
-    try:
-        return stream_snrs(est, p_total, N0, scheme)
-    except SingularMatrix:
-        return None
-
-
 def calibrate(config: ScenarioConfig) -> float:
     """Smallest p_total/n0 at which SM-256 meets the BER target, plus margin.
 
@@ -345,7 +338,7 @@ def calibrate(config: ScenarioConfig) -> float:
     mode = Mode("SM", 256)
 
     def feasible(p_lin: float) -> bool:
-        snrs = _scheme_snrs(est, "SM", p_lin)
+        snrs = stream_snrs(est, p_lin, N0, "SM")
         return snrs is not None and predicted_ber(mode, snrs) <= config.ber_tgt
 
     lo_db, hi_db = -20.0, 120.0
@@ -597,7 +590,7 @@ class _Run:
             controller_step(self.controller, *snrs, self.policy)
         if frame_idx >= SETTLING_FRAMES:
             scheme = result.mode.scheme
-            own = _scheme_snrs(result.est, scheme) if snrs is None else snrs[0 if scheme == "SM" else 1]
+            own = stream_snrs(result.est, P_TOTAL_REF, N0, scheme) if snrs is None else snrs[0 if scheme == "SM" else 1]
             self.measured_frames += 1
             self.bits += result.bits
             self.errors += result.errors
@@ -710,23 +703,25 @@ def _worker_count(jobs: int | None, tasks: int, cpus: int) -> int:
     return max(1, min(cpus if jobs is None else jobs, cpus, tasks))
 
 
-def _map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
-    """[fn(t) for t in tasks], on `workers` threads, in task order.
+def _map_tasks(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
+    """[fn(*args) for args in tasks], on `workers` threads, in task order.
 
-    The tasks must be independent.  Threads keep every frame in this
-    process, where the caller can count and measure it.  Only the noise draw
-    and the BLAS matched filters release the interpreter lock; the chain's
-    many small steps hold it, so a second thread gains only what it overlaps
-    of those (README "Parallel runs").  The first failing task in task order raises, as in a
+    `fn` is a top-level function and each task a tuple of plain arguments,
+    so both could be sent to another process.  The tasks must be
+    independent.  Threads keep every frame in this process, where the caller
+    can count and measure it.  Only the noise draw and the BLAS matched
+    filters release the interpreter lock; the chain's many small steps hold
+    it, so a second thread gains only what it overlaps of those (README
+    "Parallel runs").  The first failing task in task order raises, as in a
     serial run, and tasks not yet started are cancelled.
     """
     if workers == 1:
-        return list(map(fn, tasks))
+        return list(itertools.starmap(fn, tasks))
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, *zip(*tasks)))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -742,7 +737,7 @@ def run_blockage_sweep(config: ScenarioConfig, jobs: int | None = None) -> Block
     positions = config.positions()
     workers = _worker_count(jobs, positions.size, _usable_cpus())
     p_total = _transmit_p_total(config)
-    reports = _map_tasks(lambda index: run_position(config, index, p_total), range(positions.size), workers)
+    reports = _map_tasks(run_position, [(config, index, p_total) for index in range(positions.size)], workers)
     adaptive, fixed_sm64, fixed_sd64 = (list(run) for run in zip(*reports))
     averages = {
         "adaptive": float(np.mean([r.eff_bshz for r in adaptive])),
@@ -782,7 +777,7 @@ class BerSweepRow:
     order: int
     snr_db: float
     ber_mc: float
-    ber_theory: float
+    ber_theory: float | None   # None where the clear channel cannot carry two streams (SM only)
     bits: int
     errors: int
     eff_bshz: float
@@ -812,34 +807,25 @@ def run_ber_sweep(config: ScenarioConfig, jobs: int | None = None) -> list[BerSw
 
     Runs every (scheme, order) pair through the full chain on the
     unobstructed channel; the theory column evaluates the BER prediction at
-    the SNRs implied by the true channel matrix.  Every (curve, point) is
-    seeded on its own and the points run on up to `jobs` threads (default:
-    one per usable CPU); the rows are the same for every `jobs`.
+    the SNRs implied by the true channel matrix, and is None for SM where
+    that matrix cannot carry two streams.  Every (curve, point) is seeded on
+    its own and the points run on up to `jobs` threads (default: one per
+    usable CPU); the rows are the same for every `jobs`.
     """
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=None))
     est_true = _true_estimate(h_norm)
     grid = _grid(config.bersweep_snr_start, config.bersweep_snr_step, config.bersweep_snr_stop)
-    points = [
-        (curve_idx, point_idx, mode, snr_db, 10.0 ** (snr_db / 10.0))
+    tasks = [
+        (config, mode, 10.0 ** (snr_db / 10.0), (config.base_seed, _BER_SWEEP_TAG, curve_idx, point_idx),
+         config.bersweep_min_errors, config.bersweep_max_bits)
         for curve_idx, mode in enumerate(MODES)
         for point_idx, snr_db in enumerate(grid)
     ]
-    workers = _worker_count(jobs, len(points), _usable_cpus())
-
-    def measure(point: tuple) -> tuple[int, int]:
-        curve_idx, point_idx, mode, _, p_total = point
-        return measure_mode_ber(
-            config,
-            mode,
-            p_total,
-            (config.base_seed, _BER_SWEEP_TAG, curve_idx, point_idx),
-            config.bersweep_min_errors,
-            config.bersweep_max_bits,
-        )
-
+    results = _map_tasks(measure_mode_ber, tasks, _worker_count(jobs, len(tasks), _usable_cpus()))
     rows: list[BerSweepRow] = []
-    for (_, _, mode, snr_db, p_total), (errors, bits) in zip(points, _map_tasks(measure, points, workers)):
-        theory = predicted_ber(mode, stream_snrs(est_true, p_total, N0, mode.scheme))
+    for (_, mode, p_total, *_), snr_db, (errors, bits) in zip(tasks, itertools.cycle(grid), results):
+        snrs = stream_snrs(est_true, p_total, N0, mode.scheme)
+        theory = None if snrs is None else predicted_ber(mode, snrs)
         rows.append(
             BerSweepRow(
                 scheme=mode.scheme,
@@ -858,7 +844,8 @@ def run_ber_sweep(config: ScenarioConfig, jobs: int | None = None) -> list[BerSw
 def write_ber_csv(rows: list[BerSweepRow], fh: IO[str]) -> None:
     fh.write("scheme,order,snr_db,ber_mc,ber_theory,bits,errors,eff_bshz\n")
     for r in rows:
+        theory = "" if r.ber_theory is None else f"{r.ber_theory:.6e}"
         fh.write(
-            f"{r.scheme},{r.order},{r.snr_db:.2f},{r.ber_mc:.6e},{r.ber_theory:.6e},"
+            f"{r.scheme},{r.order},{r.snr_db:.2f},{r.ber_mc:.6e},{theory},"
             f"{r.bits},{r.errors},{r.eff_bshz:g}\n"
         )

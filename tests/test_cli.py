@@ -1,9 +1,15 @@
 """CLI surface: subcommands, exit codes, output files."""
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vlclink import cli
 from vlclink.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from vlclink.scenario import _KEY_FIELDS
 
 FAST = """
 frame.payload_len = 512
@@ -152,6 +158,91 @@ class TestErrors:
         monkeypatch.setattr(cli, "run_ber_sweep", no_sweep)
         assert main([command, "--config", fast_config, "--jobs", jobs]) == EXIT_CONFIG
         assert "config error: --jobs" in capsys.readouterr().err
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", ["blockage-sweep", "ber-sweep", "calibrate"])
+    @pytest.mark.parametrize(
+        "out, why",
+        [("missing/x.csv", "is not a writable directory"), (".", "is a directory"),
+         ("fast.cfg/x.csv", "is not a writable directory")],
+        ids=["missing-directory", "directory", "file-as-directory"],
+    )
+    def test_bad_path_is_config_error_before_any_work(self, command, out, why, fast_config, tmp_path, monkeypatch,
+                                                      capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("run_blockage_sweep", "run_ber_sweep", "calibrate"):
+            monkeypatch.setattr(cli, name, fail)
+        assert main([command, "--config", fast_config, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and why in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_run_writes_no_file(self, fast_config, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "calibrate", fail)
+        out = tmp_path / "cal.txt"
+        assert main(["calibrate", "--config", fast_config, "--out", str(out)]) == EXIT_RUNTIME
+        assert not out.exists()
+
+
+# LEDs and photodiodes 1 um apart: the clear channel has rank one
+RANK_ONE_BER = """
+geometry.led_sep = 0.0001
+geometry.pd_sep = 0.0001
+frame.payload_len = 64
+sweep.payload_bits = 100
+bersweep.snr_start = 30
+bersweep.snr_stop = 30
+bersweep.max_bits = 1000
+"""
+
+
+class TestRankOneChannel:
+    def test_ber_sweep_writes_no_sm_theory(self, tmp_path):
+        cfg, out = tmp_path / "rank-one.cfg", tmp_path / "ber.csv"
+        cfg.write_text(RANK_ONE_BER)
+        assert main(["ber-sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert sorted(row[0] for row in rows) == ["SD"] * 4 + ["SM"] * 4
+        for scheme, _, _, ber_mc, ber_theory, *_ in rows:
+            assert 0.0 <= float(ber_mc) <= 1.0
+            if scheme == "SM":
+                assert ber_theory == ""
+            else:
+                assert 0.0 <= float(ber_theory) <= 0.5
+
+
+# values at the edges of every rule: zero, signs, extremes, a non-number, modes and large integers
+EDGE_VALUES = ["0", "1", "-1", "1e300", "-1e300", "1e-300", "nan", "SM-64", "SD-4", "SM-3", str(2**63), str(10**30)]
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("calibrate") / "drawn.cfg"
+
+
+class TestCalibrateExitCode:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(_KEY_FIELDS)), st.sampled_from(EDGE_VALUES)), max_size=4))
+    @example([("geometry.led_sep", "0"), ("geometry.pd_sep", "0")])   # a rank-one channel
+    @example([("snr_db", "nan")])
+    def test_exit_is_ok_or_config_error(self, config_path, lines):
+        config_path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["calibrate", "--config", str(config_path)])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if code == EXIT_CONFIG:
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("config error: ")
+        else:
+            assert err.getvalue() == ""
+            assert "p_total_db=" in out.getvalue()
 
 
 class TestJobs:

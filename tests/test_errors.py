@@ -4,6 +4,8 @@
 broken call contract, and `SyncNotFound` and `SingularMatrix` are the only
 errors that mean one frame is lost.  Every `raise` in the package names one
 of them, so a caller that handles those five handles everything it raises.
+A channel that cannot carry two streams is not a lost frame: `stream_snrs`
+reads it as no SM SNRs, and is the one place that catches `SingularMatrix`.
 """
 
 import ast
@@ -42,3 +44,28 @@ def test_every_raise_names_one_of_the_five():
     assert sum(len(found) for found in raises.values()) > 50
     stray = [f"{name}:{line} raises {exc}" for name, found in raises.items() for line, exc in found if exc not in FIVE]
     assert stray == []
+
+
+def singular_matrix_handlers(path: Path) -> list[str]:
+    """The function around each `except` clause in `path` that catches
+    `SingularMatrix`, alone or in a tuple."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(ast.unparse(t).split(".")[-1] == "SingularMatrix" for t in types):
+                    found.append(function)
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_stream_snrs_catches_singular_matrix():
+    handlers = {path.name: singular_matrix_handlers(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in handlers.items() if found} == {"receiver.py": ["stream_snrs"]}

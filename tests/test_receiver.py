@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from vlclink import estimate_channel, make_rng, qam_map
 from vlclink.errors import ParameterError, SingularMatrix
 from vlclink.framing import FrameSpec, pilot_symbols
+from vlclink.numerics import inv2
 from vlclink.receiver import ChannelEstimate, combine_sd_mrc, detect_sm_zf, stream_snrs
 
 PILOTS = pilot_symbols(FrameSpec(pilot_len=32))
@@ -85,11 +86,28 @@ class TestStreamSnrs:
         assert stream_snrs(est, 100.0, 1.0, "SD").snr == (100.0,)
 
     def test_rank_one_channel(self):
+        # a channel that cannot carry two streams has no SM SNRs; it is not an error
         est = true_est(np.diag([1.0, 0.0]))
-        with pytest.raises(SingularMatrix):
-            stream_snrs(est, 100.0, 1.0, "SM")
+        assert stream_snrs(est, 100.0, 1.0, "SM") is None
         # one live path carries half the total power
         assert stream_snrs(est, 100.0, 1.0, "SD").snr == (50.0,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(*[st.floats(-10.0, 10.0)] * 4),
+        st.floats(-3.0, 3.0),
+        st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+    )
+    def test_sm_is_none_exactly_where_inv2_rejects_the_gram_matrix(self, entries, k, eps):
+        # column 2 is k times column 1 plus eps of another column: rank one at eps = 0
+        a, b, c, d = entries
+        h = np.array([[a, k * a + eps * b], [c, k * c + eps * d]], dtype=complex)
+        try:
+            inv2(h.conj().T @ h)
+            singular = False
+        except SingularMatrix:
+            singular = True
+        assert (stream_snrs(true_est(h), 2.0, 1.0, "SM") is None) == singular
 
     def test_diagonal_equals_half_per_link_snr(self):
         est = true_est(np.diag([1.0, 0.5]))
