@@ -315,11 +315,16 @@ def build_tx_symbols(payload_syms: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return symbols
 
 
+def _last_start(spec: FrameSpec, n: int) -> int:
+    """The last frame start `synchronize` admits in an n-sample stream: the
+    last that leaves room for a whole frame (negative when none does)."""
+    return n - 1 - (spec.n_symbols - 1) * spec.sps
+
+
 def _sync_reach(spec: FrameSpec, n: int) -> int:
     """Leading samples of an n-sample stream that `synchronize` reads: the
     matched-filter span of the preamble at the last admissible start."""
-    last = n - 1 - (spec.n_symbols - 1) * spec.sps
-    return min(n, last + (spec.preamble_len - 1) * spec.sps + spec.ntaps)
+    return min(n, _last_start(spec, n) + (spec.preamble_len - 1) * spec.sps + spec.ntaps)
 
 
 def head_symbols(spec: FrameSpec, lead: int, stream_len: int) -> int:
@@ -431,7 +436,7 @@ def synchronize(samples: np.ndarray, spec: FrameSpec, stream_len: int | None = N
     if samples.ndim not in (1, 2):
         raise ParameterError("synchronize expects an (n,) or (2, n) sample stream")
     n = samples.shape[-1] if stream_len is None else stream_len
-    last = n - 1 - (spec.n_symbols - 1) * spec.sps
+    last = _last_start(spec, n)
     if last < 0:
         raise SyncNotFound(f"stream of {n} samples is shorter than one frame")
     if samples.shape[-1] < _sync_reach(spec, n):

@@ -13,9 +13,11 @@ key is declared once, as a `ScenarioConfig` field with its name, default and
 range rule; a key that sets a `Geometry`, `Obstacle`, `FrameSpec` or
 `AdaptPolicy` field takes its default and range rule from that type, and its
 errors still name the key.  The README documents the keys, and unknown keys
-are rejected.  A `ScenarioConfig` checks its values when it is built, so
-text, a file, direct construction and `dataclasses.replace` all give the
-same guarantee.
+are rejected.  A `ScenarioConfig` checks what every command reads when it
+is built, so text, a file, direct construction and `dataclasses.replace`
+all give the same guarantee.  The rules that tie a sweep's own keys
+together (its grid and its frame budget) run where that sweep builds what
+they guard, before any frame, so no command rejects a key it never reads.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .errors import ParameterError, ParseError, ValidationError
 from .framing import (
     _PILOT_SHIFT,
     FrameSpec,
+    _last_start,
     build_head,
     build_tx_symbols,
     head_symbols,
@@ -136,8 +139,10 @@ class ScenarioConfig:
     each field's type (an int passes for a float; None only where it is the
     default), that each float field is finite and that each field passes its
     config rule, in field order; then it builds the geometry, frame and policy,
-    which check their own fields, then the cross-field and budget checks.  A
-    failure raises `ValidationError` naming the key at fault.
+    which check their own fields, then the frame's stream and tap-matrix caps
+    and the pilot-preamble rule.  A failure raises `ValidationError` naming
+    the key at fault.  The sweeps' grids and budgets are checked by the sweep
+    that reads them (`_grid`, `run_position`, `run_ber_sweep`).
     """
 
     led_sep: float = _part("geometry.led_sep", Geometry, "led_sep")
@@ -196,40 +201,15 @@ class ScenarioConfig:
                 build()
             except ParameterError as exc:
                 raise ValidationError(_PART_KEYS.get(exc.field, prefix), str(exc)) from None
-        if self.positions_start > self.positions_stop:
-            raise ValidationError("sweep.positions.start", "start must be <= stop")
-        if self.bersweep_snr_start > self.bersweep_snr_stop:
-            raise ValidationError("bersweep.snr_start", "start must be <= stop")
-        # a run measures every frame index but the settling ones; SD-4 frames carry the fewest bits
-        most_bits = (_MAX_FRAMES_PER_POSITION - SETTLING_FRAMES) * Mode("SD", 4).bits_per_symbol * self.payload_len
-        if self.payload_bits > most_bits:
-            raise ValidationError(
-                "sweep.payload_bits",
-                f"exceeds the {most_bits} bits an SD-4 run measures in the frame budget of "
-                f"{_MAX_FRAMES_PER_POSITION} frames",
-            )
-        for key, start, step, stop in (
-            ("sweep.positions.step", self.positions_start, self.positions_step, self.positions_stop),
-            ("bersweep.snr_step", self.bersweep_snr_start, self.bersweep_snr_step, self.bersweep_snr_stop),
-        ):
-            points = _grid_points(start, step, stop)
-            if points > MAX_GRID_POINTS:
-                raise ValidationError(key, f"grid of {points:.4g} points exceeds the cap of {MAX_GRID_POINTS}")
-        # SD-4 frames carry the fewest bits, so a BER point runs the most of them in SD-4
-        frames = self.bersweep_max_bits // (Mode("SD", 4).bits_per_symbol * self.payload_len) + 1
-        if frames > MAX_BER_POINT_FRAMES:
-            raise ValidationError(
-                "bersweep.max_bits", f"an SD-4 point would run {frames} frames, over the cap of {MAX_BER_POINT_FRAMES}"
-            )
         # each sweep task draws 2 x 2 x samples float64 noise values per frame index
         spec = self.frame_spec()
         samples = _stream_len(spec)
         if samples > MAX_STREAM_SAMPLES:
             raise ValidationError("frame", f"stream of {samples} samples per branch exceeds the cap of {MAX_STREAM_SAMPLES}")
         # the pilots are the preamble shifted by _PILOT_SHIFT and tiled, so pilot symbol j starts a whole
-        # copy of it; sync searches starts up to sps + ntaps + TAIL_PAD - 2 samples past the true one
+        # copy of it; sync searches up to its last admissible start, that less LEAD_PAD past the true one
         p, j = spec.preamble_len, -_PILOT_SHIFT % spec.preamble_len
-        if spec.pilot_len >= j + p and (p + j) * spec.sps <= spec.ntaps + TAIL_PAD + spec.sps - 2:
+        if spec.pilot_len >= j + p and (p + j) * spec.sps <= _last_start(spec, samples) - LEAD_PAD:
             msg = f"pilot symbols {j}-{j + p - 1} repeat the whole preamble inside sync's search window"
             raise ValidationError("frame.pilot_len", msg)
         tap_bytes = 16 * (self.rrc_span + 1) ** 2 * self.sps
@@ -258,11 +238,22 @@ class ScenarioConfig:
         return AdaptPolicy(**self._args(AdaptPolicy))
 
     def positions(self) -> np.ndarray:
-        return _grid(self.positions_start, self.positions_step, self.positions_stop)
+        """The obstacle positions of the blockage sweep; `_grid` checks them."""
+        return _grid("sweep.positions.", self.positions_start, self.positions_step, self.positions_stop)
 
 
-def _grid(start: float, step: float, stop: float) -> np.ndarray:
-    """start, start + step, ... up to stop inclusive (to half a step)."""
+def _grid(prefix: str, start: float, step: float, stop: float) -> np.ndarray:
+    """start, start + step, ... up to stop inclusive (to half a step), the
+    grid of the keys `prefix` + start, step and stop.  Raises
+    `ValidationError` naming the start key when start > stop and the step key
+    for no point or more than MAX_GRID_POINTS points, before building the grid."""
+    if start > stop:
+        raise ValidationError(prefix + "start", "start must be <= stop")
+    points = _grid_points(start, step, stop)
+    if points < 1:
+        raise ValidationError(prefix + "step", f"the grid is empty: half a step of {step!r} vanishes against {stop!r}")
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(prefix + "step", f"grid of {points:.4g} points exceeds the cap of {MAX_GRID_POINTS}")
     return np.arange(start, stop + step / 2.0, step)
 
 
@@ -656,6 +647,19 @@ class BlockageSweepResult:
     p_total: float
 
 
+def _blockage_positions(config: ScenarioConfig) -> np.ndarray:
+    """The blockage sweep's positions, once its bit budget is checked: a run
+    measures every frame index but the settling ones and may fall back to
+    SD-4, whose frames carry the fewest bits, so `sweep.payload_bits` may not
+    exceed what SD-4 frames carry in the rest of the frame budget."""
+    positions = config.positions()
+    most_bits = (_MAX_FRAMES_PER_POSITION - SETTLING_FRAMES) * _frame_bits(Mode("SD", 4), config.frame_spec())
+    if config.payload_bits > most_bits:
+        budget = f"the frame budget of {_MAX_FRAMES_PER_POSITION} frames"
+        raise ValidationError("sweep.payload_bits", f"exceeds the {most_bits} bits an SD-4 run measures in {budget}")
+    return positions
+
+
 def run_position(
     config: ScenarioConfig, index: int, p_total: float | None = None
 ) -> tuple[LinkReport, LinkReport, LinkReport]:
@@ -663,11 +667,12 @@ def run_position(
 
     Seeded per position, so any single position reproduces its sweep rows
     bit-exactly without running the others.  The three runs step in lockstep
-    (see `_lockstep`), so they see identical noise.  The config bounds
-    `frames_per_position` and `payload_bits` so that every run, whatever modes
-    it sends, meets its budgets within _MAX_FRAMES_PER_POSITION frame indices.
+    (see `_lockstep`), so they see identical noise.  Every run, whatever modes
+    it sends, meets its budgets within _MAX_FRAMES_PER_POSITION frame indices:
+    the config bounds `frames_per_position`, and `_blockage_positions` checks
+    `payload_bits` and the grid before calibration or any frame.
     """
-    positions = config.positions()
+    positions = _blockage_positions(config)
     if not 0 <= index < positions.size:
         raise ParameterError(f"position index {index} outside sweep of {positions.size}")
     if p_total is None:
@@ -679,8 +684,7 @@ def run_position(
         for mode in (None, Mode("SM", 64), Mode("SD", 64))
     ]
     _lockstep(runs, config, x, p_total, (config.base_seed + index,), _MAX_FRAMES_PER_POSITION)
-    adaptive, sm64, sd64 = (run.report(x) for run in runs)
-    return adaptive, sm64, sd64
+    return tuple(run.report(x) for run in runs)
 
 
 def _usable_cpus() -> int:
@@ -732,9 +736,11 @@ def run_blockage_sweep(config: ScenarioConfig, jobs: int | None = None) -> Block
     All three runs at a position share per-frame noise seeds, so the baseline
     comparison sees identical noise realisations.  Positions are seeded on
     their own and run on up to `jobs` threads (default: one per usable CPU);
-    the result is the same for every `jobs`.
+    the result is the same for every `jobs`.  The position grid and
+    `sweep.payload_bits` are checked before calibration (see
+    `_blockage_positions`).
     """
-    positions = config.positions()
+    positions = _blockage_positions(config)
     workers = _worker_count(jobs, positions.size, _usable_cpus())
     p_total = _transmit_p_total(config)
     reports = _map_tasks(run_position, [(config, index, p_total) for index in range(positions.size)], workers)
@@ -810,11 +816,19 @@ def run_ber_sweep(config: ScenarioConfig, jobs: int | None = None) -> list[BerSw
     the SNRs implied by the true channel matrix, and is None for SM where
     that matrix cannot carry two streams.  Every (curve, point) is seeded on
     its own and the points run on up to `jobs` threads (default: one per
-    usable CPU); the rows are the same for every `jobs`.
+    usable CPU); the rows are the same for every `jobs`.  Before the first
+    point, the SNR grid is checked (see `_grid`), and `bersweep.max_bits`
+    against MAX_BER_POINT_FRAMES: SD-4 frames carry the fewest bits, so an
+    SD-4 point runs the most frames.
     """
+    grid = _grid("bersweep.snr_", config.bersweep_snr_start, config.bersweep_snr_step, config.bersweep_snr_stop)
+    frames = config.bersweep_max_bits // _frame_bits(Mode("SD", 4), config.frame_spec()) + 1
+    if frames > MAX_BER_POINT_FRAMES:
+        raise ValidationError(
+            "bersweep.max_bits", f"an SD-4 point would run {frames} frames, over the cap of {MAX_BER_POINT_FRAMES}"
+        )
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=None))
     est_true = _true_estimate(h_norm)
-    grid = _grid(config.bersweep_snr_start, config.bersweep_snr_step, config.bersweep_snr_stop)
     tasks = [
         (config, mode, 10.0 ** (snr_db / 10.0), (config.base_seed, _BER_SWEEP_TAG, curve_idx, point_idx),
          config.bersweep_min_errors, config.bersweep_max_bits)

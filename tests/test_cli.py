@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vlclink import cli
+from test_lockstep import count_calls
+from vlclink import ValidationError, cli, parse_config, run_ber_sweep, run_blockage_sweep
 from vlclink.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from vlclink.scenario import _KEY_FIELDS
+from vlclink.scenario import _KEY_FIELDS, run_position
 
 FAST = """
 frame.payload_len = 512
@@ -195,7 +196,6 @@ RANK_ONE_BER = """
 geometry.led_sep = 0.0001
 geometry.pd_sep = 0.0001
 frame.payload_len = 64
-sweep.payload_bits = 100
 bersweep.snr_start = 30
 bersweep.snr_stop = 30
 bersweep.max_bits = 1000
@@ -215,6 +215,66 @@ class TestRankOneChannel:
                 assert ber_theory == ""
             else:
                 assert 0.0 <= float(ber_theory) <= 0.5
+
+
+# the rules on a sweep's own keys, each with the sweep that reads them
+SWEEP_RULES = [
+    pytest.param("sweep.positions.start = 10\nsweep.positions.stop = 0\n", "blockage-sweep",
+                 "sweep.positions.start: start must be <= stop", id="positions-order"),
+    pytest.param("sweep.positions.step = 1e-9\n", "blockage-sweep",
+                 "sweep.positions.step: grid of 1.3e+11 points exceeds the cap of 10000", id="positions-cap"),
+    pytest.param("frame.payload_len = 64\n", "blockage-sweep",
+                 "sweep.payload_bits: exceeds the 32512 bits an SD-4 run measures in the frame budget of 256 frames",
+                 id="payload-bits"),
+    pytest.param("bersweep.snr_start = 40\n", "ber-sweep",
+                 "bersweep.snr_start: start must be <= stop", id="snr-order"),
+    pytest.param("bersweep.snr_step = 1e-6\n", "ber-sweep",
+                 "bersweep.snr_step: grid of 2.6e+07 points exceeds the cap of 10000", id="snr-cap"),
+    pytest.param("bersweep.max_bits = 1000000000000\n", "ber-sweep",
+                 "bersweep.max_bits: an SD-4 point would run 122070313 frames, over the cap of 65536", id="max-bits"),
+    # half a step below half the float spacing at stop: stop + step / 2 rounds to stop, so the grid is empty
+    pytest.param("sweep.positions.start = 3.602879701896397e16\nsweep.positions.stop = 3.602879701896397e16\n",
+                 "blockage-sweep",
+                 "sweep.positions.step: the grid is empty: half a step of 5.0 vanishes against 3.602879701896397e+16",
+                 id="positions-empty"),
+    pytest.param("bersweep.snr_start = 300\nbersweep.snr_stop = 300\nbersweep.snr_step = 1e-14\n", "ber-sweep",
+                 "bersweep.snr_step: the grid is empty: half a step of 1e-14 vanishes against 300.0", id="snr-empty"),
+]
+
+
+class TestSweepKeysCheckedBeforeWork:
+    @pytest.mark.parametrize("text, command, line", SWEEP_RULES)
+    def test_sweep_rejects_its_key_before_any_work(self, text, command, line, tmp_path, monkeypatch, capsys):
+        counts = count_calls(monkeypatch, ["calibrate", "_frame_noise"])
+        cfg = parse_config(text)   # the config itself parses
+        sweep = run_blockage_sweep if command == "blockage-sweep" else run_ber_sweep
+        with pytest.raises(ValidationError) as err:
+            sweep(cfg, jobs=1)
+        assert str(err.value) == line
+        if command == "blockage-sweep":
+            with pytest.raises(ValidationError) as err:
+                run_position(cfg, 0)
+            assert str(err.value) == line
+        path, out = tmp_path / "bad.cfg", tmp_path / "out.csv"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not out.exists()
+        assert sum(counts.values()) == 0
+
+    @pytest.mark.parametrize("text, command, line", SWEEP_RULES)
+    def test_other_commands_do_not_read_the_key(self, text, command, line, tmp_path):
+        # the other sweep runs one BER point at 30 dB or one position at the centre
+        if command == "blockage-sweep":
+            other, short = "ber-sweep", "bersweep.snr_start = 30\nbersweep.snr_stop = 30\nbersweep.max_bits = 1000\n"
+        else:
+            other, short = "blockage-sweep", "sweep.positions.start = 0\nsweep.positions.stop = 0\n"
+        path = tmp_path / "cfg.cfg"
+        path.write_text(text + short)
+        for args in (["calibrate"], [other, "--jobs", "1"]):
+            out = tmp_path / f"{args[0]}.out"
+            assert main([*args, "--config", str(path), "--out", str(out)]) == EXIT_OK
+            assert out.stat().st_size > 0
 
 
 # values at the edges of every rule: zero, signs, extremes, a non-number, modes and large integers

@@ -1,12 +1,16 @@
 """Config parsing, calibration, and sweep plumbing on small scenarios."""
 
 import io
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlclink import (
@@ -23,12 +27,14 @@ from vlclink import (
     write_ber_csv,
     write_blockage_csv,
 )
+from vlclink import scenario
 from vlclink.adapt import predicted_ber
-from vlclink.framing import FrameSpec
+from vlclink.framing import _PILOT_SHIFT, FrameSpec, _last_start
 from vlclink.receiver import stream_snrs
 from vlclink.scenario import (
     _ALIASES,
     _KEY_FIELDS,
+    LEAD_PAD,
     MAX_ABS_DB,
     MAX_BER_POINT_FRAMES,
     MAX_GRID_POINTS,
@@ -36,6 +42,7 @@ from vlclink.scenario import (
     MAX_STREAM_SAMPLES,
     MAX_TAP_MATRIX_BYTES,
     N0,
+    TAIL_PAD,
     _frame_bits,
     _grid,
     _grid_points,
@@ -109,8 +116,22 @@ class TestParseConfig:
     def test_cross_field_validation(self):
         with pytest.raises(ValidationError):
             parse_config("geometry.obstacle_z = 300\n")
-        with pytest.raises(ValidationError):
-            parse_config("sweep.positions.start = 10\nsweep.positions.stop = 0\n")
+
+    @pytest.mark.parametrize(
+        "text, key, build",
+        [
+            ("sweep.positions.start = 10\nsweep.positions.stop = 0\n", "sweep.positions.start",
+             lambda cfg: cfg.positions()),
+            ("bersweep.snr_start = 40\n", "bersweep.snr_start", lambda cfg: run_ber_sweep(cfg)),
+        ],
+        ids=["positions", "ber-snr"],
+    )
+    def test_inverted_grid_rejected_by_the_sweep_that_reads_it(self, text, key, build):
+        cfg = parse_config(text)   # the config itself parses
+        with pytest.raises(ValidationError) as err:
+            build(cfg)
+        assert err.value.key == key
+        assert str(err.value) == f"{key}: start must be <= stop"
 
     @pytest.mark.parametrize(
         "line",
@@ -130,33 +151,37 @@ class TestParseConfig:
         assert "not finite" in str(err.value)
 
     @pytest.mark.parametrize(
-        "text, key",
+        "text, key, points",
         [
-            ("sweep.positions.step = 1e-9\n", "sweep.positions.step"),
-            ("bersweep.snr_step = 1e-6\n", "bersweep.snr_step"),
+            ("sweep.positions.step = 1e-9\n", "sweep.positions.step", "1.3e+11"),
+            ("bersweep.snr_step = 1e-6\n", "bersweep.snr_step", "2.6e+07"),
             # the half-step overshoot of stop overflows to inf
-            ("sweep.positions.stop = 1.7e308\nsweep.positions.step = 1e308\n", "sweep.positions.step"),
+            ("sweep.positions.stop = 1.7e308\nsweep.positions.step = 1e308\n", "sweep.positions.step", "inf"),
         ],
     )
-    def test_oversized_grids_rejected_at_parse_time(self, text, key):
+    def test_oversized_grids_rejected_before_the_grid_is_built(self, text, key, points):
+        cfg = parse_config(text)   # the config itself parses
+        build = cfg.positions if key.startswith("sweep.") else lambda: run_ber_sweep(cfg)
         with pytest.raises(ValidationError) as err:
-            parse_config(text)
+            build()
         assert err.value.key == key
+        assert str(err.value) == f"{key}: grid of {points} points exceeds the cap of {MAX_GRID_POINTS}"
 
     def test_grid_at_the_cap_accepted(self):
-        cfg = parse_config(f"sweep.positions.start = 0\nsweep.positions.stop = {MAX_GRID_POINTS - 1}\n"
-                           "sweep.positions.step = 1\n")
-        assert _grid_points(cfg.positions_start, cfg.positions_step, cfg.positions_stop) == MAX_GRID_POINTS
-        with pytest.raises(ValidationError):
-            parse_config(f"sweep.positions.start = 0\nsweep.positions.stop = {MAX_GRID_POINTS}\n"
-                         "sweep.positions.step = 1\n")
+        text = f"sweep.positions.start = 0\nsweep.positions.step = 1\nsweep.positions.stop = {MAX_GRID_POINTS - 1}\n"
+        assert parse_config(text).positions().size == MAX_GRID_POINTS
+        cfg = parse_config(text + f"sweep.positions.stop = {MAX_GRID_POINTS}\n")   # the config itself parses
+        with pytest.raises(ValidationError) as err:
+            cfg.positions()
+        assert err.value.key == "sweep.positions.step"
+        assert str(err.value) == "sweep.positions.step: grid of 1e+04 points exceeds the cap of 10000"
 
     @pytest.mark.parametrize(
         "start, step, stop",
         [(-65.0, 5.0, 65.0), (8.0, 2.0, 34.0), (0.0, 0.1, 1.0), (-1.0, 0.3, 2.0), (3.0, 7.0, 3.0), (0.0, 1e-3, 0.7)],
     )
     def test_grid_points_counts_as_arange_does(self, start, step, stop):
-        assert _grid_points(start, step, stop) == _grid(start, step, stop).size
+        assert _grid_points(start, step, stop) == _grid("sweep.positions.", start, step, stop).size
 
     def test_default_grid_sizes(self):
         cfg = ScenarioConfig()
@@ -173,10 +198,16 @@ class TestParseConfig:
     def test_payload_bits_capped_at_what_an_sd4_run_can_measure(self):
         # an adaptive run may fall back to SD-4: 254 measured frames of 64 symbols carry 254 * 2 * 64 = 32512 bits
         short = "frame.payload_len = 64\nsweep.positions.start = 0\nsweep.positions.stop = 0\n"
-        assert parse_config(short + "sweep.payload_bits = 32512\n").payload_bits == 32512
-        with pytest.raises(ValidationError) as err:
-            parse_config(short + "sweep.payload_bits = 32513\n")
-        assert err.value.key == "sweep.payload_bits"
+        runs = run_position(parse_config(short + "sweep.payload_bits = 32512\n"), 0)
+        assert all(report.bits_sent >= 32512 for report in runs)
+        cfg = parse_config(short + "sweep.payload_bits = 32513\n")   # the config itself parses
+        for sweep in (lambda: run_position(cfg, 0), lambda: run_blockage_sweep(cfg, jobs=1)):
+            with pytest.raises(ValidationError) as err:
+                sweep()
+            assert err.value.key == "sweep.payload_bits"
+            assert str(err.value) == (
+                "sweep.payload_bits: exceeds the 32512 bits an SD-4 run measures in the frame budget of 256 frames"
+            )
 
     @pytest.mark.parametrize(
         "line", ["frame.payload_len = 1000000000", "frame.sps = 1000000", "frame.pilot_len = 100000000"]
@@ -217,7 +248,7 @@ class TestConfigChecksItself:
             ("payload_len", 10**9, "frame"),                     # stream cap
             ("base_seed", -1, "base_seed"),
             ("rrc_span", 20000, "frame.rrc_span"),
-            ("bersweep_max_bits", 10**12, "bersweep.max_bits"),
+            ("bersweep_max_bits", 0, "bersweep.max_bits"),
         ],
     )
     def test_every_way_to_build_raises_the_same_error(self, name, value, key, tmp_path):
@@ -322,7 +353,6 @@ class TestConfigChecksItself:
             with pytest.raises(ValidationError) as err:
                 ScenarioConfig(
                     payload_len=1, preamble_len=7, pilot_len=4, cp_len=0, sps=13103, rrc_span=64,
-                    payload_bits=508, bersweep_max_bits=131071,
                 )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -360,6 +390,35 @@ class TestConfigChecksItself:
             ScenarioConfig(rrc_span=MAX_RRC_SPAN, sps=245)
         assert f"cap of {MAX_STREAM_SAMPLES}" in str(err.value)
 
+    def test_pilot_rule_keeps_the_verdicts_of_the_reach_it_restated(self):
+        # the rule once wrote sync's reach past the true start as ntaps + TAIL_PAD + sps - 2
+        assert ScenarioConfig(preamble_len=7, pilot_len=10).pilot_len == 10
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig(preamble_len=7, pilot_len=11)
+        assert err.value.key == "frame.pilot_len"
+        verdicts, ties = set(), 0
+        # sps 31 at rrc_span 8 and sps 2 at rrc_span 13 put a copy exactly at the reach for P = 7 and P = 31
+        for p, sps, rrc_span in itertools.product((7, 15, 31, 63, 127), (2, 3, 4, 8, 31), (4, 8, 10, 13, 30, 64)):
+            if rrc_span * sps % 2:
+                continue
+            j = -_PILOT_SHIFT % p
+            for pilot_len in sorted({4, 10, 11, 32, j + p - 1, j + p, j + p + 1} - {0, 1, 2, 3}):
+                spec = FrameSpec(preamble_len=p, pilot_len=pilot_len, sps=sps, rrc_span=rrc_span)
+                reach = spec.ntaps + TAIL_PAD + spec.sps - 2
+                assert _last_start(spec, _stream_len(spec)) - LEAD_PAD == reach
+                old = pilot_len >= j + p and (p + j) * sps <= reach
+                ties += pilot_len >= j + p and (p + j) * sps == reach
+                try:
+                    ScenarioConfig(preamble_len=p, pilot_len=pilot_len, sps=sps, rrc_span=rrc_span)
+                    rejected = False
+                except ValidationError as exc:
+                    assert exc.key == "frame.pilot_len"
+                    rejected = True
+                assert rejected == old, (p, pilot_len, sps, rrc_span)
+                verdicts.add(rejected)
+        assert verdicts == {False, True}
+        assert ties > 0
+
     def test_rrc_span_at_the_cap_accepted(self):
         assert parse_config(f"frame.rrc_span = {MAX_RRC_SPAN}\n").rrc_span == MAX_RRC_SPAN
         assert ScenarioConfig(rrc_span=MAX_RRC_SPAN).rrc_span == MAX_RRC_SPAN
@@ -367,15 +426,25 @@ class TestConfigChecksItself:
             ScenarioConfig(rrc_span=MAX_RRC_SPAN + 1)
         assert err.value.key == "frame.rrc_span"
 
-    def test_frames_per_ber_point_capped(self):
+    def test_frames_per_ber_point_capped(self, monkeypatch):
         # SD-4 frames carry the fewest bits; a point stops once it has max_bits
         frame_bits = _frame_bits(Mode("SD", 4), ScenarioConfig().frame_spec())
         at_cap = MAX_BER_POINT_FRAMES * frame_bits - 1
         assert at_cap // frame_bits + 1 == MAX_BER_POINT_FRAMES
-        assert parse_config(f"bersweep.max_bits = {at_cap}\n").bersweep_max_bits == at_cap
-        with pytest.raises(ValidationError) as err:
-            parse_config(f"bersweep.max_bits = {at_cap + 1}\n")
-        assert err.value.key == "bersweep.max_bits"
+        points = []
+        monkeypatch.setattr(scenario, "measure_mode_ber", lambda *task: points.append(task[-1]) or (0, 1))
+        assert len(run_ber_sweep(parse_config(f"bersweep.max_bits = {at_cap}\n"), jobs=1)) == 8 * 14
+        assert set(points) == {at_cap}
+        for max_bits in (at_cap + 1, 10**12):
+            cfg = parse_config(f"bersweep.max_bits = {max_bits}\n")   # the config itself parses
+            with pytest.raises(ValidationError) as err:
+                run_ber_sweep(cfg, jobs=1)
+            assert err.value.key == "bersweep.max_bits"
+            frames = max_bits // frame_bits + 1
+            assert str(err.value) == (
+                f"bersweep.max_bits: an SD-4 point would run {frames} frames, over the cap of {MAX_BER_POINT_FRAMES}"
+            )
+        assert set(points) == {at_cap}
 
 
 _VALUES = st.one_of(
@@ -398,11 +467,84 @@ class TestArbitraryConfigText:
             cfg = parse_config(text)
         except (ParseError, ValidationError):
             return
-        # what parses builds every part a sweep reads, within the caps
+        # what parses builds every part a sweep reads, within the caps; the position grid
+        # is checked where it is built
         assert _stream_len(cfg.frame_spec()) <= MAX_STREAM_SAMPLES
-        assert cfg.positions().size <= MAX_GRID_POINTS
-        cfg.geometry(obstacle_x=float(cfg.positions()[0]))
+        try:
+            positions = cfg.positions()
+        except ValidationError:
+            positions = np.zeros(1)
+        assert positions.size <= MAX_GRID_POINTS
+        cfg.geometry(obstacle_x=float(positions[0]))
         cfg.policy()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_STEP = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)   # tiny steps give oversized grids
+# each value passes its own key's rule; inverted grids, oversized grids and unmeetable budgets are all drawn
+_SWEEP_KEYS = st.fixed_dictionaries({}, optional={
+    "positions_start": _FINITE,
+    "positions_step": _STEP,
+    "positions_stop": _FINITE,
+    "frames_per_position": st.integers(3, 256),
+    "payload_bits": st.integers(1, 10**9),
+    "payload_len": st.integers(16, 4096),
+})
+_DB = st.floats(-MAX_ABS_DB, MAX_ABS_DB)
+_BER_SWEEP_KEYS = st.fixed_dictionaries({}, optional={
+    "bersweep_snr_start": _DB,
+    "bersweep_snr_step": _STEP,
+    "bersweep_snr_stop": _DB,
+    "bersweep_max_bits": st.integers(1, 10**13),
+    "bersweep_min_errors": st.integers(1, 10**9),
+})
+
+
+def _commands(cfg):
+    """Each command's outcome on `cfg`: None, or the key of the ValidationError
+    it raised.  No frame runs: the sweeps' tasks are stubbed out."""
+    report = SimpleNamespace(eff_bshz=0.0)
+    commands = {
+        "calibrate": lambda: calibrate(cfg),
+        "blockage-sweep": lambda: run_blockage_sweep(cfg, jobs=1),
+        "ber-sweep": lambda: run_ber_sweep(cfg, jobs=1),
+    }
+    outcomes = {}
+    with mock.patch.object(scenario, "run_position", lambda *task: (report, report, report)), \
+            mock.patch.object(scenario, "measure_mode_ber", lambda *task: (0, 1)):
+        for name, command in commands.items():
+            try:
+                command()
+                outcomes[name] = None
+            except ValidationError as err:
+                outcomes[name] = err.key
+    return outcomes
+
+
+class TestEachSweepChecksItsOwnKeys:
+    """A config that only sets one sweep's keys parses, and only that sweep may reject it."""
+
+    @given(_SWEEP_KEYS)
+    @settings(max_examples=100, deadline=None)
+    @example({"payload_len": 64})   # the frame-budget rule's reproducer
+    @example({"positions_start": 3.602879701896397e16, "positions_stop": 3.602879701896397e16})   # empty grid
+    @example({"positions_start": 10.0, "positions_stop": 0.0})
+    @example({"positions_step": 1e-9})
+    def test_blockage_keys_reject_only_the_blockage_sweep(self, values):
+        outcomes = _commands(ScenarioConfig(**values))
+        assert outcomes["calibrate"] is None and outcomes["ber-sweep"] is None
+        assert outcomes["blockage-sweep"] in (None, "sweep.positions.start", "sweep.positions.step",
+                                              "sweep.payload_bits")
+
+    @given(_BER_SWEEP_KEYS)
+    @settings(max_examples=100, deadline=None)
+    @example({"bersweep_snr_start": 40.0})
+    @example({"bersweep_snr_step": 1e-6})
+    @example({"bersweep_max_bits": 10**12})
+    def test_ber_keys_reject_only_the_ber_sweep(self, values):
+        outcomes = _commands(ScenarioConfig(**values))
+        assert outcomes["calibrate"] is None and outcomes["blockage-sweep"] is None
+        assert outcomes["ber-sweep"] in (None, "bersweep.snr_start", "bersweep.snr_step", "bersweep.max_bits")
 
 
 class TestCalibrate:
