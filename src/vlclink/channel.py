@@ -175,8 +175,8 @@ def apply_channel(streams: np.ndarray, h: np.ndarray, noise: np.ndarray) -> np.n
     y_j[n] = sum_i h[j][i] x_i[n] + w_j[n], with `h` the 2x2 gain matrix and
     w zero-mean complex Gaussian noise: `noise`, as `awgn` draws it for the
     streams' shape (read, not modified, so runs that share one realisation
-    draw it once).  The channel is memoryless, so it acts the same on a
-    sample-rate stream and on matched-filter outputs.
+    draw it once).  Being memoryless, this one law serves both rates of the
+    chain: the sample-rate sync head and the symbol-rate matched-filter outputs.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (2, 2):

@@ -64,7 +64,6 @@ class Constellation:
     scale: float                # amplitude unit; levels are odd multiples of it
     level_by_code: np.ndarray   # axis amplitude indexed by the axis bit code
     points: np.ndarray          # complex point indexed by the full k-bit label
-    power: np.ndarray           # |point|^2 indexed by the full k-bit label
 
 
 @lru_cache(maxsize=None)
@@ -82,8 +81,7 @@ def constellation(order: int) -> Constellation:
     icode = codes >> (k // 2)
     qcode = codes & (side - 1)
     points = level_by_code[icode] + 1j * level_by_code[qcode]
-    power = np.abs(points) ** 2
-    for table in (level_by_code, points, power):
+    for table in (level_by_code, points):
         table.flags.writeable = False
     return Constellation(
         order=order,
@@ -91,7 +89,6 @@ def constellation(order: int) -> Constellation:
         scale=scale,
         level_by_code=level_by_code,
         points=points,
-        power=power,
     )
 
 

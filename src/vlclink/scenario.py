@@ -57,7 +57,7 @@ from .framing import (
     synchronize,
 )
 from .metrics import LinkReport, error_free_efficiency, write_report_block
-from .modem import constellation, demap_labels, label_bit_errors, map_labels, unpack_labels
+from .modem import demap_labels, label_bit_errors, map_labels, unpack_labels
 from .numerics import make_rng
 from .receiver import ChannelEstimate, combine_sd_mrc, detect_sm_zf, estimate_channel, stream_snrs
 
@@ -308,12 +308,15 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
-def _true_estimate(h: np.ndarray) -> ChannelEstimate:
-    return ChannelEstimate(h_hat=np.asarray(h, dtype=np.complex128))
+    """Parse the config file at `path`: UTF-8 text, less a leading byte-order mark."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())   # as parse_config counts
+        raise ParseError(line, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 text") from None
+    return parse_config(text)
 
 
 def calibrate(config: ScenarioConfig) -> float:
@@ -325,7 +328,7 @@ def calibrate(config: ScenarioConfig) -> float:
     `ValidationError` naming `snr_db`.
     """
     h, _ = channel_matrix(config.geometry(obstacle_x=None))
-    est = _true_estimate(h)
+    est = ChannelEstimate(h)
     mode = Mode("SM", 256)
 
     def feasible(p_lin: float) -> bool:
@@ -366,7 +369,7 @@ class FrameResult:
     detected: np.ndarray | None = None   # payload symbols after ZF / MRC, one row per stream
     errors: int | None = None            # bit errors of the hard decisions on `detected`
     err_power: float | None = None       # sum of |detected - sent|^2
-    ref_power: float | None = None       # sum of |sent point|^2
+    ref_power: float | None = None       # sum of |sent|^2
 
 
 def _bits_rng(seed: tuple[int, ...], frame_idx: int) -> np.random.Generator:
@@ -457,11 +460,12 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, decode: bool
     possibly followed by more.  `front_end` is the task's `_FrontEnds`: it
     holds the effective channel, the frame spec and the frame's current
     noise draw, which is read, not modified, so runs that share a frame index
-    share one draw and one sync front end.  Only the stream head that sync
-    reads passes the channel at sample rate.  The chain is linear and the
-    channel memoryless, so the received symbols are h times the frame's
-    symbol-rate RRC cascade plus the matched-filtered noise.  The modem works
-    on k-bit labels.  A detector's `SingularMatrix` raises from here.
+    share one draw and one sync front end.  `apply_channel` is the one
+    channel law at both rates: the front end passes the sample-rate sync head
+    through it, and this the frame's noise-free matched-filter output at its
+    symbol instants with the matched-filtered noise.  The chain is linear and
+    the channel memoryless, so that is the matched filter of y = Hx + w.  The
+    modem works on k-bit labels; a detector's `SingularMatrix` raises here.
     """
     spec, lay = front_end.spec, front_end.layout
     tx_labels = unpack_labels(bits, mode.order, mode.streams * spec.payload_len).reshape(mode.streams, -1)
@@ -469,21 +473,19 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, decode: bool
     tx_symbols = build_tx_symbols(sent, spec)
     start, mf_noise = front_end(tx_symbols)
 
-    symbols = front_end.h @ matched_filter_frame(tx_symbols, spec, start - LEAD_PAD)
-    symbols.real += mf_noise[0]
-    symbols.imag += mf_noise[1]
+    symbols = apply_channel(matched_filter_frame(tx_symbols, spec, start - LEAD_PAD), front_end.h, mf_noise)
 
     n_p = spec.pilot_len
     segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
     est = estimate_channel(segments, front_end.pilots)
-    result = FrameResult(mode, tx_labels.size * mode.bits_per_symbol, est, start)
+    result = FrameResult(mode, _frame_bits(mode, spec), est, start)
     if decode:
         received = symbols[:, lay.payload :]
         detected = detect_sm_zf(received, est) if mode.scheme == "SM" else combine_sd_mrc(received, est)[None, :]
         result.detected = detected
         result.errors = label_bit_errors(tx_labels, demap_labels(detected, mode.order))
         result.err_power = float(np.sum(np.abs(detected - sent) ** 2))
-        result.ref_power = float(np.sum(np.take(constellation(mode.order).power, tx_labels)))
+        result.ref_power = float(np.sum(np.abs(sent) ** 2))
     return result
 
 
@@ -828,7 +830,7 @@ def run_ber_sweep(config: ScenarioConfig, jobs: int | None = None) -> list[BerSw
             "bersweep.max_bits", f"an SD-4 point would run {frames} frames, over the cap of {MAX_BER_POINT_FRAMES}"
         )
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=None))
-    est_true = _true_estimate(h_norm)
+    est_true = ChannelEstimate(h_norm)
     tasks = [
         (config, mode, 10.0 ** (snr_db / 10.0), (config.base_seed, _BER_SWEEP_TAG, curve_idx, point_idx),
          config.bersweep_min_errors, config.bersweep_max_bits)

@@ -31,10 +31,9 @@ from vlclink import (
 )
 from vlclink.adapt import AdaptPolicy, predicted_ber
 from vlclink.framing import FrameSpec, pilot_symbols
-from vlclink.receiver import stream_snrs
+from vlclink.receiver import ChannelEstimate, stream_snrs
 from vlclink.scenario import (
     N0,
-    _true_estimate,
     measure_mode_ber,
     run_blockage_sweep,
 )
@@ -131,7 +130,7 @@ def _theory_crossing_db(est, mode) -> float:
 def test_c2_diversity_gain(default_config):
     """C2: SD reaches BER 1e-3 at 3.0 +- 0.3 dB less SNR than SM, every M."""
     h, _ = channel_matrix(default_config.geometry(obstacle_x=None))
-    est = _true_estimate(h)
+    est = ChannelEstimate(h)
     gaps = {}
     for order in (4, 16, 64, 256):
         sm, sd = Mode("SM", order), Mode("SD", order)

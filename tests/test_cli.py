@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_lockstep import count_calls
-from vlclink import ValidationError, cli, parse_config, run_ber_sweep, run_blockage_sweep
+from vlclink import ScenarioConfig, ValidationError, cli, load_config, parse_config, run_ber_sweep, run_blockage_sweep
 from vlclink.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from vlclink.scenario import _KEY_FIELDS, run_position
 
@@ -159,6 +159,44 @@ class TestErrors:
         monkeypatch.setattr(cli, "run_ber_sweep", no_sweep)
         assert main([command, "--config", fast_config, "--jobs", jobs]) == EXIT_CONFIG
         assert "config error: --jobs" in capsys.readouterr().err
+
+
+class TestConfigEncoding:
+    @pytest.mark.parametrize(
+        "data, line, byte",
+        [
+            (b"base_seed = 3 # caf\xe9\n", 1, 0xE9),
+            (b"snr_db = 20\r\n\r\nbase_seed = 3 # caf\xe9\r\n", 3, 0xE9),
+            (b"snr_db = 20\rbase_seed = 3\r\xff\r", 3, 0xFF),   # lines end as parse_config splits them
+            (b"\xef\xbb\xbfsnr_db = 20\n# \xc3\n", 2, 0xC3),   # a truncated sequence after a BOM
+        ],
+        ids=["latin1", "crlf", "cr", "bom-truncated"],
+    )
+    def test_text_that_is_not_utf8_is_config_error_before_any_work(self, data, line, byte, tmp_path, monkeypatch,
+                                                                    capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("run_blockage_sweep", "run_ber_sweep", "calibrate"):
+            monkeypatch.setattr(cli, name, fail)
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(data)
+        for command in ("calibrate", "blockage-sweep", "ber-sweep"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: line {line}: byte 0x{byte:02x} is not UTF-8 text\n"
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        text = "base_seed = 3\nsnr_db = 20\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert load_config(marked) == load_config(plain) == parse_config(text) != ScenarioConfig()
+        outputs = []
+        for path in (plain, marked):
+            assert main(["calibrate", "--config", str(path)]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
 
 
 class TestOutPath:

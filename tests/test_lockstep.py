@@ -340,7 +340,7 @@ class TestPayloadBits:
         assert roles[_ROLE_BITS] == roles[_ROLE_NOISE] > 1
 
     @pytest.mark.parametrize("mode", [Mode("SD", 64), Mode("SM", 16)], ids=lambda m: m.name)
-    def test_reference_power_from_the_table_equals_the_symbol_sum(self, mode):
+    def test_reference_power_is_the_sent_symbol_energy(self, mode):
         spec = parse_config(SMALL_SWEEP_TEXT).frame_spec()
         h_eff = 30.0 * np.eye(2, dtype=complex)
         front_end = _FrontEnds(h_eff, spec)
@@ -443,16 +443,17 @@ def head_reach(spec):
 
 
 class TestSharedFrontEnd:
-    FRONT_END = ("apply_channel", "synchronize", "matched_filter_downsample")
-
     @pytest.mark.parametrize("index", [13, 0], ids=["shadowed-x0", "clear-x-65"])
     def test_one_front_end_per_noise_draw_at_defaults(self, index, default_p_total, monkeypatch):
         cfg = ScenarioConfig()
         assert head_reach(cfg.frame_spec()) <= cfg.frame_spec().layout().cp   # preamble and pilots only
-        counts = count_calls(monkeypatch, ("_frame_noise", "_run_frame", "build_head") + self.FRONT_END)
+        names = ("apply_channel", "synchronize", "matched_filter_downsample")
+        counts = count_calls(monkeypatch, ("_frame_noise", "_run_frame", "build_head") + names)
         run_position(cfg, index, p_total=default_p_total)
         draws = counts["_frame_noise"]
-        assert all(counts[name] == draws for name in self.FRONT_END)
+        assert counts["synchronize"] == counts["matched_filter_downsample"] == draws
+        # the channel law runs once per draw on the sync head and once per chain run on the frame
+        assert counts["apply_channel"] == draws + counts["_run_frame"]
         assert counts["_run_frame"] > draws
         assert counts["build_head"] == 1   # one shaped head for every frame of the position
 

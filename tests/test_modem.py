@@ -254,12 +254,6 @@ class TestLabelChain:
         assert got.dtype == np.uint8
         assert np.array_equal(got, pack_labels(bits[: count * k], order))
 
-    def test_power_table_is_the_squared_point_magnitude(self):
-        for order in QAM_ORDERS:
-            c = constellation(order)
-            assert np.array_equal(c.power, np.abs(c.points) ** 2)
-            assert not c.power.flags.writeable
-
     def test_error_count_is_a_popcount(self):
         tx = np.array([0b000000, 0b111111, 0b101010], dtype=np.uint8)
         rx = np.array([0b000001, 0b000000, 0b101010], dtype=np.uint8)

@@ -30,7 +30,7 @@ from vlclink import (
 from vlclink import scenario
 from vlclink.adapt import predicted_ber
 from vlclink.framing import _PILOT_SHIFT, FrameSpec, _last_start
-from vlclink.receiver import stream_snrs
+from vlclink.receiver import ChannelEstimate, stream_snrs
 from vlclink.scenario import (
     _ALIASES,
     _KEY_FIELDS,
@@ -47,7 +47,6 @@ from vlclink.scenario import (
     _grid,
     _grid_points,
     _stream_len,
-    _true_estimate,
     run_position,
 )
 
@@ -553,7 +552,7 @@ class TestCalibrate:
         p_cal = calibrate(cfg)
         p_raw = p_cal / 10.0 ** (cfg.calibrate_margin_db / 10.0)
         h, _ = channel_matrix(cfg.geometry(obstacle_x=None))
-        est = _true_estimate(h)
+        est = ChannelEstimate(h)
         mode = Mode("SM", 256)
         assert predicted_ber(mode, stream_snrs(est, p_raw * 1.001, N0, "SM")) <= cfg.ber_tgt
         assert predicted_ber(mode, stream_snrs(est, p_raw * 0.999, N0, "SM")) > cfg.ber_tgt
@@ -568,7 +567,7 @@ class TestCalibrate:
         cfg = ScenarioConfig()
         p1 = calibrate(cfg)
         h, _ = channel_matrix(cfg.geometry(obstacle_x=None))
-        est2 = _true_estimate(2.0 * h)
+        est2 = ChannelEstimate(2.0 * h)
         mode = Mode("SM", 256)
 
         def feasible(p):
