@@ -1,8 +1,9 @@
 """Small complex 2x2 numeric kernel.
 
-Closed-form SVD and inversion for 2x2 complex matrices, the Gaussian tail
-function, and a seedable Gaussian random source.  Everything here is exact
-at this matrix size; no general linear-algebra routines are used.
+Closed-form singular values and inversion for 2x2 complex matrices, the
+Gaussian tail function, and a seedable Gaussian random source.  Everything
+here is exact at this matrix size; no general linear-algebra routines are
+used.
 """
 
 from __future__ import annotations
@@ -42,20 +43,14 @@ def qfunc(x: float) -> float:
 
 @dataclass(frozen=True)
 class Svd2:
-    """SVD of a 2x2 complex matrix: a = u @ diag(sigma1, sigma2) @ v^H."""
+    """Singular values of a 2x2 complex matrix, sigma1 >= sigma2 >= 0."""
 
     sigma1: float
     sigma2: float
-    u: np.ndarray
-    v: np.ndarray
-
-
-def _orthonormal_complement(w: np.ndarray) -> np.ndarray:
-    return np.array([-np.conj(w[1]), np.conj(w[0])])
 
 
 def svd2(a: np.ndarray) -> Svd2:
-    """Closed-form SVD via the eigen-decomposition of the Hermitian a^H a.
+    """Closed-form singular values via the eigenvalues of the Hermitian a^H a.
 
     The characteristic polynomial of a 2x2 Hermitian matrix is quadratic, so
     both eigenvalues are exact; the discriminant is formed as
@@ -74,30 +69,7 @@ def svd2(a: np.ndarray) -> Svd2:
     lam1 = 0.5 * (trace + disc)
     det_b = max(b11 * b22 - abs(b12) ** 2, 0.0)
     lam2 = det_b / lam1 if lam1 > 0.0 else 0.0
-    sigma1 = math.sqrt(max(lam1, 0.0))
-    sigma2 = math.sqrt(max(lam2, 0.0))
-
-    if abs(b12) == 0.0:
-        v1 = np.array([1.0 + 0j, 0.0 + 0j]) if b11 >= b22 else np.array([0.0 + 0j, 1.0 + 0j])
-    elif b11 >= b22:
-        v1 = np.array([lam1 - b22, np.conj(b12)])
-    else:
-        v1 = np.array([b12, lam1 - b11])
-    v1 = v1 / math.sqrt(float(np.vdot(v1, v1).real))
-    v2 = _orthonormal_complement(v1)
-
-    if sigma1 > 0.0:
-        u1 = a @ v1 / sigma1
-    else:
-        u1 = np.array([1.0 + 0j, 0.0 + 0j])
-    if sigma2 > 1e-14 * sigma1:
-        u2 = a @ v2 / sigma2
-    else:
-        u2 = _orthonormal_complement(u1)
-
-    u = np.column_stack([u1, u2])
-    v = np.column_stack([v1, v2])
-    return Svd2(sigma1=sigma1, sigma2=sigma2, u=u, v=v)
+    return Svd2(sigma1=math.sqrt(max(lam1, 0.0)), sigma2=math.sqrt(max(lam2, 0.0)))
 
 
 def inv2(a: np.ndarray) -> np.ndarray:

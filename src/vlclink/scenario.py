@@ -81,6 +81,8 @@ P_TOTAL_REF = 2.0    # receiver-side power argument under the folded-amplitude c
 LEAD_PAD = 257       # noise-only samples before each frame, so sync is exercised
 TAIL_PAD = 63
 _MAX_FRAMES_PER_POSITION = 256
+_MAX_CONFIG_BYTES = 1 << 20   # cap on the size of a config file
+_MAX_ECHO_CHARS = 80   # longest piece of config text an error message quotes
 MAX_GRID_POINTS = 10_000   # cap on sweep positions and on BER-sweep SNR points
 MAX_BER_POINT_FRAMES = 1 << 16   # cap on the frames one BER point may run: 49 at the defaults
 MAX_STREAM_SAMPLES = 1 << 20   # cap on the samples per branch of a frame's received stream
@@ -128,6 +130,12 @@ def _mode_name(value: str) -> bool:
     except ParameterError:
         return False
     return True
+
+
+def _clip(text: str) -> str:
+    """`text` as an error message quotes it: whole up to _MAX_ECHO_CHARS
+    characters, else its first _MAX_ECHO_CHARS and an ellipsis."""
+    return text if len(text) <= _MAX_ECHO_CHARS else text[:_MAX_ECHO_CHARS] + "..."
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,7 @@ class ScenarioConfig:
             if typ is float and not math.isfinite(value):
                 raise ValidationError(key, f"value '{value}' is not finite")
             if rule is not None and not rule(value):
-                raise ValidationError(key, f"value {value!r} out of range")
+                raise ValidationError(key, f"value {_clip(repr(value))} out of range")
         # each domain type checks its own fields and names the attribute at fault, if one is
         builds = {"geometry": lambda: self.geometry(obstacle_x=0.0), "frame": self.frame_spec, "policy": self.policy}
         for prefix, build in builds.items():
@@ -267,19 +275,6 @@ _KEY_FIELDS = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
 _PART_KEYS = {f.metadata["part"][1]: key for key, f in _KEY_FIELDS.items() if f.metadata["part"]}
 
 
-def _build_aliases() -> dict[str, str]:
-    counts: dict[str, list[str]] = {}
-    for key in _KEY_FIELDS:
-        parts = key.split(".")
-        for i in range(1, len(parts)):
-            short = ".".join(parts[i:])
-            counts.setdefault(short, []).append(key)
-    return {short: owners[0] for short, owners in counts.items() if len(owners) == 1}
-
-
-_ALIASES = _build_aliases()
-
-
 def parse_config(text: str) -> ScenarioConfig:
     """Parse `key = value` config text into typed values and build the
     ScenarioConfig from them, which checks itself."""
@@ -289,28 +284,30 @@ def parse_config(text: str) -> ScenarioConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(line_no, f"expected key=value, got {raw.strip()!r}")
+            raise ParseError(line_no, f"expected key=value, got {_clip(raw.strip())!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key or not value:
             raise ParseError(line_no, "empty key or value")
-        canonical = key if key in _KEY_FIELDS else _ALIASES.get(key)
-        if canonical is None:
-            raise ValidationError(key, "unknown key")
-        entry = _KEY_FIELDS[canonical]
+        entry = _KEY_FIELDS.get(key)
+        if entry is None:
+            raise ValidationError(_clip(key), "unknown key")
         typ = entry.metadata["parse"]
         try:
             values[entry.name] = typ(value)
         except ValueError:
-            raise ValidationError(canonical, f"cannot parse {value!r} as {typ.__name__}") from None
+            raise ValidationError(key, f"cannot parse {_clip(value)!r} as {typ.__name__}") from None
     return ScenarioConfig(**values)
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse the config file at `path`: UTF-8 text, less a leading byte-order mark."""
+    """Parse the config file at `path`: UTF-8 text, less a leading byte-order
+    mark, of at most _MAX_CONFIG_BYTES bytes."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(_MAX_CONFIG_BYTES + 1)
+    if len(data) > _MAX_CONFIG_BYTES:
+        raise ParseError(data.count(b"\n") + 1, f"config file exceeds the cap of {_MAX_CONFIG_BYTES} bytes")
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_lockstep import count_calls
 from vlclink import ScenarioConfig, ValidationError, cli, load_config, parse_config, run_ber_sweep, run_blockage_sweep
 from vlclink.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from vlclink.scenario import _KEY_FIELDS, run_position
+from vlclink.scenario import _KEY_FIELDS, _MAX_CONFIG_BYTES, _MAX_ECHO_CHARS, run_position
 
 FAST = """
 frame.payload_len = 512
@@ -84,7 +84,7 @@ class TestErrors:
 
     def test_bad_value(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_text("ber_tgt = 2.0\n")
+        path.write_text("policy.ber_tgt = 2.0\n")
         assert main(["blockage-sweep", "--config", str(path)]) == EXIT_CONFIG
 
     def test_negative_seed(self, fast_config, capsys):
@@ -197,6 +197,39 @@ class TestConfigEncoding:
             assert main(["calibrate", "--config", str(path)]) == EXIT_OK
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+class TestConfigSize:
+    def test_file_over_the_cap_is_config_error_before_decoding(self, tmp_path, capsys):
+        at_cap, over = tmp_path / "at-cap.cfg", tmp_path / "over.cfg"
+        at_cap.write_bytes(b"base_seed = 3\n#" + b"\xff" * (_MAX_CONFIG_BYTES - 15))
+        over.write_bytes(b"base_seed = 3\n#" + b"\xff" * (_MAX_CONFIG_BYTES - 14))
+        assert main(["calibrate", "--config", str(at_cap)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: line 2: byte 0xff is not UTF-8 text\n"
+        assert main(["calibrate", "--config", str(over)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: line 2: config file exceeds the cap of {_MAX_CONFIG_BYTES} bytes\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not a pair", "line 1: expected key=value, got 'not a pair'"),
+            ("bogus = 1", "bogus: unknown key"),
+            ("frame.sps = four", "frame.sps: cannot parse 'four' as int"),
+            ("policy.initial = SM-3", "policy.initial: value 'SM-3' out of range"),
+            ("x" * 10**6, f"line 1: expected key=value, got '{'x' * _MAX_ECHO_CHARS}...'"),
+            ("x" * 10**6 + " = 1", f"{'x' * _MAX_ECHO_CHARS}...: unknown key"),
+            ("frame.sps = " + "9x" * 500_000, f"frame.sps: cannot parse '{'9x' * (_MAX_ECHO_CHARS // 2)}...' as int"),
+            ("policy.initial = " + "S" * 10**6, f"policy.initial: value '{'S' * (_MAX_ECHO_CHARS - 1)}... out of range"),
+        ],
+        ids=["no-equals", "unknown-key", "bad-int", "bad-mode", "long-no-equals", "long-key", "long-int", "long-mode"],
+    )
+    def test_error_quotes_at_most_a_prefix_of_the_text(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        assert main(["calibrate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert len(err) < 1024
 
 
 class TestOutPath:

@@ -1,4 +1,4 @@
-"""Kernel tests: Gaussian tail, closed-form 2x2 SVD, inversion, RNG."""
+"""Kernel tests: Gaussian tail, closed-form 2x2 singular values, inversion, RNG."""
 
 import math
 
@@ -52,11 +52,6 @@ def random_mat2(rng):
     return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
 
 
-def reconstruct(s) -> np.ndarray:
-    """u @ diag(sigma1, sigma2) @ v^H of an `svd2` result."""
-    return s.u @ np.diag([s.sigma1, s.sigma2]) @ s.v.conj().T
-
-
 class TestSvd2:
     def test_identity(self):
         s = svd2(np.eye(2, dtype=complex))
@@ -70,30 +65,21 @@ class TestSvd2:
     def test_zero_matrix(self):
         s = svd2(np.zeros((2, 2), complex))
         assert s.sigma1 == 0.0 and s.sigma2 == 0.0
-        assert np.linalg.norm(reconstruct(s)) == 0.0
 
     def test_rank_one(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         s = svd2(a)
         assert s.sigma1 == pytest.approx(2.0, rel=1e-12)
         assert s.sigma2 == pytest.approx(0.0, abs=1e-12)
-        assert np.linalg.norm(reconstruct(s) - a) <= 1e-10 * np.linalg.norm(a)
 
-    def test_reconstruction_and_ordering_random(self):
+    def test_matches_numpy_and_ordered_random(self):
         rng = make_rng(123)
         for _ in range(1000):
             a = random_mat2(rng)
             s = svd2(a)
             assert s.sigma1 >= s.sigma2 >= 0.0
-            rel = np.linalg.norm(reconstruct(s) - a) / np.linalg.norm(a)
-            assert rel < 1e-10
-
-    def test_factors_unitary(self):
-        rng = make_rng(5)
-        for _ in range(50):
-            s = svd2(random_mat2(rng))
-            assert np.allclose(s.u.conj().T @ s.u, np.eye(2), atol=1e-12)
-            assert np.allclose(s.v.conj().T @ s.v, np.eye(2), atol=1e-12)
+            want = np.linalg.svd(a, compute_uv=False)
+            assert (s.sigma1, s.sigma2) == pytest.approx(tuple(want), rel=1e-10)
 
     def test_scaling_linearity(self):
         rng = make_rng(77)
