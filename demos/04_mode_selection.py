@@ -7,8 +7,8 @@ Run:  python demos/04_mode_selection.py
 import numpy as np
 
 from vlclink import MODES, StreamSnrs, encode_mode, select_mode
-from vlclink.adapt import AdaptPolicy, controller_step, estimate_snrs, new_controller, predicted_ber
-from vlclink.receiver import ChannelEstimate
+from vlclink.adapt import AdaptPolicy, controller_step, new_controller, predicted_ber
+from vlclink.receiver import ChannelEstimate, stream_snrs
 
 policy = AdaptPolicy()
 print("=== Mode table (3-bit wire codes) ===")
@@ -33,7 +33,7 @@ weak = ChannelEstimate(h_hat=np.eye(2, dtype=complex) * 2.0)
 print("channel alternates strong/weak each frame; applied mode lags the estimate by one frame")
 for frame in range(6):
     est = strong if frame % 2 == 0 else weak
-    applied = controller_step(state, *estimate_snrs(est, 2.0, 1.0), policy)
+    applied = controller_step(state, stream_snrs(est, 2.0, 1.0, "SM"), stream_snrs(est, 2.0, 1.0, "SD"), policy)
     sel = state.pending
     tag = "strong" if frame % 2 == 0 else "weak"
     print(f"frame {frame}: channel {tag:<6} applied {applied.name:<7} -> selected {sel.name}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .modem import QAM_ORDERS, ber_theoretical
-from .receiver import ChannelEstimate, StreamSnrs, stream_snrs
+from .receiver import StreamSnrs, stream_snrs  # noqa: F401 - bench/test_bench.py reads adapt.stream_snrs
 
 __all__ = [
     "Mode",
@@ -22,7 +22,6 @@ __all__ = [
     "AdaptPolicy",
     "ControllerState",
     "new_controller",
-    "estimate_snrs",
     "predicted_ber",
     "select_mode",
     "encode_mode",
@@ -106,12 +105,6 @@ def predicted_ber(mode: Mode, snrs: StreamSnrs) -> float:
     return sum(bers) / len(bers)
 
 
-def estimate_snrs(est: ChannelEstimate, p_total: float, n0: float) -> tuple[StreamSnrs | None, StreamSnrs]:
-    """The SM and SD stream SNRs a controller reads from one estimate; SM is
-    None when the estimate cannot carry two streams (see `stream_snrs`)."""
-    return stream_snrs(est, p_total, n0, "SM"), stream_snrs(est, p_total, n0, "SD")
-
-
 def select_mode(sm_snrs: StreamSnrs | None, sd_snrs: StreamSnrs, policy: AdaptPolicy) -> Mode:
     """Highest-efficiency mode whose predicted BER meets the target.
 
@@ -157,10 +150,10 @@ def controller_step(
     """Advance the controller by one received frame.
 
     The frame just received was transmitted in `state.pending` (the mode fed
-    back one frame earlier), so that mode is applied now; the SNRs this
-    frame's estimate gives (see `estimate_snrs`) drive the selection that
-    becomes pending for the next frame.  Returns the mode applied to the
-    frame just received.
+    back one frame earlier), so that mode is applied now; the SM and SD
+    SNRs of this frame's estimate (`receiver.stream_snrs`; SM None when it
+    cannot carry two streams) drive the selection that becomes pending for
+    the next frame.  Returns the mode applied to the frame just received.
     """
     applied = state.pending
     state.pending = select_mode(sm_snrs, sd_snrs, policy)

@@ -39,7 +39,6 @@ class ParseError(ValueError):
 class ValidationError(ValueError):
     """A config key failed validation.  Carries the offending key."""
 
-    def __init__(self, key: str, message: str = ""):
-        text = f"{key}: {message}" if message else key
-        super().__init__(text)
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key}: {message}")
         self.key = key

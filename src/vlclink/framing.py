@@ -22,9 +22,9 @@ start <= n - 1 - (n_symbols - 1) * sps, filtering only the head those
 starts need.  Past sync the frame is never shaped: `matched_filter_frame`
 gives its noise-free matched-filter output at symbol rate, through one phase
 of the RRC x RRC cascade, and `matched_filter_downsample` filters the real
-noise at the symbol instants alone.  Shaping and both filters are polyphase
-(Vaidyanathan, Multirate Systems and Filter Banks, 1993) and run as banded
-matrix products.
+noise at the symbol instants alone.  The head is shaped by zero-stuffed
+convolution; the two matched filters are polyphase (Vaidyanathan, Multirate
+Systems and Filter Banks, 1993) and run as banded matrix products.
 """
 
 from __future__ import annotations
@@ -207,24 +207,14 @@ def rrc_taps(spec: FrameSpec) -> np.ndarray:
     return taps
 
 
-def _tap_bank(taps: np.ndarray, sps: int) -> np.ndarray:
-    """Taps zero-padded to whole symbols: row j of the (ceil(ntaps/sps), sps)
-    result is taps[j*sps : (j+1)*sps], so column p is the phase-p sub-filter."""
-    depth = -(-taps.size // sps)
-    bank = np.zeros(depth * sps)
-    bank[: taps.size] = taps
-    return bank.reshape(depth, sps)
-
-
 @lru_cache(maxsize=None)
-def _band_pair(taps: bytes, shape: tuple[int, int], step: int) -> np.ndarray:
-    """Tap matrix of `_block_fir`, (2*chunk, block*m) for (ntaps, m) taps: entry
-    [r, t*m + j] is taps[r - t*step, j] where that row exists, else 0."""
-    f = np.frombuffer(taps).reshape(shape)
-    block = -(-shape[0] // step)
+def _band_pair(taps: bytes, step: int) -> np.ndarray:
+    """Tap matrix of `_block_fir`, (2*chunk, block) for ntaps taps: entry
+    [r, t] is taps[r - t*step] where that tap exists, else 0."""
+    f = np.frombuffer(taps)
+    block = -(-f.size // step)
     r = np.arange(2 * block * step)[:, None] - step * np.arange(block)
-    inside = ((r >= 0) & (r < shape[0]))[..., None]
-    bands = np.where(inside, f[np.clip(r, 0, shape[0] - 1)], 0.0).reshape(2 * block * step, -1)
+    bands = np.where((r >= 0) & (r < f.size), f[np.clip(r, 0, f.size - 1)], 0.0)
     bands.flags.writeable = False
     return bands
 
@@ -237,53 +227,31 @@ def _block_width(ntaps: int, step: int, n_out: int) -> int:
 
 
 def _block_fir(x: np.ndarray, taps: np.ndarray, step: int, n_out: int) -> np.ndarray:
-    """y[..., k, j] = sum_i x[..., k*step + i] * taps[i, j] for k < n_out; x real, zero past its end.
+    """y[..., k] = sum_i x[..., k*step + i] * taps[i] for k < n_out; x real, zero past its end.
 
     Outputs go in blocks of ceil(ntaps/step).  The windows of one block span
     its chunk of block*step samples and the next, so a block is two matrix
     products with banded tap matrices.  x is read in place when it holds
     `_block_width` samples.
     """
-    taps = np.ascontiguousarray(taps, dtype=np.float64)
-    bands = _band_pair(taps.tobytes(), taps.shape, step)
-    chunk, block = bands.shape[0] // 2, bands.shape[1] // taps.shape[1]
+    bands = _band_pair(taps.tobytes(), step)
+    chunk, block = bands.shape[0] // 2, bands.shape[1]
     n_blocks = -(-n_out // block)
-    width = _block_width(taps.shape[0], step, n_out)
+    width = _block_width(taps.size, step, n_out)
     if x.shape[-1] < width:
         x = np.concatenate([x, np.zeros(x.shape[:-1] + (width - x.shape[-1],))], axis=-1)
     chunks = x[..., :width].reshape(x.shape[:-1] + (n_blocks + 1, chunk))
     y = chunks[..., :-1, :] @ bands[:chunk]
     y += chunks[..., 1:, :] @ bands[chunk:]
-    return y.reshape(x.shape[:-1] + (n_blocks * block, taps.shape[1]))[..., :n_out, :]
-
-
-def _filter_symbols(symbols: np.ndarray, taps: np.ndarray, first: int, n_out: int) -> np.ndarray:
-    """Complex y[..., k, j] = sum_i symbols[..., first + k + i] * taps[i, j] for
-    k < n_out, the (..., n) symbols taken as zero outside 0..n-1."""
-    lead = max(-first, 0)
-    body = symbols[..., max(first, 0) :]
-    end = lead + body.shape[-1]
-    parts = np.zeros(symbols.shape[:-1] + (2, max(end, _block_width(taps.shape[0], 1, n_out))))
-    parts[..., 0, lead:end] = body.real
-    parts[..., 1, lead:end] = body.imag
-    y = _block_fir(parts, taps, 1, n_out)
-    out = np.empty(y.shape[:-3] + y.shape[-2:], dtype=np.complex128)
-    out.real = y[..., 0, :, :]
-    out.imag = y[..., 1, :, :]
-    return out
+    return y.reshape(x.shape[:-1] + (n_blocks * block,))[..., :n_out]
 
 
 def _upsample_and_shape(symbols: np.ndarray, spec: FrameSpec) -> np.ndarray:
-    """Polyphase interpolation: equal to convolving the zero-stuffed stream.
-
-    Output sample q*sps + p is sum_j symbols[q - j] * taps[j*sps + p], so
-    phase p filters the symbols with `taps[p::sps]`; the bank rows are
-    reversed to match a window.  Works on the last axis of (..., n).
-    """
-    bank = _tap_bank(rrc_taps(spec), spec.sps)[::-1]
-    n = symbols.shape[-1]
-    phases = _filter_symbols(symbols, bank, 1 - bank.shape[0], n + bank.shape[0] - 1)
-    return phases.reshape(symbols.shape[:-1] + (-1,))[..., : n * spec.sps + spec.ntaps - 1]
+    """Each row of the (..., n) symbols zero-stuffed by sps and convolved with
+    the RRC taps: n*sps + ntaps - 1 samples."""
+    stuffed = np.zeros(symbols.shape[:-1] + (symbols.shape[-1] * spec.sps,), dtype=np.complex128)
+    stuffed[..., :: spec.sps] = symbols
+    return np.apply_along_axis(np.convolve, -1, stuffed, rrc_taps(spec))
 
 
 @lru_cache(maxsize=None)
@@ -363,7 +331,7 @@ def matched_filter_downsample(samples: np.ndarray, spec: FrameSpec, start: int, 
     available = (n - 1 - start) // spec.sps + 1 if n > start else 0
     if not 0 <= n_symbols <= available:
         raise ParameterError(f"stream holds {available} symbols after start, need {n_symbols}")
-    return _block_fir(samples[..., start:], rrc_taps(spec)[::-1, None], spec.sps, n_symbols)[..., 0]
+    return _block_fir(samples[..., start:], rrc_taps(spec)[::-1], spec.sps, n_symbols)
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +357,19 @@ def matched_filter_frame(symbols: np.ndarray, spec: FrameSpec, start: int) -> np
     c = start + spec.ntaps - 1
     phase = _cached_cascade(spec)[c % spec.sps :: spec.sps]
     first = c // spec.sps - (phase.size - 1)   # symbol under the first tap of output 0
-    return _filter_symbols(symbols, phase[::-1, None], first, symbols.shape[-1])[..., 0]
+    n = symbols.shape[-1]
+    lead = max(-first, 0)
+    body = symbols[..., max(first, 0) :]
+    end = lead + body.shape[-1]
+    # real and imaginary parts as two rows of one product, zero outside the frame
+    parts = np.zeros(symbols.shape[:-1] + (2, max(end, _block_width(phase.size, 1, n))))
+    parts[..., 0, lead:end] = body.real
+    parts[..., 1, lead:end] = body.imag
+    y = _block_fir(parts, phase[::-1], 1, n)
+    out = np.empty(y.shape[:-2] + (n,), dtype=np.complex128)
+    out.real = y[..., 0, :]
+    out.imag = y[..., 1, :]
+    return out
 
 
 def _best_start(stream: np.ndarray, spec: FrameSpec, last: int) -> tuple[int, float]:

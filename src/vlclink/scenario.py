@@ -37,7 +37,6 @@ from .adapt import (
     ControllerState,
     Mode,
     controller_step,
-    estimate_snrs,
     new_controller,
     parse_mode,
     predicted_ber,
@@ -88,7 +87,7 @@ MAX_BER_POINT_FRAMES = 1 << 16   # cap on the frames one BER point may run: 49 a
 MAX_STREAM_SAMPLES = 1 << 20   # cap on the samples per branch of a frame's received stream
 MAX_RRC_SPAN = 64   # longest RRC filter, in symbols
 MAX_ABS_DB = 300.0   # bound on the dB keys, so their linear powers 10^(dB/10) stay finite and nonzero
-# the matched filter's banded tap matrix holds 16 (rrc_span + 1)^2 sps bytes; the cap admits the
+# matched_filter_downsample's banded tap matrix holds 16 (rrc_span + 1)^2 sps bytes; the cap admits the
 # 16.5 MB of rrc_span = 64 at sps = 244, the largest sps the stream cap admits at the default frame lengths
 MAX_TAP_MATRIX_BYTES = 1 << 24
 
@@ -208,12 +207,14 @@ class ScenarioConfig:
             try:
                 build()
             except ParameterError as exc:
-                raise ValidationError(_PART_KEYS.get(exc.field, prefix), str(exc)) from None
+                raise ValidationError(_PART_KEYS.get(exc.field, prefix), _clip(str(exc))) from None
         # each sweep task draws 2 x 2 x samples float64 noise values per frame index
         spec = self.frame_spec()
         samples = _stream_len(spec)
         if samples > MAX_STREAM_SAMPLES:
-            raise ValidationError("frame", f"stream of {samples} samples per branch exceeds the cap of {MAX_STREAM_SAMPLES}")
+            raise ValidationError(
+                "frame", f"stream of {_clip(str(samples))} samples per branch exceeds the cap of {MAX_STREAM_SAMPLES}"
+            )
         # the pilots are the preamble shifted by _PILOT_SHIFT and tiled, so pilot symbol j starts a whole
         # copy of it; sync searches up to its last admissible start, that less LEAD_PAD past the true one
         p, j = spec.preamble_len, -_PILOT_SHIFT % spec.preamble_len
@@ -574,13 +575,13 @@ class _Run:
         are met.  The controller computes both schemes' SNRs and the report
         reuses its mode's; a fixed run computes only its own scheme's.
         """
-        snrs = None
+        snrs = {}
         if self.controller is not None:
-            snrs = estimate_snrs(result.est, P_TOTAL_REF, N0)
-            controller_step(self.controller, *snrs, self.policy)
+            snrs = {scheme: stream_snrs(result.est, P_TOTAL_REF, N0, scheme) for scheme in ("SM", "SD")}
+            controller_step(self.controller, snrs["SM"], snrs["SD"], self.policy)
         if frame_idx >= SETTLING_FRAMES:
             scheme = result.mode.scheme
-            own = stream_snrs(result.est, P_TOTAL_REF, N0, scheme) if snrs is None else snrs[0 if scheme == "SM" else 1]
+            own = snrs[scheme] if snrs else stream_snrs(result.est, P_TOTAL_REF, N0, scheme)
             self.measured_frames += 1
             self.bits += result.bits
             self.errors += result.errors
@@ -823,9 +824,8 @@ def run_ber_sweep(config: ScenarioConfig, jobs: int | None = None) -> list[BerSw
     grid = _grid("bersweep.snr_", config.bersweep_snr_start, config.bersweep_snr_step, config.bersweep_snr_stop)
     frames = config.bersweep_max_bits // _frame_bits(Mode("SD", 4), config.frame_spec()) + 1
     if frames > MAX_BER_POINT_FRAMES:
-        raise ValidationError(
-            "bersweep.max_bits", f"an SD-4 point would run {frames} frames, over the cap of {MAX_BER_POINT_FRAMES}"
-        )
+        msg = f"an SD-4 point would run {_clip(str(frames))} frames, over the cap of {MAX_BER_POINT_FRAMES}"
+        raise ValidationError("bersweep.max_bits", msg)
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=None))
     est_true = ChannelEstimate(h_norm)
     tasks = [

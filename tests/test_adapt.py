@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from vlclink import MODES, Mode, StreamSnrs, ber_theoretical, encode_mode, make_rng, qam_demap, qam_map, select_mode
-from vlclink.adapt import AdaptPolicy, controller_step, estimate_snrs, new_controller, parse_mode, predicted_ber
+from vlclink.adapt import AdaptPolicy, controller_step, new_controller, parse_mode, predicted_ber
 from vlclink.errors import ParameterError
 from vlclink.receiver import ChannelEstimate, stream_snrs
 
@@ -167,14 +167,11 @@ def est_for(h) -> ChannelEstimate:
 
 def snrs_for(h):
     """(SM, SD) stream SNRs of the exact estimate h at p_total 2, n0 1."""
-    return estimate_snrs(est_for(h), 2.0, 1.0)
+    est = est_for(h)
+    return stream_snrs(est, 2.0, 1.0, "SM"), stream_snrs(est, 2.0, 1.0, "SD")
 
 
 class TestEstimateSnrs:
-    def test_both_schemes_from_stream_snrs(self):
-        est = est_for([[40.0, 3.0], [1.0, 35.0]])
-        assert estimate_snrs(est, 2.0, 1.0) == (stream_snrs(est, 2.0, 1.0, "SM"), stream_snrs(est, 2.0, 1.0, "SD"))
-
     def test_singular_estimate_has_no_sm_snrs(self):
         sm, sd = snrs_for(np.diag([30.0, 0.0]))
         assert sm is None

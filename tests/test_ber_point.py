@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vlclink import Mode, channel_matrix, parse_config, run_ber_sweep
-from vlclink import adapt, scenario
+from vlclink import scenario
 from vlclink.numerics import make_rng
 from vlclink.scenario import (
     LEAD_PAD,
@@ -113,14 +113,13 @@ class TestNoQualityReads:
     def test_ber_point_computes_no_stream_snrs(self, monkeypatch):
         """A BER point reads errors and bits only, and computes no stream SNRs."""
         calls = []
-        for module in (scenario, adapt):
-            real = module.stream_snrs
+        real = scenario.stream_snrs
 
-            def spy(*args, _real=real, **kwargs):
-                calls.append(args)
-                return _real(*args, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(module, "stream_snrs", spy)
+        monkeypatch.setattr(scenario, "stream_snrs", spy)
         cfg = parse_config(SMALL_TEXT + "sweep.positions.start = 0\nsweep.positions.stop = 0\nsnr_db = 30\n"
                            "sweep.payload_bits = 4000\n")
         measure_mode_ber(cfg, Mode("SM", 16), 10.0 ** 2.4, SEED, 40, 20_000)

@@ -9,8 +9,18 @@ from hypothesis import strategies as st
 
 from test_lockstep import count_calls
 from vlclink import ScenarioConfig, ValidationError, cli, load_config, parse_config, run_ber_sweep, run_blockage_sweep
+from vlclink import scenario
 from vlclink.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from vlclink.scenario import _KEY_FIELDS, _MAX_CONFIG_BYTES, _MAX_ECHO_CHARS, run_position
+
+COMMANDS = ["calibrate", "blockage-sweep", "ber-sweep"]
+INT_KEYS = sorted(key for key, f in _KEY_FIELDS.items() if f.metadata["parse"] is int)
+# (key, command) pairs a 4000-digit value leaves valid: the key admits any size, or the command does not read it
+VALID_AT_4000_DIGITS = {(key, command) for key in ("base_seed", "bersweep.min_errors") for command in COMMANDS} | {
+    ("sweep.payload_bits", "calibrate"), ("sweep.payload_bits", "ber-sweep"),
+    ("bersweep.max_bits", "calibrate"), ("bersweep.max_bits", "blockage-sweep"),
+}
+PREAMBLE_RULE = "preamble_len must be 2^d - 1 for d in 3..7, got "
 
 FAST = """
 frame.payload_len = 512
@@ -220,8 +230,16 @@ class TestConfigSize:
             ("x" * 10**6 + " = 1", f"{'x' * _MAX_ECHO_CHARS}...: unknown key"),
             ("frame.sps = " + "9x" * 500_000, f"frame.sps: cannot parse '{'9x' * (_MAX_ECHO_CHARS // 2)}...' as int"),
             ("policy.initial = " + "S" * 10**6, f"policy.initial: value '{'S' * (_MAX_ECHO_CHARS - 1)}... out of range"),
+            ("frame.preamble_len = 10", f"frame.preamble_len: {PREAMBLE_RULE}10"),
+            ("frame.sps = 1000", "frame: stream of 4241320 samples per branch exceeds the cap of 1048576"),
+            ("frame.preamble_len = " + "9" * 4000,
+             f"frame.preamble_len: {PREAMBLE_RULE}{'9' * (_MAX_ECHO_CHARS - len(PREAMBLE_RULE))}..."),
+            # 320 + 4241 sps samples, so 4241 * 10^4000 - 3921 at sps = 10^4000 - 1
+            ("frame.sps = " + "9" * 4000,
+             f"frame: stream of 4240{'9' * (_MAX_ECHO_CHARS - 4)}... samples per branch exceeds the cap of 1048576"),
         ],
-        ids=["no-equals", "unknown-key", "bad-int", "bad-mode", "long-no-equals", "long-key", "long-int", "long-mode"],
+        ids=["no-equals", "unknown-key", "bad-int", "bad-mode", "long-no-equals", "long-key", "long-int", "long-mode",
+             "frame-rule", "stream-cap", "long-frame-rule", "long-stream-cap"],
     )
     def test_error_quotes_at_most_a_prefix_of_the_text(self, text, message, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -230,6 +248,27 @@ class TestConfigSize:
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
         assert len(err) < 1024
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_integer_of_4000_digits_is_valid_or_a_short_config_error(self, key, command, tmp_path, monkeypatch,
+                                                                     capsys):
+        def reached(*args, **kwargs):
+            raise RuntimeError("the sweep reached its tasks")
+
+        monkeypatch.setattr(scenario, "_map_tasks", reached)   # a valid sweep stops before its first frame
+        path = tmp_path / "big.cfg"
+        path.write_text(f"{key} = {'9' * 4000}\n")
+        code = main([command, "--config", str(path)])
+        err = capsys.readouterr().err
+        if (key, command) in VALID_AT_4000_DIGITS:
+            if command == "calibrate":
+                assert (code, err) == (EXIT_OK, "")
+            else:
+                assert (code, err) == (EXIT_RUNTIME, "runtime error: the sweep reached its tasks\n")
+        else:
+            assert code == EXIT_CONFIG and err.startswith("config error: ")
+            assert len(err.encode()) <= 256
 
 
 class TestOutPath:
@@ -303,6 +342,10 @@ SWEEP_RULES = [
                  "bersweep.snr_step: grid of 2.6e+07 points exceeds the cap of 10000", id="snr-cap"),
     pytest.param("bersweep.max_bits = 1000000000000\n", "ber-sweep",
                  "bersweep.max_bits: an SD-4 point would run 122070313 frames, over the cap of 65536", id="max-bits"),
+    # (10^4000 - 1) // 8192 + 1 is 1220703125 * 10^3987
+    pytest.param("bersweep.max_bits = " + "9" * 4000 + "\n", "ber-sweep",
+                 f"bersweep.max_bits: an SD-4 point would run 1220703125{'0' * 70}... frames, over the cap of 65536",
+                 id="long-max-bits"),
     # half a step below half the float spacing at stop: stop + step / 2 rounds to stop, so the grid is empty
     pytest.param("sweep.positions.start = 3.602879701896397e16\nsweep.positions.stop = 3.602879701896397e16\n",
                  "blockage-sweep",

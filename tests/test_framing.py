@@ -24,6 +24,7 @@ from vlclink.errors import ParameterError, SyncNotFound
 from vlclink.framing import (
     SYNC_THRESHOLD,
     FrameSpec,
+    _band_pair,
     _best_start,
     _upsample_and_shape,
     build_head,
@@ -71,6 +72,15 @@ class TestRrcTaps:
 
     def test_one_table_per_spec(self):
         assert rrc_taps(FrameSpec()) is rrc_taps(SPEC)
+
+
+class TestTapMatrix:
+    @given(frame_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_matched_filter_matrix_has_the_capped_size(self, spec):
+        # ScenarioConfig bounds 16 (rrc_span + 1)^2 sps by MAX_TAP_MATRIX_BYTES: the bytes of this matrix
+        bands = _band_pair(rrc_taps(spec)[::-1].tobytes(), spec.sps)
+        assert bands.nbytes == 16 * (spec.rrc_span + 1) ** 2 * spec.sps
 
 
 class TestPreamble:

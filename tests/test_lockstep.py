@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from test_modem import pack_labels
 from vlclink import Mode, ScenarioConfig, calibrate, channel_matrix, parse_config, run_blockage_sweep
-from vlclink import adapt, scenario
-from vlclink.adapt import controller_step, estimate_snrs, new_controller
+from vlclink import scenario
+from vlclink.adapt import controller_step, new_controller
 from vlclink.errors import SingularMatrix
 from vlclink.framing import FrameSpec, head_symbols
 from vlclink.metrics import LinkReport, error_free_efficiency
@@ -113,7 +113,7 @@ def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, 
             decode=True,
         )
         used.append((frame_idx, mode))
-        sm_snrs, sd_snrs = estimate_snrs(result.est, P_TOTAL_REF, N0)
+        sm_snrs, sd_snrs = (stream_snrs(result.est, P_TOTAL_REF, N0, scheme) for scheme in ("SM", "SD"))
         if state is not None:
             controller_step(state, sm_snrs, sd_snrs, policy)
         if frame_idx >= SETTLING_FRAMES:
@@ -357,16 +357,15 @@ class TestPayloadBits:
 
 
 def spy_stream_snrs(monkeypatch):
-    """The scheme of each `stream_snrs` call from `scenario` or `adapt`, from now on."""
+    """The scheme of each `stream_snrs` call from `scenario`, from now on."""
     schemes = []
-    for module in (scenario, adapt):
-        real = module.stream_snrs
+    real = scenario.stream_snrs
 
-        def spy(est, p_total, n0, scheme, _real=real):
-            schemes.append(scheme)
-            return _real(est, p_total, n0, scheme)
+    def spy(est, p_total, n0, scheme):
+        schemes.append(scheme)
+        return real(est, p_total, n0, scheme)
 
-        monkeypatch.setattr(module, "stream_snrs", spy)
+    monkeypatch.setattr(scenario, "stream_snrs", spy)
     return schemes
 
 

@@ -191,7 +191,7 @@ class TestSharedCachesReadOnly:
             _cached_mseq(63),
             rrc_taps(FrameSpec()),
             _cached_cascade(FrameSpec()),
-            _band_pair(np.ones(41).tobytes(), (41, 1), 4),
+            _band_pair(np.ones(41).tobytes(), 4),
             pilot_symbols(FrameSpec()),
         )
         for table in tables:
