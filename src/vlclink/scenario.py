@@ -353,21 +353,21 @@ def _transmit_p_total(config: ScenarioConfig) -> float:
     return calibrate(config)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameResult:
-    """What one chain run measured: the channel estimate always, the decoded
-    payload only when `_run_frame` was asked to decode it (None otherwise).
-    The result shares no array with the task's noise buffer, so a later draw
-    leaves it unchanged."""
+    """The one record of a frame: its mode, payload bits, channel estimate and
+    sync start, and, when `_run_frame` decoded it, its bit errors and EVM
+    powers (None otherwise).  It holds no per-symbol array, so a run can keep
+    every frame it measured, and it shares nothing with the task's noise
+    buffer, so a later draw leaves it unchanged."""
 
     mode: Mode
     bits: int
     est: ChannelEstimate
     sync_index: int
-    detected: np.ndarray | None = None   # payload symbols after ZF / MRC, one row per stream
-    errors: int | None = None            # bit errors of the hard decisions on `detected`
-    err_power: float | None = None       # sum of |detected - sent|^2
-    ref_power: float | None = None       # sum of |sent|^2
+    errors: int | None = None         # bit errors of the hard decisions on the detected payload
+    err_power: float | None = None    # sum of |detected - sent|^2
+    ref_power: float | None = None    # sum of |sent|^2
 
 
 def _bits_rng(seed: tuple[int, ...], frame_idx: int) -> np.random.Generator:
@@ -451,8 +451,9 @@ class _FrontEnds:
 
 
 def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, decode: bool = False) -> FrameResult:
-    """One frame through the chain: build, channel, sync, estimate and, when
-    `decode` is set, detect, demap and count errors.
+    """One frame through the chain, as its `FrameResult`: build, channel,
+    sync, estimate and, when `decode` is set, detect, demap, count errors and
+    sum the EVM powers.  The detected payload stays here.
 
     `bits` holds the frame's payload bits packed into bytes (`_packed_bits`),
     possibly followed by more.  `front_end` is the task's `_FrontEnds`: it
@@ -476,15 +477,13 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, decode: bool
     n_p = spec.pilot_len
     segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
     est = estimate_channel(segments, front_end.pilots)
-    result = FrameResult(mode, _frame_bits(mode, spec), est, start)
-    if decode:
-        received = symbols[:, lay.payload :]
-        detected = detect_sm_zf(received, est) if mode.scheme == "SM" else combine_sd_mrc(received, est)[None, :]
-        result.detected = detected
-        result.errors = label_bit_errors(tx_labels, demap_labels(detected, mode.order))
-        result.err_power = float(np.sum(np.abs(detected - sent) ** 2))
-        result.ref_power = float(np.sum(np.abs(sent) ** 2))
-    return result
+    if not decode:
+        return FrameResult(mode, _frame_bits(mode, spec), est, start)
+    received = symbols[:, lay.payload :]
+    detected = detect_sm_zf(received, est) if mode.scheme == "SM" else combine_sd_mrc(received, est)[None, :]
+    errors = label_bit_errors(tx_labels, demap_labels(detected, mode.order))
+    powers = float(np.sum(np.abs(detected - sent) ** 2)), float(np.sum(np.abs(sent) ** 2))
+    return FrameResult(mode, _frame_bits(mode, spec), est, start, errors, *powers)
 
 
 # What a run reads of a frame: nothing, only the channel estimate, or the decoded payload.
@@ -539,19 +538,14 @@ def _lockstep(
 
 @dataclass
 class _Run:
-    """One of the three runs at a position: its controller or fixed mode, and its tallies."""
+    """One of the three runs at a position: its controller or fixed mode, and
+    the frames it measured, in frame order."""
 
     config: ScenarioConfig
     policy: AdaptPolicy
     fixed_mode: Mode | None
     controller: ControllerState | None = None
-    measured_frames: int = 0
-    bits: int = 0
-    errors: int = 0
-    err_power: float = 0.0
-    ref_power: float = 0.0
-    snr_records: list[tuple[str, tuple[float, ...]]] = field(default_factory=list)
-    last_mode: Mode | None = None
+    frames: list[FrameResult] = field(default_factory=list)
     done: bool = False
 
     @property
@@ -567,57 +561,55 @@ class _Run:
         return _ESTIMATE if self.controller is not None else _NOTHING
 
     def record(self, frame_idx: int, result: FrameResult) -> None:
-        """Account one frame sent in `result.mode`, then apply the stop rule.
+        """Step the controller on `result`, keep it if measured, then apply the stop rule.
 
-        The first SETTLING_FRAMES frames are transmitted but excluded from the
-        report, and only the controller reads them; measurement then continues
-        until both the frames_per_position budget and the payload_bits budget
-        are met.  The controller computes both schemes' SNRs and the report
-        reuses its mode's; a fixed run computes only its own scheme's.
+        The first SETTLING_FRAMES frames are transmitted but not kept, and
+        only the controller reads them; measurement then continues until both
+        the frames_per_position budget and the payload_bits budget are met.
         """
-        snrs = {}
         if self.controller is not None:
-            snrs = {scheme: stream_snrs(result.est, P_TOTAL_REF, N0, scheme) for scheme in ("SM", "SD")}
-            controller_step(self.controller, snrs["SM"], snrs["SD"], self.policy)
+            snrs = (stream_snrs(result.est, P_TOTAL_REF, N0, scheme) for scheme in ("SM", "SD"))
+            controller_step(self.controller, *snrs, self.policy)
         if frame_idx >= SETTLING_FRAMES:
-            scheme = result.mode.scheme
-            own = snrs[scheme] if snrs else stream_snrs(result.est, P_TOTAL_REF, N0, scheme)
-            self.measured_frames += 1
-            self.bits += result.bits
-            self.errors += result.errors
-            self.err_power += result.err_power
-            self.ref_power += result.ref_power
-            self.last_mode = result.mode
-            if own is not None:
-                self.snr_records.append((scheme, own.snr))
+            self.frames.append(result)
         self.done = (
-            self.measured_frames >= self.config.frames_per_position - SETTLING_FRAMES
-            and self.bits >= self.config.payload_bits
+            len(self.frames) >= self.config.frames_per_position - SETTLING_FRAMES
+            and sum(frame.bits for frame in self.frames) >= self.config.payload_bits
         )
 
     def report(self, position_cm: float) -> LinkReport:
-        ber = self.errors / self.bits
-        matching = [snr for scheme, snr in self.snr_records if scheme == self.last_mode.scheme]
-        if matching:
-            mean_lin = np.mean(np.asarray(matching), axis=0)
-            snrs_db = tuple(10.0 * math.log10(v) for v in mean_lin)
-        else:
-            snrs_db = ()
+        """The row of the kept frames: their bit, error and EVM-power sums, the
+        last frame's mode, and the mean stream SNRs of the frames sent in that
+        mode's scheme, each from the frame's own estimate."""
+        bits = errors = 0
+        err_power = ref_power = 0.0
+        for frame in self.frames:   # `+` in frame order: from Python 3.12 sum() compensates float sums
+            bits += frame.bits
+            errors += frame.errors
+            err_power += frame.err_power
+            ref_power += frame.ref_power
+        mode = self.frames[-1].mode
+        ber = errors / bits
+        own = [stream_snrs(f.est, P_TOTAL_REF, N0, mode.scheme) for f in self.frames if f.mode.scheme == mode.scheme]
+        matching = [snrs.snr for snrs in own if snrs is not None]
+        snrs_db = tuple(10.0 * math.log10(v) for v in np.mean(matching, axis=0)) if matching else ()
         return LinkReport(
             position_cm=position_cm,
-            mode=self.last_mode,
-            bits_sent=self.bits,
-            bit_errors=self.errors,
+            mode=mode,
+            bits_sent=bits,
+            bit_errors=errors,
             ber=ber,
-            eff_bshz=error_free_efficiency(self.last_mode, ber, self.policy.ber_tgt),
+            eff_bshz=error_free_efficiency(mode, ber, self.policy.ber_tgt),
             snrs_db=snrs_db,
-            evm=math.sqrt(self.err_power / self.ref_power) if self.ref_power > 0 else 0.0,
+            evm=math.sqrt(err_power / ref_power) if ref_power > 0 else 0.0,
         )
 
 
 @dataclass
 class _BerRun:
-    """A BER point: one fixed mode, its error and bit tallies, and its stop rule."""
+    """A BER point: one fixed mode, its running error and bit sums and its
+    stop rule.  It keeps no frames, as a point may run MAX_BER_POINT_FRAMES
+    of them."""
 
     mode: Mode
     min_errors: int

@@ -5,8 +5,9 @@ run on `configs/default.cfg`; of `blockage-sweep` on short frames, a 1 cm
 grid and eight frames per position, where the per-frame paths weigh about
 three times more; and of both sweeps on the small config with
 `frame.pilot_len = 8` that CI also runs, where the sync head reaches the
-payload, so the modes of one frame index do not share a front end.  The
-demos that print without writing files are pinned by their stdout.  A
+payload, so the modes of one frame index do not share a front end.  Each
+demo is pinned by its stdout and by every file it writes: demo 05 writes
+the default blockage CSV and the received constellation at x = 0.  A
 change that alters any output must say why and re-baseline the digest here;
 the seed-1 digests of the default sweeps and of the short-frame sweep, and
 that sweep's config, are read from the benchmark's workload table
@@ -69,6 +70,13 @@ DEMO_STDOUT = {
     "02_pulse_shaping.py": "3cf98f4b85bbd86c7e12d10f3ad9c8990b8083916a7fc7275bb2d82121874dd6",
     "03_channel_geometry.py": "9b7b42da2a0637225bc66d90b6dff21f1c61c942844665fc9963e9a20720d97f",
     "04_mode_selection.py": "11d3122380468a3d3fd7fd3b7324369993b3e832706463c2dd6bd5cda0b7b1e7",
+    "05_blockage_sweep.py": "bad551f21b0c22d79cda5e841d9bee95ee158c07e294a00ea410ed2672fd6892",
+}
+DEMO_FILES = {
+    "05_blockage_sweep.py": {
+        "blockage_sweep.csv": GOLDEN["blockage-sweep"],
+        "constellation_center.csv": "88979c61c46a3f8d6e8e2584473ced1950e4d190d72a83269da6800484476044",
+    },
 }
 
 SWEEPS = {
@@ -106,4 +114,5 @@ def test_demo_stdout_digest(demo, tmp_path):
         [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True, check=True, timeout=120
     )
     assert hashlib.sha256(run.stdout).hexdigest() == DEMO_STDOUT[demo]
-    assert not any(tmp_path.iterdir())
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert written == DEMO_FILES.get(demo, {})

@@ -10,6 +10,7 @@ noise with the former in-place formula.  Both must give identical reports,
 compared with exact equality.
 """
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -27,7 +28,7 @@ from vlclink.framing import FrameSpec, head_symbols
 from vlclink.metrics import LinkReport, error_free_efficiency
 from vlclink.modem import map_labels, unpack_labels
 from vlclink.numerics import make_rng
-from vlclink.receiver import stream_snrs
+from vlclink.receiver import ChannelEstimate, stream_snrs
 from vlclink.scenario import (
     LEAD_PAD,
     N0,
@@ -351,7 +352,7 @@ class TestPayloadBits:
         assert result.ref_power == float(np.sum(np.abs(sent.reshape(mode.streams, -1)) ** 2))
         # without `decode` the chain stops at the same estimate and sync start
         estimated = _run_frame(mode, bits, front_end)
-        assert (estimated.detected, estimated.errors, estimated.err_power, estimated.ref_power) == (None,) * 4
+        assert (estimated.errors, estimated.err_power, estimated.ref_power) == (None,) * 3
         assert np.array_equal(estimated.est.h_hat, result.est.h_hat)
         assert (estimated.sync_index, estimated.bits) == (result.sync_index, result.bits)
 
@@ -375,13 +376,13 @@ class TestDecodeInOnePlace:
     def test_stream_snrs_calls_of_the_default_sweep(self, monkeypatch):
         schemes = spy_stream_snrs(monkeypatch)
         run_blockage_sweep(ScenarioConfig(), jobs=1)
-        # 82 for calibration, both schemes for each of the controller's 111 frames and one for
-        # each of the fixed runs' 216 measured frames; 718 when every chain run computed both
-        assert len(schemes) == 82 + 2 * 111 + 216
+        # 82 for calibration, both schemes for each of the controller's 111 frames, and in the
+        # reports one for each of the adaptive run's 57 and the fixed runs' 216 measured frames
+        assert len(schemes) == 82 + 2 * 111 + 57 + 216
 
     @pytest.mark.parametrize(
         "fixed_mode, want",
-        [(Mode("SM", 64), ["SM"]), (Mode("SD", 64), ["SD"]), (None, ["SM", "SD"])],
+        [(Mode("SM", 64), []), (Mode("SD", 64), []), (None, ["SM", "SD"])],
         ids=["fixed-SM-64", "fixed-SD-64", "adaptive"],
     )
     def test_each_run_computes_the_snrs_it_reads(self, fixed_mode, want, monkeypatch):
@@ -396,8 +397,12 @@ class TestDecodeInOnePlace:
         run = scenario._Run(cfg, policy, fixed_mode, None if fixed_mode else new_controller(policy))
         schemes = spy_stream_snrs(monkeypatch)
         run.record(SETTLING_FRAMES, result)
-        assert schemes == want   # the controller's SNRs serve its report too
-        assert run.snr_records == [(mode.scheme, stream_snrs(result.est, P_TOTAL_REF, N0, mode.scheme).snr)]
+        assert schemes == want   # the controller's, if any; a fixed run computes none until its report
+        assert len(run.frames) == 1 and run.frames[0] is result
+        report = run.report(0.0)
+        assert schemes == want + [mode.scheme]   # the report's, from the kept frame's estimate
+        snrs = stream_snrs(result.est, P_TOTAL_REF, N0, mode.scheme).snr
+        assert report.snrs_db == tuple(10.0 * math.log10(v) for v in snrs)
 
     def test_detector_error_raises_from_run_frame(self, monkeypatch):
         decodes, raised = [], []
@@ -420,6 +425,80 @@ class TestDecodeInOnePlace:
             run_position(parse_config(SMALL_SWEEP_TEXT), 0)
         assert raised == [Mode("SM", 64)]   # the fixed SM-64 run's first measured frame
         assert decodes[:SETTLING_FRAMES] == [False] * SETTLING_FRAMES and decodes[-1] is True
+
+
+def switching_runs(monkeypatch):
+    """(runs, chain runs, used) of SWITCHING_TEXT's one position: its adaptive, fixed
+    SM-64 and fixed SD-64 `_Run`s stepped by `_lockstep` as `run_position` steps them,
+    the (frame index, mode, record) of each `_run_frame` call, in call order, and the
+    sequential reference's per-run lists of simulated (frame index, mode)."""
+    cfg = parse_config(SWITCHING_TEXT)
+    p_total = calibrate(cfg)
+    _, used = reference_run_position(cfg, 0, p_total)
+    policy = cfg.policy()
+    runs = [
+        scenario._Run(cfg, policy, mode, None if mode is not None else new_controller(policy))
+        for mode in (None, Mode("SM", 64), Mode("SD", 64))
+    ]
+    frame_indices, chain_runs = [], []
+    real_bits_rng, real_run_frame = scenario._bits_rng, scenario._run_frame
+
+    def spy_bits_rng(seed, frame_idx):
+        frame_indices.append(frame_idx)
+        return real_bits_rng(seed, frame_idx)
+
+    def spy_run_frame(mode, *args):
+        result = real_run_frame(mode, *args)
+        chain_runs.append((frame_indices[-1], mode, result))
+        return result
+
+    monkeypatch.setattr(scenario, "_bits_rng", spy_bits_rng)
+    monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
+    x = float(cfg.positions()[0])
+    scenario._lockstep(runs, cfg, x, p_total, (cfg.base_seed,), scenario._MAX_FRAMES_PER_POSITION)
+    return runs, chain_runs, used
+
+
+class TestFrameRecords:
+    """`FrameResult` is the one per-frame record: a blockage run keeps the frames it
+    measured, and its report is a reduction over them."""
+
+    def test_record_is_frozen_and_holds_no_per_symbol_array(self):
+        spec = parse_config(SMALL_SWEEP_TEXT).frame_spec()
+        front_end = _FrontEnds(30.0 * np.eye(2, dtype=complex), spec)
+        front_end.draw((5,), 0)
+        mode = Mode("SM", 16)
+        result = _run_frame(mode, _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec)), front_end, decode=True)
+        assert None not in (result.errors, result.err_power, result.ref_power)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.errors = 0
+        values = [getattr(result, f.name) for f in dataclasses.fields(result)]
+        assert not any(isinstance(value, np.ndarray) for value in values)
+        assert isinstance(result.est, ChannelEstimate)
+
+    def test_adaptive_run_keeps_its_measured_frames_in_order(self, monkeypatch):
+        (adaptive, fixed_sm64, _), chain_runs, used = switching_runs(monkeypatch)
+        records = {(frame_idx, mode): result for frame_idx, mode, result in chain_runs}
+        assert len(records) == len(chain_runs)   # one chain run per (frame index, mode)
+        measured = [pair for pair in used[0] if pair[0] >= SETTLING_FRAMES]
+        assert [id(frame) for frame in adaptive.frames] == [id(records[pair]) for pair in measured]
+        assert {Mode("SM", 16), Mode("SM", 64)} <= {frame.mode for frame in adaptive.frames}
+        # both runs keep frame index SETTLING_FRAMES + i at i, and share its record when both send SM-64
+        shared = [(a, f) for a, f in zip(adaptive.frames, fixed_sm64.frames) if a.mode == Mode("SM", 64)]
+        assert shared and all(a is f for a, f in shared)
+
+    def test_report_is_the_sequential_reduction_of_the_kept_frames(self, monkeypatch):
+        runs, _, _ = switching_runs(monkeypatch)
+        for run in runs:
+            bits = errors = 0
+            err_power = ref_power = 0.0
+            for frame in run.frames:
+                bits += frame.bits
+                errors += frame.errors
+                err_power += frame.err_power
+                ref_power += frame.ref_power
+            report = run.report(1.0)
+            assert (report.bits_sent, report.bit_errors, report.evm) == (bits, errors, math.sqrt(err_power / ref_power))
 
 
 def count_calls(monkeypatch, names):
