@@ -9,8 +9,8 @@ Without --config all defaults apply; without --out results go to stdout.
 An --out path that is a directory, or whose directory is missing or not
 writable, is a config error found before any work; the file is written only
 after a successful run.
---jobs sets the sweep's worker threads (default: the usable CPUs); the output
-is the same for every value.
+--jobs N runs the sweep on the calling thread plus N - 1 helper threads
+(default: N is the usable CPUs); the output is the same for every value.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--jobs",
                 type=int,
                 metavar="N",
-                help="worker threads, at most the usable CPUs and the sweep's tasks (default: usable CPUs)",
+                help="threads that run the sweep: the calling thread plus N - 1 helpers, "
+                "at most the usable CPUs and the sweep's tasks (default: usable CPUs)",
             )
     return parser
 

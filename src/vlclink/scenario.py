@@ -26,6 +26,7 @@ import itertools
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass, field, fields
 from typing import IO, Callable, Sequence
 
@@ -356,10 +357,11 @@ def _transmit_p_total(config: ScenarioConfig) -> float:
 @dataclass(frozen=True)
 class FrameResult:
     """The one record of a frame: its mode, payload bits, channel estimate and
-    sync start, and, when `_run_frame` decoded it, its bit errors and EVM
-    powers (None otherwise).  It holds no per-symbol array, so a run can keep
-    every frame it measured, and it shares nothing with the task's noise
-    buffer, so a later draw leaves it unchanged."""
+    sync start, its bit errors when `_run_frame` decoded it, and its EVM
+    powers when a reader asked for them too (None otherwise).  It holds no
+    per-symbol array, so a run can keep every frame it measured, and it
+    shares nothing with the task's noise buffer, so a later draw leaves it
+    unchanged."""
 
     mode: Mode
     bits: int
@@ -406,6 +408,11 @@ def _frame_noise(spec: FrameSpec, seed: tuple[int, ...], frame_idx: int, out=Non
     return awgn((2, _stream_len(spec)), N0, rng, out=out)
 
 
+# What a run reads of a frame, each level including the ones before it: nothing, the channel
+# estimate, the bit errors of the decoded payload, or those and its EVM powers.
+_NOTHING, _ESTIMATE, _ERRORS, _EVM = range(4)
+
+
 class _FrontEnds:
     """The mode-independent part of the chain for one sweep task (a position or
     a BER point), which runs on one thread.
@@ -450,10 +457,11 @@ class _FrontEnds:
         return self._ends[key]
 
 
-def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, decode: bool = False) -> FrameResult:
+def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, reads: int = _ESTIMATE) -> FrameResult:
     """One frame through the chain, as its `FrameResult`: build, channel,
-    sync, estimate and, when `decode` is set, detect, demap, count errors and
-    sum the EVM powers.  The detected payload stays here.
+    sync and estimate; from `reads` = `_ERRORS` on, detect, demap and count
+    errors; at `_EVM`, also sum the EVM powers.  The detected payload
+    stays here.
 
     `bits` holds the frame's payload bits packed into bytes (`_packed_bits`),
     possibly followed by more.  `front_end` is the task's `_FrontEnds`: it
@@ -477,17 +485,15 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, decode: bool
     n_p = spec.pilot_len
     segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
     est = estimate_channel(segments, front_end.pilots)
-    if not decode:
+    if reads < _ERRORS:
         return FrameResult(mode, _frame_bits(mode, spec), est, start)
     received = symbols[:, lay.payload :]
     detected = detect_sm_zf(received, est) if mode.scheme == "SM" else combine_sd_mrc(received, est)[None, :]
     errors = label_bit_errors(tx_labels, demap_labels(detected, mode.order))
+    if reads < _EVM:
+        return FrameResult(mode, _frame_bits(mode, spec), est, start, errors)
     powers = float(np.sum(np.abs(detected - sent) ** 2)), float(np.sum(np.abs(sent) ** 2))
     return FrameResult(mode, _frame_bits(mode, spec), est, start, errors, *powers)
-
-
-# What a run reads of a frame: nothing, only the channel estimate, or the decoded payload.
-_NOTHING, _ESTIMATE, _DECODED = range(3)
 
 
 def _lockstep(
@@ -502,14 +508,14 @@ def _lockstep(
     `frame_limit` indices.
 
     A run has `mode`, the mode of its next frame, a `done` flag,
-    `reads(frame_idx)`, what it reads of that frame (`_NOTHING`, `_ESTIMATE`
-    or `_DECODED`), and `record(frame_idx, result)`, which applies its own
+    `reads(frame_idx)`, what it reads of that frame (`_NOTHING`, `_ESTIMATE`,
+    `_ERRORS` or `_EVM`), and `record(frame_idx, result)`, which applies its own
     stop rule.  The runs share per-frame seeds, so frame index k carries the
     same noise and the same payload-bit stream in each of them.  A frame
     index is simulated only for the active runs that read it: its noise and
     payload bits are drawn once, the bits as many as the most any of those
     runs needs, and the frame chain runs once per distinct mode among them,
-    decoding when any of them reads the decoded frame; its result, which
+    as far as the most any run in that mode reads; its result, which
     depends only on (mode, h_eff, spec, seeds), goes to every such run in
     that mode.  The chain runs of a frame index share its sync front end
     (see `_FrontEnds`).
@@ -521,17 +527,17 @@ def _lockstep(
         active = [run for run in runs if not run.done]
         if not active:
             break
-        readers, decode = [], {}
+        readers, reads = [], {}
         for run in active:
             level = run.reads(frame_idx)
             if level != _NOTHING:
                 readers.append((run, run.mode))
-                decode[run.mode] = decode.get(run.mode, False) or level == _DECODED
+                reads[run.mode] = max(reads.get(run.mode, _NOTHING), level)
         if not readers:
             continue
         front_end.draw(seed, frame_idx)
-        bits = _packed_bits(_bits_rng(seed, frame_idx), max(_frame_bits(mode, spec) for mode in decode))
-        results = {mode: _run_frame(mode, bits, front_end, dec) for mode, dec in decode.items()}
+        bits = _packed_bits(_bits_rng(seed, frame_idx), max(_frame_bits(mode, spec) for mode in reads))
+        results = {mode: _run_frame(mode, bits, front_end, level) for mode, level in reads.items()}
         for run, mode in readers:
             run.record(frame_idx, results[mode])
 
@@ -554,10 +560,10 @@ class _Run:
         return self.controller.pending if self.controller is not None else self.fixed_mode
 
     def reads(self, frame_idx: int) -> int:
-        """The decoded frame from SETTLING_FRAMES on; before that the
-        controller reads the estimate and a fixed run nothing."""
+        """The decoded frame and its EVM powers from SETTLING_FRAMES on;
+        before that the controller reads the estimate and a fixed run nothing."""
         if frame_idx >= SETTLING_FRAMES:
-            return _DECODED
+            return _EVM
         return _ESTIMATE if self.controller is not None else _NOTHING
 
     def record(self, frame_idx: int, result: FrameResult) -> None:
@@ -609,7 +615,7 @@ class _Run:
 class _BerRun:
     """A BER point: one fixed mode, its running error and bit sums and its
     stop rule.  It keeps no frames, as a point may run MAX_BER_POINT_FRAMES
-    of them."""
+    of them, and reads no EVM powers."""
 
     mode: Mode
     min_errors: int
@@ -619,8 +625,8 @@ class _BerRun:
     done: bool = False
 
     def reads(self, frame_idx: int) -> int:
-        """A BER point reads every frame decoded."""
-        return _DECODED
+        """A BER point reads the bit errors of every frame."""
+        return _ERRORS
 
     def record(self, frame_idx: int, result: FrameResult) -> None:
         """Account one frame; stop at `min_errors` errors or `max_bits` bits."""
@@ -688,11 +694,12 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(jobs: int | None, tasks: int, cpus: int) -> int:
-    """Threads for `tasks` independent tasks: min(jobs, cpus, tasks), at least 1.
+    """Threads that run `tasks` independent tasks, the calling thread
+    included: min(jobs, cpus, tasks), at least 1.
 
     `jobs=None` asks for one thread per usable CPU.  Clamping to `cpus` and to
     `tasks` means no input can start more threads than there are CPUs to run
-    them or tasks to give them.
+    them or tasks to give them; 1 starts no thread (see `_map_tasks`).
     """
     if jobs is not None and jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
@@ -700,26 +707,65 @@ def _worker_count(jobs: int | None, tasks: int, cpus: int) -> int:
 
 
 def _map_tasks(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
-    """[fn(*args) for args in tasks], on `workers` threads, in task order.
+    """[fn(*args) for args in tasks], in task order, run by the calling
+    thread and `workers` - 1 helper threads.
 
-    `fn` is a top-level function and each task a tuple of plain arguments,
-    so both could be sent to another process.  The tasks must be
+    Each thread takes the next task in order until none is left or a task
+    has failed, so `workers` 1 is the serial run and starts no thread.  The
+    calling thread runs tasks in the heap arena the imports have already
+    grown, so a sweep grows one arena fewer than a pool of `workers` threads
+    would.  `fn` is a top-level function and each task a tuple of plain
+    arguments, so both could be sent to another process.  The tasks must be
     independent.  Threads keep every frame in this process, where the caller
     can count and measure it.  Only the noise draw and the BLAS matched
     filters release the interpreter lock; the chain's many small steps hold
     it, so a second thread gains only what it overlaps of those (README
-    "Parallel runs").  The first failing task in task order raises, as in a
-    serial run, and tasks not yet started are cancelled.
-    """
-    if workers == 1:
-        return list(itertools.starmap(fn, tasks))
-    from concurrent.futures import ThreadPoolExecutor
+    "Parallel runs").
 
-    pool = ThreadPoolExecutor(max_workers=workers)
+    The tasks taken are a prefix of `tasks`, and each runs to its end.  After
+    a failure or an interrupt no task starts and the running ones are
+    joined; then the first failure in task order raises, as in a serial run.
+    It reaches the caller through a `Future`, imported only on failure:
+    importing `concurrent.futures` adds about 0.4 MB to a sweep's peak RSS.
+    """
+    results = [None] * len(tasks)
+    failures = {}   # task index -> its exception
+    pending = iter(range(len(tasks)))
+    lock = threading.Lock()   # guards taking an index against `stopped`
+    stopped = False
+
+    def work() -> None:
+        nonlocal stopped
+        while True:
+            with lock:
+                index = None if stopped else next(pending, None)
+            if index is None:
+                return
+            try:
+                results[index] = fn(*tasks[index])
+            except BaseException as exc:   # an interrupt, too, reaches the caller in task order
+                with lock:
+                    stopped = True
+                    failures[index] = exc
+
+    helpers = [threading.Thread(target=work, name=f"vlclink-sweep-{n}") for n in range(1, workers)]
     try:
-        return list(pool.map(fn, *zip(*tasks)))
+        for helper in helpers:
+            helper.start()
+        work()
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        with lock:
+            stopped = True   # an interrupt outside a task stops the helpers too
+        for helper in helpers:
+            if helper.is_alive():   # a helper an interrupt kept from starting cannot be joined
+                helper.join()
+    if failures:
+        from concurrent.futures import Future
+
+        outcome = Future()
+        outcome.set_exception(failures[min(failures)])
+        outcome.result()   # raises the exception, as the serial run would have
+    return results
 
 
 def run_blockage_sweep(config: ScenarioConfig, jobs: int | None = None) -> BlockageSweepResult:
@@ -727,9 +773,10 @@ def run_blockage_sweep(config: ScenarioConfig, jobs: int | None = None) -> Block
 
     All three runs at a position share per-frame noise seeds, so the baseline
     comparison sees identical noise realisations.  Positions are seeded on
-    their own and run on up to `jobs` threads (default: one per usable CPU);
-    the result is the same for every `jobs`.  The position grid and
-    `sweep.payload_bits` are checked before calibration (see
+    their own and run on up to `jobs` threads, the calling thread plus
+    `jobs` - 1 helpers (default: one thread per usable CPU; see
+    `_map_tasks`); the result is the same for every `jobs`.  The position
+    grid and `sweep.payload_bits` are checked before calibration (see
     `_blockage_positions`).
     """
     positions = _blockage_positions(config)
@@ -807,8 +854,9 @@ def run_ber_sweep(config: ScenarioConfig, jobs: int | None = None) -> list[BerSw
     unobstructed channel; the theory column evaluates the BER prediction at
     the SNRs implied by the true channel matrix, and is None for SM where
     that matrix cannot carry two streams.  Every (curve, point) is seeded on
-    its own and the points run on up to `jobs` threads (default: one per
-    usable CPU); the rows are the same for every `jobs`.  Before the first
+    its own and the points run on up to `jobs` threads, the calling thread
+    plus `jobs` - 1 helpers (default: one thread per usable CPU; see
+    `_map_tasks`); the rows are the same for every `jobs`.  Before the first
     point, the SNR grid is checked (see `_grid`), and `bersweep.max_bits`
     against MAX_BER_POINT_FRAMES: SD-4 frames carry the fewest bits, so an
     SD-4 point runs the most frames.

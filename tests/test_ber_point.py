@@ -20,8 +20,10 @@ from vlclink.scenario import (
     N0,
     TAIL_PAD,
     _BER_SWEEP_TAG,
+    _EVM,
     _ROLE_BITS,
     _ROLE_NOISE,
+    _bits_rng,
     _FrontEnds,
     _frame_bits,
     _packed_bits,
@@ -62,7 +64,7 @@ def reference_measure_mode_ber(config, mode, p_total, seed, min_errors, max_bits
             mode,
             _packed_bits(bits_rng, _frame_bits(mode, spec)),
             _FrontEnds(h_eff, spec, reference_noise(spec, seed, frame_idx)),
-            decode=True,
+            reads=_EVM,
         )
         errors += result.errors
         bits += result.bits
@@ -126,3 +128,27 @@ class TestNoQualityReads:
         assert calls == []
         scenario.run_position(cfg, 0)   # the spies do see the blockage runs' quality reads
         assert calls
+
+    def test_ber_frames_carry_errors_and_no_evm_powers(self, monkeypatch):
+        """A BER point asks the chain for bit errors only: its frames are
+        decoded and counted, and no EVM power is summed for them."""
+        results = []
+        real = scenario._run_frame
+
+        def spy(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(scenario, "_run_frame", spy)
+        cfg = parse_config(SMALL_TEXT)
+        errors, bits = measure_mode_ber(cfg, Mode("SD", 4), 10.0 ** 1.6, SEED, 40, 20_000)
+        assert len(results) > 1
+        assert sum(r.errors for r in results) == errors and sum(r.bits for r in results) == bits
+        assert {(r.err_power, r.ref_power) for r in results} == {(None, None)}
+        # the same frame read to its EVM powers counts the same errors
+        spec = cfg.frame_spec()
+        front_end = _FrontEnds(math.sqrt(10.0 ** 1.6 / 2.0) * channel_matrix(cfg.geometry())[0], spec)
+        front_end.draw(SEED, 0)
+        frame_bits = _packed_bits(_bits_rng(SEED, 0), _frame_bits(Mode("SD", 4), spec))
+        decoded = real(Mode("SD", 4), frame_bits, front_end, _EVM)
+        assert decoded.errors == results[0].errors and decoded.err_power is not None

@@ -3,9 +3,11 @@
 The digests are those of `vlclink blockage-sweep` and `vlclink ber-sweep`
 run on `configs/default.cfg`; of `blockage-sweep` on short frames, a 1 cm
 grid and eight frames per position, where the per-frame paths weigh about
-three times more; and of both sweeps on the small config with
+three times more; of both sweeps on the small config with
 `frame.pilot_len = 8` that CI also runs, where the sync head reaches the
-payload, so the modes of one frame index do not share a front end.  Each
+payload, so the modes of one frame index do not share a front end; and of
+`blockage-sweep` on `configs/deep-obstruction.cfg`, where the adaptive run
+walks the whole mode ladder (`tests/test_deep_obstruction.py`).  Each
 demo is pinned by its stdout and by every file it writes: demo 05 writes
 the default blockage CSV and the received constellation at x = 0.  A
 change that alters any output must say why and re-baseline the digest here;
@@ -28,6 +30,7 @@ from vlclink import load_config, parse_config, run_ber_sweep, run_blockage_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CFG = ROOT / "configs" / "default.cfg"
+DEEP_OBSTRUCTION_CFG = ROOT / "configs" / "deep-obstruction.cfg"
 
 
 def bench_workloads():
@@ -65,6 +68,8 @@ PILOT8_GOLDEN = {
     "ber-sweep": "0b22984e6a173723b03a19b69d02e8d6efa227b0ac44b070e2fb9b5999e30105",
 }
 
+DEEP_OBSTRUCTION_DIGEST = "d41241e1d9c9f39ac917e1c216d7d094449bbc101212a5ccb0f6262f3e4dfdec"
+
 DEMO_STDOUT = {
     "01_qam_modem.py": "35aa2ac473652c13f4a595ebf21e3f78da1238b6b6627a7be62c410e90a43762",
     "02_pulse_shaping.py": "3cf98f4b85bbd86c7e12d10f3ad9c8990b8083916a7fc7275bb2d82121874dd6",
@@ -97,6 +102,12 @@ def test_short_frame_blockage_csv_digest():
     buf = io.StringIO()
     write_blockage_csv(run_blockage_sweep(parse_config(SHORT_FRAMES_TEXT)), buf)
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == SHORT_FRAMES_DIGEST
+
+
+def test_deep_obstruction_blockage_csv_digest():
+    buf = io.StringIO()
+    write_blockage_csv(run_blockage_sweep(load_config(DEEP_OBSTRUCTION_CFG)), buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == DEEP_OBSTRUCTION_DIGEST
 
 
 @pytest.mark.parametrize("command", sorted(PILOT8_GOLDEN))

@@ -35,6 +35,8 @@ from vlclink.scenario import (
     P_TOTAL_REF,
     SETTLING_FRAMES,
     TAIL_PAD,
+    _EVM,
+    _ESTIMATE,
     _ROLE_BITS,
     _ROLE_NOISE,
     _bits_rng,
@@ -111,7 +113,7 @@ def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, 
             mode,
             _packed_bits(bits_rng, _frame_bits(mode, spec)),
             _FrontEnds(h_eff, spec, reference_noise(spec, pos_seed, frame_idx)),
-            decode=True,
+            reads=_EVM,
         )
         used.append((frame_idx, mode))
         sm_snrs, sd_snrs = (stream_snrs(result.est, P_TOTAL_REF, N0, scheme) for scheme in ("SM", "SD"))
@@ -347,10 +349,10 @@ class TestPayloadBits:
         front_end = _FrontEnds(h_eff, spec)
         front_end.draw((5,), 0)
         bits = _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec))
-        result = _run_frame(mode, bits, front_end, decode=True)
+        result = _run_frame(mode, bits, front_end, reads=_EVM)
         sent = map_labels(unpack_labels(bits, mode.order, mode.streams * spec.payload_len), mode.order)
         assert result.ref_power == float(np.sum(np.abs(sent.reshape(mode.streams, -1)) ** 2))
-        # without `decode` the chain stops at the same estimate and sync start
+        # reading the estimate only, the chain stops at the same estimate and sync start
         estimated = _run_frame(mode, bits, front_end)
         assert (estimated.errors, estimated.err_power, estimated.ref_power) == (None,) * 3
         assert np.array_equal(estimated.est.h_hat, result.est.h_hat)
@@ -393,7 +395,7 @@ class TestDecodeInOnePlace:
         front_end = _FrontEnds(30.0 * np.eye(2, dtype=complex), spec)
         front_end.draw((5,), SETTLING_FRAMES)
         bits = _packed_bits(_bits_rng((5,), SETTLING_FRAMES), _frame_bits(mode, spec))
-        result = _run_frame(mode, bits, front_end, decode=True)
+        result = _run_frame(mode, bits, front_end, reads=_EVM)
         run = scenario._Run(cfg, policy, fixed_mode, None if fixed_mode else new_controller(policy))
         schemes = spy_stream_snrs(monkeypatch)
         run.record(SETTLING_FRAMES, result)
@@ -408,10 +410,10 @@ class TestDecodeInOnePlace:
         decodes, raised = [], []
         real_run_frame = scenario._run_frame
 
-        def spy_run_frame(mode, bits, front_end, decode=False):
-            decodes.append(decode)
+        def spy_run_frame(mode, bits, front_end, reads=_ESTIMATE):
+            decodes.append(reads)
             try:
-                return real_run_frame(mode, bits, front_end, decode)
+                return real_run_frame(mode, bits, front_end, reads)
             except SingularMatrix:
                 raised.append(mode)
                 raise
@@ -424,7 +426,7 @@ class TestDecodeInOnePlace:
         with pytest.raises(SingularMatrix, match="injected"):
             run_position(parse_config(SMALL_SWEEP_TEXT), 0)
         assert raised == [Mode("SM", 64)]   # the fixed SM-64 run's first measured frame
-        assert decodes[:SETTLING_FRAMES] == [False] * SETTLING_FRAMES and decodes[-1] is True
+        assert decodes[:SETTLING_FRAMES] == [_ESTIMATE] * SETTLING_FRAMES and decodes[-1] == _EVM
 
 
 def switching_runs(monkeypatch):
@@ -468,7 +470,7 @@ class TestFrameRecords:
         front_end = _FrontEnds(30.0 * np.eye(2, dtype=complex), spec)
         front_end.draw((5,), 0)
         mode = Mode("SM", 16)
-        result = _run_frame(mode, _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec)), front_end, decode=True)
+        result = _run_frame(mode, _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec)), front_end, reads=_EVM)
         assert None not in (result.errors, result.err_power, result.ref_power)
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.errors = 0

@@ -1,7 +1,8 @@
 """Thread-parallel sweeps against the serial order.
 
 `run_blockage_sweep` runs one task per position and `run_ber_sweep` one per
-(curve, SNR point), each seeded on its own, on up to `jobs` threads.  Every
+(curve, SNR point), each seeded on its own, on the calling thread and up to
+`jobs` - 1 helper threads.  Every
 `jobs` must render the serial CSV byte for byte, a failing sweep must raise
 the serial run's first failure, and no queued task may start after it.
 """
@@ -32,7 +33,7 @@ from vlclink.modem import constellation
 from vlclink.scenario import _usable_cpus, _worker_count, run_position
 
 # The adaptive run at x = 1 (index 0, seed 14) alternates SM-16 and SM-64;
-# two more positions give the pool something to share out.
+# two more positions give the threads something to share out.
 SWITCHING_SWEEP_TEXT = SWITCHING_TEXT + "sweep.positions.stop = 3\nsweep.positions.step = 1\n"
 
 # 8 curves x 4 points: low-SNR points stop at min_errors after one frame,
@@ -183,6 +184,149 @@ class TestFailure:
         assert other_started.is_set()
         assert keys[1] in started
         assert started <= set(keys[:3])   # the five positions still queued never ran
+
+
+def position_keys(cfg):
+    """Each position's effective channel as bytes, the key a `_run_frame` spy
+    reads off its front end to tell positions apart."""
+    p_total = 10.0 ** (cfg.snr_db / 10.0)
+    return [
+        (math.sqrt(p_total / 2.0) * channel_matrix(cfg.geometry(obstacle_x=float(x)))[0]).tobytes()
+        for x in cfg.positions()
+    ]
+
+
+EIGHT_POSITIONS_TEXT = (
+    SMALL_SWEEP_TEXT + "snr_db = 32\nsweep.positions.start = -4\nsweep.positions.stop = 3\nsweep.positions.step = 1\n"
+)
+
+
+class TestCallingThreadWorks:
+    """The calling thread runs tasks beside `jobs` - 1 helpers, and stops with them."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_frames_run_on_at_most_jobs_threads_the_callers_among_them(self, jobs, three_cpus, monkeypatch):
+        idents = set()
+        real_run_frame = scenario._run_frame
+
+        def spy_run_frame(*args):
+            idents.add(threading.get_ident())
+            time.sleep(0.002)   # give every thread time to take a task
+            return real_run_frame(*args)
+
+        monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
+        threads_before = threading.active_count()
+        run_blockage_sweep(parse_config(EIGHT_POSITIONS_TEXT), jobs=jobs)
+        assert threading.get_ident() in idents
+        assert len(idents) <= jobs   # so at jobs=1 the caller's is the only one
+        assert threading.active_count() == threads_before   # every helper is joined
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_propagates_and_stops_the_sweep(self, jobs, monkeypatch):
+        """The calling thread's first task raises KeyboardInterrupt while a
+        helper runs a later position: the sweep raises it once that position
+        is done, no position after it starts, and nothing is returned."""
+        cfg = parse_config(EIGHT_POSITIONS_TEXT)
+        keys = position_keys(cfg)
+        caller = threading.get_ident()
+        started: set[bytes] = set()
+        helper_positions: list[bytes] = []
+        running = []   # frames the helper is inside
+        helper_on_second = threading.Event()
+        real_run_frame = scenario._run_frame
+
+        def spy_run_frame(mode, bits, front_end, *args):
+            key = front_end.h.tobytes()
+            started.add(key)
+            if threading.get_ident() == caller:
+                if jobs > 1:
+                    assert helper_on_second.wait(timeout=10.0)
+                raise KeyboardInterrupt
+            if key not in helper_positions:
+                helper_positions.append(key)
+            if len(helper_positions) == 1:
+                return real_run_frame(mode, bits, front_end, *args)
+            helper_on_second.set()   # a position after the caller's: only a join waits for it
+            running.append(None)
+            time.sleep(0.05)
+            result = real_run_frame(mode, bits, front_end, *args)
+            running.pop()
+            return result
+
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
+        returned = []
+        with pytest.raises(KeyboardInterrupt):
+            returned.append(run_blockage_sweep(cfg, jobs=jobs))
+        assert returned == []
+        assert running == []   # the helper's running position was joined
+        assert started == set(keys[: 2 * jobs - 1])   # the caller's position and the helper's two
+
+    def test_each_task_runs_once_in_order_under_fast_switching(self, fast_switching):
+        """Four threads, switching every 10 us, share one task counter: each
+        task runs once and the results keep task order."""
+        runs = []
+
+        def task(index):
+            runs.append(index)
+            return index * index
+
+        results = scenario._map_tasks(task, [(index,) for index in range(2000)], 4)
+        assert results == [index * index for index in range(2000)]
+        assert sorted(runs) == list(range(2000))
+
+    def test_interrupt_between_tasks_stops_the_helpers(self, monkeypatch):
+        """An interrupt that reaches the calling thread outside any task, here
+        while it starts the second helper, propagates; the first helper takes
+        no task after its current one and is joined."""
+        runs, started = [], []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            if started:
+                raise KeyboardInterrupt
+            started.append(thread)
+            real_start(thread)
+
+        def task(index):
+            runs.append(index)
+            time.sleep(0.01)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        with pytest.raises(KeyboardInterrupt):
+            scenario._map_tasks(task, [(index,) for index in range(20)], 3)
+        assert len(runs) <= 1
+        assert not started[0].is_alive()
+
+    def test_helper_failure_surfaces_in_task_order(self, monkeypatch):
+        """Both threads fail on their first task, the helper first: the
+        sweep raises the failure of the lower position, whichever thread
+        ran it."""
+        cfg = parse_config(EIGHT_POSITIONS_TEXT)
+        keys = position_keys(cfg)
+        caller = threading.get_ident()
+        failed: dict[int, int] = {}   # position -> thread ident
+        caller_started, helper_failed = threading.Event(), threading.Event()
+
+        def spy_run_frame(mode, bits, front_end, *args):
+            position = keys.index(front_end.h.tobytes())
+            if threading.get_ident() != caller:
+                assert caller_started.wait(timeout=10.0)
+                failed[position] = threading.get_ident()
+                helper_failed.set()
+                raise RuntimeError(f"helper failure at position {position}")
+            caller_started.set()
+            assert helper_failed.wait(timeout=10.0)
+            failed[position] = caller
+            raise RuntimeError(f"caller failure at position {position}")
+
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
+        with pytest.raises(RuntimeError) as info:
+            run_blockage_sweep(cfg, jobs=2)
+        assert sorted(failed) == [0, 1] and len(set(failed.values())) == 2
+        thread = "caller" if failed[0] == caller else "helper"
+        assert str(info.value) == f"{thread} failure at position 0"
 
 
 class TestSharedCachesReadOnly:

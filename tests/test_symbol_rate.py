@@ -38,6 +38,7 @@ from vlclink.scenario import (
     LEAD_PAD,
     N0,
     TAIL_PAD,
+    _EVM,
     _ROLE_NOISE,
     _bits_rng,
     _frame_bits,
@@ -103,7 +104,7 @@ class TestRunFrameMatchesSampleRateChain:
             mode = Mode(scheme, 4)
             bits = _packed_bits(_bits_rng((seed,), 0), _frame_bits(mode, spec))
             try:
-                result = _run_frame(mode, bits, _FrontEnds(h_eff, spec, noise), decode=True)   # decoding calls the detector
+                result = _run_frame(mode, bits, _FrontEnds(h_eff, spec, noise), reads=_EVM)   # decoding calls the detector
             except SyncNotFound:
                 result = None
 
@@ -149,7 +150,7 @@ class TestZeroNoise:
         spec = cfg.frame_spec()
         h_norm, _ = channel_matrix(cfg.geometry(obstacle_x=None))
         front_end = _FrontEnds(h_norm, spec, np.zeros((2, 2, stream_len(spec))))
-        result = _run_frame(mode, _packed_bits(_bits_rng((7,), 0), _frame_bits(mode, spec)), front_end, decode=True)
+        result = _run_frame(mode, _packed_bits(_bits_rng((7,), 0), _frame_bits(mode, spec)), front_end, reads=_EVM)
         assert result.sync_index == LEAD_PAD
         assert result.bits == _frame_bits(mode, spec)
         assert result.errors == 0
