@@ -131,10 +131,12 @@ class FrameLayout:
     end: int
 
 
+@lru_cache(maxsize=None)
 def mseq(length: int) -> np.ndarray:
     """Maximal-length +-1 sequence from a fixed primitive polynomial.
 
     Circular autocorrelation is `length` at lag 0 and exactly -1 elsewhere.
+    Shared by every caller and every thread, so read-only.
     """
     degree = int(math.log2(length + 1))
     if (1 << degree) - 1 != length or degree not in _PRIMITIVE_TAPS:
@@ -148,34 +150,24 @@ def mseq(length: int) -> np.ndarray:
         for t in taps:
             fb ^= state[t - 1]
         state = [fb] + state[:-1]
-    return 1.0 - 2.0 * np.array(bits, dtype=np.float64)
-
-
-@lru_cache(maxsize=None)
-def _cached_mseq(length: int) -> np.ndarray:
-    """`mseq(length)`, shared by every caller and every thread, so read-only."""
-    seq = mseq(length)
+    seq = 1.0 - 2.0 * np.array(bits, dtype=np.float64)
     seq.flags.writeable = False
     return seq
 
 
 def preamble_symbols(spec: FrameSpec) -> np.ndarray:
-    return _cached_mseq(spec.preamble_len).astype(np.complex128)
+    return mseq(spec.preamble_len).astype(np.complex128)
 
 
+@lru_cache(maxsize=None)
 def pilot_symbols(spec: FrameSpec) -> np.ndarray:
     """Unit-power BPSK pilots, a cyclic shift of the preamble sequence.
 
     Shared by every caller and every thread, so read-only.
     """
-    return _cached_pilots(spec.preamble_len, spec.pilot_len)
-
-
-@lru_cache(maxsize=None)
-def _cached_pilots(preamble_len: int, pilot_len: int) -> np.ndarray:
-    base = np.roll(_cached_mseq(preamble_len), -_PILOT_SHIFT)
-    reps = -(-pilot_len // base.size)
-    pilots = np.tile(base, reps)[:pilot_len].astype(np.complex128)
+    base = np.roll(mseq(spec.preamble_len), -_PILOT_SHIFT)
+    reps = -(-spec.pilot_len // base.size)
+    pilots = np.tile(base, reps)[: spec.pilot_len].astype(np.complex128)
     pilots.flags.writeable = False
     return pilots
 
@@ -380,7 +372,7 @@ def _best_start(stream: np.ndarray, spec: FrameSpec, last: int) -> tuple[int, fl
     head those outputs depend on is filtered, and the correlation runs per
     sample phase against the P preamble symbols.
     """
-    pre = _cached_mseq(spec.preamble_len)
+    pre = mseq(spec.preamble_len)
     sps, ntaps = spec.sps, spec.ntaps
     reach = last + (pre.size - 1) * sps + 1   # filter outputs from index ntaps - 1 on
     head = stream[: reach + ntaps - 1]

@@ -356,20 +356,19 @@ def _transmit_p_total(config: ScenarioConfig) -> float:
 
 @dataclass(frozen=True)
 class FrameResult:
-    """The one record of a frame: its mode, payload bits, channel estimate and
-    sync start, its bit errors when `_run_frame` decoded it, and its EVM
-    powers when a reader asked for them too (None otherwise).  It holds no
-    per-symbol array, so a run can keep every frame it measured, and it
-    shares nothing with the task's noise buffer, so a later draw leaves it
-    unchanged."""
+    """The one record of a frame, always complete: its mode, payload bits,
+    channel estimate and sync start, the bit errors of its decoded payload
+    and its EVM powers.  It holds no per-symbol array, so a run can keep
+    every frame it measured, and it shares nothing with the task's noise
+    buffer, so a later draw leaves it unchanged."""
 
     mode: Mode
     bits: int
     est: ChannelEstimate
     sync_index: int
-    errors: int | None = None         # bit errors of the hard decisions on the detected payload
-    err_power: float | None = None    # sum of |detected - sent|^2
-    ref_power: float | None = None    # sum of |sent|^2
+    errors: int          # bit errors of the hard decisions on the detected payload
+    err_power: float     # sum of |detected - sent|^2
+    ref_power: float     # sum of |sent|^2
 
 
 def _bits_rng(seed: tuple[int, ...], frame_idx: int) -> np.random.Generator:
@@ -406,11 +405,6 @@ def _frame_noise(spec: FrameSpec, seed: tuple[int, ...], frame_idx: int, out=Non
     it, (2, 2, n) real then imaginary parts; into the buffer `out` when given."""
     rng = make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_NOISE)))
     return awgn((2, _stream_len(spec)), N0, rng, out=out)
-
-
-# What a run reads of a frame, each level including the ones before it: nothing, the channel
-# estimate, the bit errors of the decoded payload, or those and its EVM powers.
-_NOTHING, _ESTIMATE, _ERRORS, _EVM = range(4)
 
 
 class _FrontEnds:
@@ -457,11 +451,10 @@ class _FrontEnds:
         return self._ends[key]
 
 
-def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, reads: int = _ESTIMATE) -> FrameResult:
-    """One frame through the chain, as its `FrameResult`: build, channel,
-    sync and estimate; from `reads` = `_ERRORS` on, detect, demap and count
-    errors; at `_EVM`, also sum the EVM powers.  The detected payload
-    stays here.
+def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResult:
+    """One frame through the whole receiver, as its `FrameResult`: build,
+    channel, sync and estimate, then detect, demap, count bit errors and sum
+    both EVM powers.  The detected payload stays here.
 
     `bits` holds the frame's payload bits packed into bytes (`_packed_bits`),
     possibly followed by more.  `front_end` is the task's `_FrontEnds`: it
@@ -485,13 +478,9 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds, reads: int =
     n_p = spec.pilot_len
     segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
     est = estimate_channel(segments, front_end.pilots)
-    if reads < _ERRORS:
-        return FrameResult(mode, _frame_bits(mode, spec), est, start)
     received = symbols[:, lay.payload :]
     detected = detect_sm_zf(received, est) if mode.scheme == "SM" else combine_sd_mrc(received, est)[None, :]
     errors = label_bit_errors(tx_labels, demap_labels(detected, mode.order))
-    if reads < _EVM:
-        return FrameResult(mode, _frame_bits(mode, spec), est, start, errors)
     powers = float(np.sum(np.abs(detected - sent) ** 2)), float(np.sum(np.abs(sent) ** 2))
     return FrameResult(mode, _frame_bits(mode, spec), est, start, errors, *powers)
 
@@ -508,17 +497,15 @@ def _lockstep(
     `frame_limit` indices.
 
     A run has `mode`, the mode of its next frame, a `done` flag,
-    `reads(frame_idx)`, what it reads of that frame (`_NOTHING`, `_ESTIMATE`,
-    `_ERRORS` or `_EVM`), and `record(frame_idx, result)`, which applies its own
-    stop rule.  The runs share per-frame seeds, so frame index k carries the
-    same noise and the same payload-bit stream in each of them.  A frame
-    index is simulated only for the active runs that read it: its noise and
-    payload bits are drawn once, the bits as many as the most any of those
-    runs needs, and the frame chain runs once per distinct mode among them,
-    as far as the most any run in that mode reads; its result, which
-    depends only on (mode, h_eff, spec, seeds), goes to every such run in
-    that mode.  The chain runs of a frame index share its sync front end
-    (see `_FrontEnds`).
+    `reads(frame_idx)`, whether it reads that frame, and `record(frame_idx,
+    result)`, which applies its own stop rule.  The runs share per-frame
+    seeds, so frame index k carries the same noise and the same payload-bit
+    stream in each of them.  A frame index is simulated only for the active
+    runs that read it: its noise and payload bits are drawn once, the bits
+    as many as the most any of those runs needs, and the whole frame chain
+    runs once per distinct mode among them; its record, which depends only
+    on (mode, h_eff, spec, seeds), goes to every such run in that mode.  The
+    chain runs of a frame index share its sync front end (see `_FrontEnds`).
     """
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=obstacle_x))
     spec = config.frame_spec()
@@ -527,19 +514,15 @@ def _lockstep(
         active = [run for run in runs if not run.done]
         if not active:
             break
-        readers, reads = [], {}
-        for run in active:
-            level = run.reads(frame_idx)
-            if level != _NOTHING:
-                readers.append((run, run.mode))
-                reads[run.mode] = max(reads.get(run.mode, _NOTHING), level)
+        readers = [run for run in active if run.reads(frame_idx)]
         if not readers:
             continue
         front_end.draw(seed, frame_idx)
-        bits = _packed_bits(_bits_rng(seed, frame_idx), max(_frame_bits(mode, spec) for mode in reads))
-        results = {mode: _run_frame(mode, bits, front_end, level) for mode, level in reads.items()}
-        for run, mode in readers:
-            run.record(frame_idx, results[mode])
+        modes = dict.fromkeys(run.mode for run in readers)
+        bits = _packed_bits(_bits_rng(seed, frame_idx), max(_frame_bits(mode, spec) for mode in modes))
+        results = {mode: _run_frame(mode, bits, front_end) for mode in modes}
+        for run in readers:
+            run.record(frame_idx, results[run.mode])
 
 
 @dataclass
@@ -559,12 +542,9 @@ class _Run:
         """The mode this run transmits its next frame in."""
         return self.controller.pending if self.controller is not None else self.fixed_mode
 
-    def reads(self, frame_idx: int) -> int:
-        """The decoded frame and its EVM powers from SETTLING_FRAMES on;
-        before that the controller reads the estimate and a fixed run nothing."""
-        if frame_idx >= SETTLING_FRAMES:
-            return _EVM
-        return _ESTIMATE if self.controller is not None else _NOTHING
+    def reads(self, frame_idx: int) -> bool:
+        """The adaptive run reads every frame, a fixed run those from SETTLING_FRAMES on."""
+        return self.controller is not None or frame_idx >= SETTLING_FRAMES
 
     def record(self, frame_idx: int, result: FrameResult) -> None:
         """Step the controller on `result`, keep it if measured, then apply the stop rule.
@@ -614,8 +594,8 @@ class _Run:
 @dataclass
 class _BerRun:
     """A BER point: one fixed mode, its running error and bit sums and its
-    stop rule.  It keeps no frames, as a point may run MAX_BER_POINT_FRAMES
-    of them, and reads no EVM powers."""
+    stop rule.  It reads every frame and keeps none of them, as a point may
+    run MAX_BER_POINT_FRAMES of them."""
 
     mode: Mode
     min_errors: int
@@ -624,9 +604,8 @@ class _BerRun:
     bits: int = 0
     done: bool = False
 
-    def reads(self, frame_idx: int) -> int:
-        """A BER point reads the bit errors of every frame."""
-        return _ERRORS
+    def reads(self, frame_idx: int) -> bool:
+        return True
 
     def record(self, frame_idx: int, result: FrameResult) -> None:
         """Account one frame; stop at `min_errors` errors or `max_bits` bits."""

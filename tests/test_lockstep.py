@@ -1,13 +1,12 @@
 """Lockstep blockage positions against the sequential three-run reference.
 
 `run_position` steps the adaptive, fixed SM-64 and fixed SD-64 runs together,
-draws each frame index's noise once and runs the frame chain once per
-distinct mode among the runs that read the index: the fixed runs skip their
-settling frames, and the adaptive run's settling frames stop at the channel
-estimate.  The reference below is the loop it replaced: each run on its own,
-frame after frame, simulating and decoding every frame and drawing its own
-noise with the former in-place formula.  Both must give identical reports,
-compared with exact equality.
+draws each frame index's noise once and runs the whole frame chain once
+per distinct mode among the runs that read the index: the fixed runs skip
+their settling frames.  The reference below is the loop it replaced: each
+run on its own, frame after frame, simulating and decoding every frame and
+drawing its own noise with the former in-place formula.  Both must give
+identical reports, compared with exact equality.
 """
 
 import dataclasses
@@ -35,8 +34,6 @@ from vlclink.scenario import (
     P_TOTAL_REF,
     SETTLING_FRAMES,
     TAIL_PAD,
-    _EVM,
-    _ESTIMATE,
     _ROLE_BITS,
     _ROLE_NOISE,
     _bits_rng,
@@ -113,7 +110,6 @@ def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, 
             mode,
             _packed_bits(bits_rng, _frame_bits(mode, spec)),
             _FrontEnds(h_eff, spec, reference_noise(spec, pos_seed, frame_idx)),
-            reads=_EVM,
         )
         used.append((frame_idx, mode))
         sm_snrs, sd_snrs = (stream_snrs(result.est, P_TOTAL_REF, N0, scheme) for scheme in ("SM", "SD"))
@@ -270,7 +266,7 @@ class TestSharedWork:
         assert len(chain_runs) < sum(len(run) for run in used)
 
     @pytest.mark.parametrize("index", [13, 0], ids=["shadowed-x0", "clear-x-65"])
-    def test_settling_frames_are_estimated_not_decoded(self, index, default_p_total, monkeypatch):
+    def test_fixed_runs_skip_settling_and_every_chain_run_decodes_once(self, index, default_p_total, monkeypatch):
         cfg = ScenarioConfig()
         noise_draws, chain_runs, decodes = spy_frame_indices(monkeypatch, (cfg.base_seed + index,))
         run_position(cfg, index, p_total=default_p_total)
@@ -278,12 +274,11 @@ class TestSharedWork:
         settling = [(frame_idx, mode) for frame_idx, mode in chain_runs if frame_idx < SETTLING_FRAMES]
         assert [frame_idx for frame_idx, _ in settling] == list(range(SETTLING_FRAMES))   # the adaptive run alone
         assert noise_draws[:SETTLING_FRAMES] == list(range(SETTLING_FRAMES))
-        assert all(frame_idx >= SETTLING_FRAMES for frame_idx, _ in decodes)
-        # every measured chain run detects and demaps once, whichever runs share it
-        measured = Counter(frame_idx for frame_idx, _ in chain_runs if frame_idx >= SETTLING_FRAMES)
+        # every chain run, settling ones included, detects and demaps once, whichever runs share it
+        runs = Counter(frame_idx for frame_idx, _ in chain_runs)
         demaps = Counter(frame_idx for frame_idx, name in decodes if name == "demap_labels")
         detections = Counter(frame_idx for frame_idx, name in decodes if name != "demap_labels")
-        assert demaps == detections == measured
+        assert demaps == detections == runs
 
     @pytest.mark.parametrize("mode, snr_db", [(Mode("SD", 4), 10.0), (Mode("SM", 64), 32.0)], ids=["SD-4", "SM-64"])
     def test_every_ber_frame_decodes(self, mode, snr_db, monkeypatch):
@@ -349,14 +344,9 @@ class TestPayloadBits:
         front_end = _FrontEnds(h_eff, spec)
         front_end.draw((5,), 0)
         bits = _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec))
-        result = _run_frame(mode, bits, front_end, reads=_EVM)
+        result = _run_frame(mode, bits, front_end)
         sent = map_labels(unpack_labels(bits, mode.order, mode.streams * spec.payload_len), mode.order)
         assert result.ref_power == float(np.sum(np.abs(sent.reshape(mode.streams, -1)) ** 2))
-        # reading the estimate only, the chain stops at the same estimate and sync start
-        estimated = _run_frame(mode, bits, front_end)
-        assert (estimated.errors, estimated.err_power, estimated.ref_power) == (None,) * 3
-        assert np.array_equal(estimated.est.h_hat, result.est.h_hat)
-        assert (estimated.sync_index, estimated.bits) == (result.sync_index, result.bits)
 
 
 def spy_stream_snrs(monkeypatch):
@@ -373,7 +363,7 @@ def spy_stream_snrs(monkeypatch):
 
 
 class TestDecodeInOnePlace:
-    """`_run_frame` decodes when a reader asks; each run derives the SNRs it reads from the estimate."""
+    """`_run_frame` decodes every chain run; each run derives the SNRs it reads from the estimate."""
 
     def test_stream_snrs_calls_of_the_default_sweep(self, monkeypatch):
         schemes = spy_stream_snrs(monkeypatch)
@@ -395,7 +385,7 @@ class TestDecodeInOnePlace:
         front_end = _FrontEnds(30.0 * np.eye(2, dtype=complex), spec)
         front_end.draw((5,), SETTLING_FRAMES)
         bits = _packed_bits(_bits_rng((5,), SETTLING_FRAMES), _frame_bits(mode, spec))
-        result = _run_frame(mode, bits, front_end, reads=_EVM)
+        result = _run_frame(mode, bits, front_end)
         run = scenario._Run(cfg, policy, fixed_mode, None if fixed_mode else new_controller(policy))
         schemes = spy_stream_snrs(monkeypatch)
         run.record(SETTLING_FRAMES, result)
@@ -407,13 +397,13 @@ class TestDecodeInOnePlace:
         assert report.snrs_db == tuple(10.0 * math.log10(v) for v in snrs)
 
     def test_detector_error_raises_from_run_frame(self, monkeypatch):
-        decodes, raised = [], []
+        calls, raised = [], []
         real_run_frame = scenario._run_frame
 
-        def spy_run_frame(mode, bits, front_end, reads=_ESTIMATE):
-            decodes.append(reads)
+        def spy_run_frame(mode, *args):
+            calls.append(mode)
             try:
-                return real_run_frame(mode, bits, front_end, reads)
+                return real_run_frame(mode, *args)
             except SingularMatrix:
                 raised.append(mode)
                 raise
@@ -423,10 +413,11 @@ class TestDecodeInOnePlace:
 
         monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
         monkeypatch.setattr(scenario, "detect_sm_zf", singular)
+        cfg = parse_config(SMALL_SWEEP_TEXT)
         with pytest.raises(SingularMatrix, match="injected"):
-            run_position(parse_config(SMALL_SWEEP_TEXT), 0)
-        assert raised == [Mode("SM", 64)]   # the fixed SM-64 run's first measured frame
-        assert decodes[:SETTLING_FRAMES] == [_ESTIMATE] * SETTLING_FRAMES and decodes[-1] == _EVM
+            run_position(cfg, 0)
+        # the first chain run raises: the adaptive run's frame 0, a settling frame
+        assert calls == raised == [cfg.policy().initial]
 
 
 def switching_runs(monkeypatch):
@@ -470,13 +461,28 @@ class TestFrameRecords:
         front_end = _FrontEnds(30.0 * np.eye(2, dtype=complex), spec)
         front_end.draw((5,), 0)
         mode = Mode("SM", 16)
-        result = _run_frame(mode, _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec)), front_end, reads=_EVM)
+        result = _run_frame(mode, _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec)), front_end)
         assert None not in (result.errors, result.err_power, result.ref_power)
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.errors = 0
         values = [getattr(result, f.name) for f in dataclasses.fields(result)]
         assert not any(isinstance(value, np.ndarray) for value in values)
         assert isinstance(result.est, ChannelEstimate)
+
+    @pytest.mark.parametrize("index", [13, 0], ids=["shadowed-x0", "clear-x-65"])
+    def test_every_record_handed_to_a_run_is_complete(self, index, default_p_total, monkeypatch):
+        handed = []
+        real_record = scenario._Run.record
+
+        def spy_record(run, frame_idx, result):
+            handed.append((frame_idx, result))
+            real_record(run, frame_idx, result)
+
+        monkeypatch.setattr(scenario._Run, "record", spy_record)
+        run_position(ScenarioConfig(), index, p_total=default_p_total)
+        assert {frame_idx for frame_idx, _ in handed} >= set(range(SETTLING_FRAMES))   # settling frames included
+        for _, result in handed:
+            assert all(getattr(result, f.name) is not None for f in dataclasses.fields(result))
 
     def test_adaptive_run_keeps_its_measured_frames_in_order(self, monkeypatch):
         (adaptive, fixed_sm64, _), chain_runs, used = switching_runs(monkeypatch)

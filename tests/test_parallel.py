@@ -28,7 +28,7 @@ from vlclink import (
 )
 from vlclink import scenario
 from vlclink.errors import ParameterError, SyncNotFound
-from vlclink.framing import FrameSpec, _band_pair, _cached_cascade, _cached_mseq, pilot_symbols, rrc_taps
+from vlclink.framing import FrameSpec, _band_pair, _cached_cascade, mseq, pilot_symbols, rrc_taps
 from vlclink.modem import constellation
 from vlclink.scenario import _usable_cpus, _worker_count, run_position
 
@@ -332,7 +332,7 @@ class TestCallingThreadWorks:
 class TestSharedCachesReadOnly:
     def test_framing_caches(self):
         tables = (
-            _cached_mseq(63),
+            mseq(63),
             rrc_taps(FrameSpec()),
             _cached_cascade(FrameSpec()),
             _band_pair(np.ones(41).tobytes(), 4),

@@ -38,7 +38,6 @@ from vlclink.scenario import (
     LEAD_PAD,
     N0,
     TAIL_PAD,
-    _EVM,
     _ROLE_NOISE,
     _bits_rng,
     _frame_bits,
@@ -104,7 +103,7 @@ class TestRunFrameMatchesSampleRateChain:
             mode = Mode(scheme, 4)
             bits = _packed_bits(_bits_rng((seed,), 0), _frame_bits(mode, spec))
             try:
-                result = _run_frame(mode, bits, _FrontEnds(h_eff, spec, noise), reads=_EVM)   # decoding calls the detector
+                result = _run_frame(mode, bits, _FrontEnds(h_eff, spec, noise))   # the chain calls the detector
             except SyncNotFound:
                 result = None
 
@@ -150,7 +149,7 @@ class TestZeroNoise:
         spec = cfg.frame_spec()
         h_norm, _ = channel_matrix(cfg.geometry(obstacle_x=None))
         front_end = _FrontEnds(h_norm, spec, np.zeros((2, 2, stream_len(spec))))
-        result = _run_frame(mode, _packed_bits(_bits_rng((7,), 0), _frame_bits(mode, spec)), front_end, reads=_EVM)
+        result = _run_frame(mode, _packed_bits(_bits_rng((7,), 0), _frame_bits(mode, spec)), front_end)
         assert result.sync_index == LEAD_PAD
         assert result.bits == _frame_bits(mode, spec)
         assert result.errors == 0
