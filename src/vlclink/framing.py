@@ -41,7 +41,6 @@ __all__ = [
     "FrameSpec",
     "FrameLayout",
     "mseq",
-    "preamble_symbols",
     "pilot_symbols",
     "rrc_taps",
     "build_tx_symbols",
@@ -155,10 +154,6 @@ def mseq(length: int) -> np.ndarray:
     return seq
 
 
-def preamble_symbols(spec: FrameSpec) -> np.ndarray:
-    return mseq(spec.preamble_len).astype(np.complex128)
-
-
 @lru_cache(maxsize=None)
 def pilot_symbols(spec: FrameSpec) -> np.ndarray:
     """Unit-power BPSK pilots, a cyclic shift of the preamble sequence.
@@ -246,32 +241,24 @@ def _upsample_and_shape(symbols: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return np.apply_along_axis(np.convolve, -1, stuffed, rrc_taps(spec))
 
 
-@lru_cache(maxsize=None)
-def _symbol_template(spec: FrameSpec) -> np.ndarray:
-    """The symbols of a frame with an all-zero payload: preamble on both
-    branches, each branch's pilots in its own slot, silence elsewhere.
-    Shared by every caller and every thread, so read-only."""
-    lay = spec.layout()
-    template = np.zeros((2, spec.n_symbols), dtype=np.complex128)
-    template[:, : lay.pilot1] = preamble_symbols(spec)
-    template[0, lay.pilot1 : lay.pilot2] = pilot_symbols(spec)
-    template[1, lay.pilot2 : lay.cp] = pilot_symbols(spec)
-    template.flags.writeable = False
-    return template
-
-
 def build_tx_symbols(payload_syms: np.ndarray, spec: FrameSpec) -> np.ndarray:
     """The frame symbols of `payload_syms`, unchecked: the one TX assembly.
 
     `payload_syms` is (streams, payload_len): two rows under SM, the one row
-    both branches repeat under SD.  The spec's template is copied and only
-    the cyclic prefix (the last cp_len payload symbols) and the payload are
-    written.
+    both branches repeat under SD.  Every segment is written into a fresh
+    frame: the preamble on both branches, each branch's pilots in its own
+    slot and silence in the other's, the cyclic prefix (the last cp_len
+    payload symbols) and the payload.
     """
     lay = spec.layout()
-    symbols = _symbol_template(spec).copy()
-    symbols[:, lay.payload :] = payload_syms
+    symbols = np.empty((2, spec.n_symbols), dtype=np.complex128)
+    symbols[:, : lay.pilot1] = mseq(spec.preamble_len)
+    symbols[0, lay.pilot1 : lay.pilot2] = pilot_symbols(spec)
+    symbols[1, lay.pilot1 : lay.pilot2] = 0.0
+    symbols[0, lay.pilot2 : lay.cp] = 0.0
+    symbols[1, lay.pilot2 : lay.cp] = pilot_symbols(spec)
     symbols[:, lay.cp : lay.payload] = payload_syms[:, spec.payload_len - spec.cp_len :]
+    symbols[:, lay.payload :] = payload_syms
     return symbols
 
 
@@ -326,15 +313,6 @@ def matched_filter_downsample(samples: np.ndarray, spec: FrameSpec, start: int, 
     return _block_fir(samples[..., start:], rrc_taps(spec)[::-1], spec.sps, n_symbols)
 
 
-@lru_cache(maxsize=None)
-def _cached_cascade(spec: FrameSpec) -> np.ndarray:
-    """The RRC x RRC cascade, 2*rrc_span*sps + 1 taps; shared, so read-only."""
-    taps = rrc_taps(spec)
-    cascade = np.convolve(taps, taps)
-    cascade.flags.writeable = False
-    return cascade
-
-
 def matched_filter_frame(symbols: np.ndarray, spec: FrameSpec, start: int) -> np.ndarray:
     """Noise-free matched-filter output of a frame at its symbol instants.
 
@@ -344,10 +322,12 @@ def matched_filter_frame(symbols: np.ndarray, spec: FrameSpec, start: int) -> np
     elsewhere; `start` may be any integer.  With g the RRC x RRC cascade and
     c = start + ntaps - 1, symbol k is sum_m symbols[m] * g[(k - m)*sps + c]:
     the symbols filtered by the phase g[c mod sps :: sps], shifted by
-    c // sps.
+    c // sps.  The cascade is convolved from the taps on every call: one
+    self-convolution of ntaps taps, too cheap for a shared cache to pay.
     """
+    taps = rrc_taps(spec)
     c = start + spec.ntaps - 1
-    phase = _cached_cascade(spec)[c % spec.sps :: spec.sps]
+    phase = np.convolve(taps, taps)[c % spec.sps :: spec.sps]
     first = c // spec.sps - (phase.size - 1)   # symbol under the first tap of output 0
     n = symbols.shape[-1]
     lead = max(-first, 0)

@@ -47,8 +47,8 @@ class StreamSnrs:
             raise ParameterError(f"{self.scheme} carries {expected} SNR value(s)")
 
     def derated(self, margin_db: float) -> "StreamSnrs":
-        if margin_db == 0.0:
-            return self
+        """These SNRs lowered by `margin_db` dB; a new instance, equal in value
+        at margin 0, since 10**0 == 1.0 exactly."""
         factor = 10.0 ** (-margin_db / 10.0)
         return StreamSnrs(self.scheme, tuple(s * factor for s in self.snr))
 

@@ -204,13 +204,14 @@ class ScenarioConfig:
                 raise ValidationError(key, f"value {_clip(repr(value))} out of range")
         # each domain type checks its own fields and names the attribute at fault, if one is
         builds = {"geometry": lambda: self.geometry(obstacle_x=0.0), "frame": self.frame_spec, "policy": self.policy}
+        built = {}
         for prefix, build in builds.items():
             try:
-                build()
+                built[prefix] = build()
             except ParameterError as exc:
                 raise ValidationError(_PART_KEYS.get(exc.field, prefix), _clip(str(exc))) from None
         # each sweep task draws 2 x 2 x samples float64 noise values per frame index
-        spec = self.frame_spec()
+        spec = built["frame"]
         samples = _stream_len(spec)
         if samples > MAX_STREAM_SAMPLES:
             raise ValidationError(

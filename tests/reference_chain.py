@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from vlclink import make_rng, qam_map
 from vlclink.channel import apply_channel, awgn
-from vlclink.framing import SYNC_THRESHOLD, FrameSpec, build_tx_symbols, preamble_symbols, rrc_taps
+from vlclink.framing import SYNC_THRESHOLD, FrameSpec, build_tx_symbols, mseq, rrc_taps
 from vlclink.scenario import LEAD_PAD, TAIL_PAD
 
 
@@ -70,7 +70,7 @@ def ref_matched_filter(samples, spec, start, n_symbols):
 def ref_sync_metric(samples, spec, last=None):
     """Best start over starts 0..last (the whole stream by default) and its
     normalised correlation."""
-    pre = preamble_symbols(spec)
+    pre = mseq(spec.preamble_len).astype(np.complex128)
     z = np.convolve(samples, rrc_taps(spec))
     tpl = np.zeros((pre.size - 1) * spec.sps + 1, dtype=complex)
     tpl[:: spec.sps] = pre

@@ -32,7 +32,6 @@ from vlclink.framing import (
     matched_filter_downsample,
     mseq,
     pilot_symbols,
-    preamble_symbols,
     rrc_taps,
     synchronize,
 )
@@ -101,7 +100,7 @@ class TestPreamble:
         pilots = pilot_symbols(SPEC)
         assert pilots.size == SPEC.pilot_len
         assert np.all(np.abs(pilots) == 1.0)
-        assert not np.array_equal(pilots, preamble_symbols(SPEC)[: SPEC.pilot_len])
+        assert not np.array_equal(pilots, mseq(SPEC.preamble_len)[: SPEC.pilot_len])
 
 
 def cp_and_payload(payload: np.ndarray, cp_len: int) -> np.ndarray:
@@ -171,7 +170,7 @@ def ref_symbols(payload: np.ndarray, spec: FrameSpec) -> np.ndarray:
     payload, as the layout table in the README reads."""
     lay = spec.layout()
     symbols = np.zeros((2, spec.n_symbols), dtype=complex)
-    symbols[:, : lay.pilot1] = preamble_symbols(spec)
+    symbols[:, : lay.pilot1] = mseq(spec.preamble_len).astype(np.complex128)
     symbols[0, lay.pilot1 : lay.pilot2] = pilot_symbols(spec)
     symbols[1, lay.pilot2 : lay.cp] = pilot_symbols(spec)
     for b in range(2):
@@ -179,10 +178,10 @@ def ref_symbols(payload: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return symbols
 
 
-class TestTxTemplate:
+class TestTxAssembly:
     @given(st.sampled_from(["SM", "SD"]), st.integers(1, 40), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_template_fill_equals_segment_assembly(self, scheme, payload_len, data):
+    def test_equals_segment_assembly(self, scheme, payload_len, data):
         spec = FrameSpec(
             preamble_len=data.draw(st.sampled_from([7, 15, 31, 63, 127])),
             pilot_len=data.draw(st.integers(4, 12)),
@@ -196,12 +195,20 @@ class TestTxTemplate:
         want = ref_symbols(both, spec)
         got = build_tx_symbols(payload, spec)
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
-        assert got.flags.writeable   # a copy, not the shared template
 
     def test_cp_len_zero(self):
         spec = FrameSpec(payload_len=16, cp_len=0)
         payload = np.arange(32.0).reshape(2, 16) + 0.5j
         assert np.array_equal(build_tx_symbols(payload, spec), ref_symbols(payload, spec))
+
+    def test_each_call_returns_its_own_writeable_frame(self):
+        payload = make_payload(make_rng(3), 16, SPEC, "SM")[1]
+        first, second = build_tx_symbols(payload, SPEC), build_tx_symbols(payload, SPEC)
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        first[:] = 0.0   # scribbling on one frame reaches neither the other nor the next
+        assert np.array_equal(second, ref_symbols(payload, SPEC))
+        assert np.array_equal(build_tx_symbols(payload, SPEC), ref_symbols(payload, SPEC))
 
 
 class TestLoopback:

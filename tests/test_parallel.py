@@ -28,8 +28,8 @@ from vlclink import (
 )
 from vlclink import scenario
 from vlclink.errors import ParameterError, SyncNotFound
-from vlclink.framing import FrameSpec, _band_pair, _cached_cascade, mseq, pilot_symbols, rrc_taps
-from vlclink.modem import constellation
+from vlclink.framing import FrameSpec, _band_pair, mseq, pilot_symbols, rrc_taps
+from vlclink.modem import _FIELDS, _POPCOUNT, constellation
 from vlclink.scenario import _usable_cpus, _worker_count, run_position
 
 # The adaptive run at x = 1 (index 0, seed 14) alternates SM-16 and SM-64;
@@ -334,7 +334,6 @@ class TestSharedCachesReadOnly:
         tables = (
             mseq(63),
             rrc_taps(FrameSpec()),
-            _cached_cascade(FrameSpec()),
             _band_pair(np.ones(41).tobytes(), 4),
             pilot_symbols(FrameSpec()),
         )
@@ -346,5 +345,10 @@ class TestSharedCachesReadOnly:
     def test_constellation_tables(self, order):
         c = constellation(order)
         for table in (c.level_by_code, c.points):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_label_tables(self):
+        for table in (_POPCOUNT, _FIELDS[2], _FIELDS[4]):
             with pytest.raises(ValueError):
                 table[0] = 0

@@ -53,8 +53,7 @@ MOVED = {
     "adapt": ["AdaptPolicy", "ControllerState", "controller_step", "new_controller", "parse_mode", "predicted_ber"],
     "channel": ["Geometry", "Obstacle", "apply_channel", "los_gain", "occlusion_factor"],
     "errors": ["ParameterError", "SingularMatrix", "SyncNotFound"],
-    "framing": ["FrameSpec", "matched_filter_downsample", "mseq", "pilot_symbols", "preamble_symbols", "rrc_taps",
-                "synchronize"],
+    "framing": ["FrameSpec", "matched_filter_downsample", "mseq", "pilot_symbols", "rrc_taps", "synchronize"],
     "metrics": ["LinkReport", "dump_constellation", "error_free_efficiency"],
     "modem": ["Constellation", "QAM_ORDERS", "constellation"],
     "numerics": ["Svd2", "inv2", "qfunc"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vlclink import estimate_channel, make_rng, qam_map
+from vlclink import StreamSnrs, estimate_channel, make_rng, qam_map
 from vlclink.errors import ParameterError, SingularMatrix
 from vlclink.framing import FrameSpec, pilot_symbols
 from vlclink.numerics import inv2
@@ -108,6 +108,12 @@ class TestStreamSnrs:
         except SingularMatrix:
             singular = True
         assert (stream_snrs(true_est(h), 2.0, 1.0, "SM") is None) == singular
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e12) | st.just(math.inf), min_size=1, max_size=2))
+    def test_derated_by_zero_keeps_every_bit(self, values):
+        snrs = StreamSnrs("SM" if len(values) == 2 else "SD", tuple(values))
+        assert np.array_equal(np.array(snrs.derated(0.0).snr).view(np.uint64), np.array(values).view(np.uint64))
 
     def test_diagonal_equals_half_per_link_snr(self):
         est = true_est(np.diag([1.0, 0.5]))
