@@ -13,13 +13,10 @@ import math
 import numpy as np
 
 from vlclink import ScenarioConfig, calibrate, channel_matrix, run_blockage_sweep
-from vlclink.channel import apply_channel
-from vlclink.framing import build_tx_symbols, matched_filter_frame
 from vlclink.metrics import dump_constellation
-from vlclink.modem import map_labels, unpack_labels
-from vlclink.receiver import combine_sd_mrc, detect_sm_zf, estimate_channel, stream_snrs
-from vlclink.scenario import LEAD_PAD, N0, P_TOTAL_REF, SETTLING_FRAMES, write_blockage_csv
-from vlclink.scenario import _bits_rng, _frame_bits, _FrontEnds, _packed_bits
+from vlclink.receiver import stream_snrs
+from vlclink.scenario import N0, P_TOTAL_REF, SETTLING_FRAMES, write_blockage_csv
+from vlclink.scenario import _bits_rng, _detect, _frame_bits, _FrontEnds, _packed_bits
 
 cfg = ScenarioConfig()
 p_total = calibrate(cfg)
@@ -41,26 +38,16 @@ with open("blockage_sweep.csv", "w", encoding="utf-8") as fh:
 print("\nwrote blockage_sweep.csv")
 
 # received constellation in the deepest shadow (x = 0), first measured frame,
-# through the chain steps in the order the sweep runs them
+# through the sweep's own receive chain (`_detect`, which `_run_frame` runs)
 center_index = int(np.argmin(np.abs(result.positions)))
 mode = result.adaptive[center_index].mode
 h_norm, _ = channel_matrix(cfg.geometry(obstacle_x=float(result.positions[center_index])))
-h_eff = math.sqrt(p_total / 2.0) * h_norm
 spec = cfg.frame_spec()
-lay = spec.layout()
 seed = (cfg.base_seed + center_index,)
-front_end = _FrontEnds(h_eff, spec)
+front_end = _FrontEnds(math.sqrt(p_total / 2.0) * h_norm, spec)
 front_end.draw(seed, SETTLING_FRAMES)
 bits = _packed_bits(_bits_rng(seed, SETTLING_FRAMES), _frame_bits(mode, spec))
-labels = unpack_labels(bits, mode.order, mode.streams * spec.payload_len).reshape(mode.streams, -1)
-sent = map_labels(labels, mode.order)
-tx_symbols = build_tx_symbols(sent, spec)
-start, mf_noise = front_end(tx_symbols)
-symbols = apply_channel(matched_filter_frame(tx_symbols, spec, start - LEAD_PAD), h_eff, mf_noise)
-pilots = symbols[:, lay.pilot1 : lay.pilot1 + 2 * spec.pilot_len].reshape(2, 2, spec.pilot_len)
-est = estimate_channel(pilots, front_end.pilots)
-received = symbols[:, lay.payload :]
-detected = detect_sm_zf(received, est) if mode.scheme == "SM" else combine_sd_mrc(received, est)[None, :]
+_, sent, detected, est, _ = _detect(mode, bits, front_end)
 snrs = stream_snrs(est, P_TOTAL_REF, N0, mode.scheme).snr
 print(f"\nx = 0 runs {mode.name}; estimated stream SNRs "
       + ", ".join(f"{10*math.log10(s):.1f} dB" for s in snrs))

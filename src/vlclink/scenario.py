@@ -414,12 +414,12 @@ class _FrontEnds:
 
     A frame's front end is its sync head through the channel, the sync start
     and the matched-filtered noise.  It depends on the frame's symbols only
-    through the first `head_symbols` of them, so the chain runs of one frame
-    index share it per distinct head-symbol block, and the shaped head of the
-    last block is kept across frame indices.  At the defaults that block is
-    preamble and pilots only, the same for every mode and frame; a head that
-    reaches the payload just keys more blocks.  It also holds the frame
-    layout and the pilots, which every chain run of the task reads.
+    through the first `head_symbols` of them, the key.  One slot holds the
+    last key, its shaped head and, until the next draw, its front end: the
+    modes at a frame index share one key (the head holds only preamble and
+    pilots, as at the defaults, for every frame) or have one each (it reaches
+    the CP, which copies payload), so no older key is asked for again.  It
+    also holds the frame layout and the pilots, which every chain run reads.
     """
 
     def __init__(self, h_eff: np.ndarray, spec: FrameSpec, noise: np.ndarray | None = None):
@@ -429,33 +429,32 @@ class _FrontEnds:
         self.pilots = pilot_symbols(spec)
         self.noise = noise
         self.used = head_symbols(spec, LEAD_PAD, _stream_len(spec))
-        self._ends: dict[bytes, tuple[int, np.ndarray]] = {}
-        self._head_key: bytes | None = None
+        self._key: bytes | None = None
         self._head: np.ndarray | None = None
+        self._end: tuple[int, np.ndarray] | None = None
 
     def draw(self, seed: tuple[int, ...], frame_idx: int) -> None:
         """Draw the noise of frame `frame_idx` into the task's buffer."""
         self.noise = _frame_noise(self.spec, seed, frame_idx, out=self.noise)
-        self._ends.clear()
+        self._end = None
 
     def __call__(self, tx_symbols: np.ndarray) -> tuple[int, np.ndarray]:
         """(sync start, matched-filtered noise) of the frame of `tx_symbols`."""
         block = tx_symbols[:, : self.used]
         key = block.tobytes()
-        if key not in self._ends:
-            spec, noise = self.spec, self.noise
-            if key != self._head_key:
-                self._head_key, self._head = key, build_head(block, spec, LEAD_PAD, noise.shape[-1])
+        spec, noise = self.spec, self.noise
+        if key != self._key:
+            self._key, self._head, self._end = key, build_head(block, spec, LEAD_PAD, noise.shape[-1]), None
+        if self._end is None:
             rx_head = apply_channel(self._head, self.h, noise=noise[..., : self._head.shape[-1]])
             start = synchronize(rx_head, spec, stream_len=noise.shape[-1])
-            self._ends[key] = (start, matched_filter_downsample(noise, spec, start, spec.n_symbols))
-        return self._ends[key]
+            self._end = (start, matched_filter_downsample(noise, spec, start, spec.n_symbols))
+        return self._end
 
 
-def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResult:
-    """One frame through the whole receiver, as its `FrameResult`: build,
-    channel, sync and estimate, then detect, demap, count bit errors and sum
-    both EVM powers.  The detected payload stays here.
+def _detect(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> tuple:
+    """One frame's receive chain, shared by `_run_frame` and demo 05: (sent
+    labels, sent symbols, detected payload, channel estimate, sync start).
 
     `bits` holds the frame's payload bits packed into bytes (`_packed_bits`),
     possibly followed by more.  `front_end` is the task's `_FrontEnds`: it
@@ -481,9 +480,16 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResu
     est = estimate_channel(segments, front_end.pilots)
     received = symbols[:, lay.payload :]
     detected = detect_sm_zf(received, est) if mode.scheme == "SM" else combine_sd_mrc(received, est)[None, :]
+    return tx_labels, sent, detected, est, start
+
+
+def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResult:
+    """One frame through the whole receiver, as its `FrameResult`: `_detect`,
+    then demap, count bit errors and sum both EVM powers."""
+    tx_labels, sent, detected, est, start = _detect(mode, bits, front_end)
     errors = label_bit_errors(tx_labels, demap_labels(detected, mode.order))
     powers = float(np.sum(np.abs(detected - sent) ** 2)), float(np.sum(np.abs(sent) ** 2))
-    return FrameResult(mode, _frame_bits(mode, spec), est, start, errors, *powers)
+    return FrameResult(mode, _frame_bits(mode, front_end.spec), est, start, errors, *powers)
 
 
 def _lockstep(
@@ -506,7 +512,8 @@ def _lockstep(
     as many as the most any of those runs needs, and the whole frame chain
     runs once per distinct mode among them; its record, which depends only
     on (mode, h_eff, spec, seeds), goes to every such run in that mode.  The
-    chain runs of a frame index share its sync front end (see `_FrontEnds`).
+    chain runs of a frame index share the task's one front-end slot (see
+    `_FrontEnds`).
     """
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=obstacle_x))
     spec = config.frame_spec()
@@ -615,6 +622,10 @@ class _BerRun:
         self.done = self.errors >= self.min_errors or self.bits >= self.max_bits
 
 
+# the runs at each blockage position, by result field: the adaptive run and the two fixed baselines
+_BLOCKAGE_RUNS = (("adaptive", None), ("fixed_sm64", Mode("SM", 64)), ("fixed_sd64", Mode("SD", 64)))
+
+
 @dataclass
 class BlockageSweepResult:
     positions: np.ndarray
@@ -641,7 +652,7 @@ def _blockage_positions(config: ScenarioConfig) -> np.ndarray:
 def run_position(
     config: ScenarioConfig, index: int, p_total: float | None = None
 ) -> tuple[LinkReport, LinkReport, LinkReport]:
-    """Reports (adaptive, fixed SM-64, fixed SD-64) for one sweep position.
+    """Reports of the `_BLOCKAGE_RUNS` runs, in order, for one sweep position.
 
     Seeded per position, so any single position reproduces its sweep rows
     bit-exactly without running the others.  The three runs step in lockstep
@@ -657,10 +668,7 @@ def run_position(
         p_total = _transmit_p_total(config)
     x = float(positions[index])
     policy = config.policy()
-    runs = [
-        _Run(config, policy, mode, None if mode is not None else new_controller(policy))
-        for mode in (None, Mode("SM", 64), Mode("SD", 64))
-    ]
+    runs = [_Run(config, policy, mode, new_controller(policy) if mode is None else None) for _, mode in _BLOCKAGE_RUNS]
     _lockstep(runs, config, x, p_total, (config.base_seed + index,), _MAX_FRAMES_PER_POSITION)
     return tuple(run.report(x) for run in runs)
 
@@ -751,48 +759,32 @@ def _map_tasks(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
 def run_blockage_sweep(config: ScenarioConfig, jobs: int | None = None) -> BlockageSweepResult:
     """Sweep the obstacle across the link, adaptive plus both fixed baselines.
 
-    All three runs at a position share per-frame noise seeds, so the baseline
-    comparison sees identical noise realisations.  Positions are seeded on
-    their own and run on up to `jobs` threads, the calling thread plus
-    `jobs` - 1 helpers (default: one thread per usable CPU; see
-    `_map_tasks`); the result is the same for every `jobs`.  The position
-    grid and `sweep.payload_bits` are checked before calibration (see
-    `_blockage_positions`).
+    Each run of `_BLOCKAGE_RUNS` fills the result field and the `averages`
+    entry of its name, in the table's order.  The runs at a position share
+    per-frame noise seeds, so the baseline comparison sees identical noise
+    realisations.  Positions are seeded on their own and run on up to `jobs`
+    threads, the calling thread plus `jobs` - 1 helpers (default: one thread
+    per usable CPU; see `_map_tasks`); the result is the same for every
+    `jobs`.  The position grid and `sweep.payload_bits` are checked before
+    calibration (see `_blockage_positions`).
     """
     positions = _blockage_positions(config)
     workers = _worker_count(jobs, positions.size, _usable_cpus())
     p_total = _transmit_p_total(config)
     reports = _map_tasks(run_position, [(config, index, p_total) for index in range(positions.size)], workers)
-    adaptive, fixed_sm64, fixed_sd64 = (list(run) for run in zip(*reports))
-    averages = {
-        "adaptive": float(np.mean([r.eff_bshz for r in adaptive])),
-        "fixed_sm64": float(np.mean([r.eff_bshz for r in fixed_sm64])),
-        "fixed_sd64": float(np.mean([r.eff_bshz for r in fixed_sd64])),
-    }
-    return BlockageSweepResult(
-        positions=positions,
-        adaptive=adaptive,
-        fixed_sm64=fixed_sm64,
-        fixed_sd64=fixed_sd64,
-        averages=averages,
-        p_total=p_total,
-    )
+    runs = {name: list(rows) for (name, _), rows in zip(_BLOCKAGE_RUNS, zip(*reports))}
+    averages = {name: float(np.mean([r.eff_bshz for r in rows])) for name, rows in runs.items()}
+    return BlockageSweepResult(**runs, positions=positions, averages=averages, p_total=p_total)
 
 
 def write_blockage_csv(result: BlockageSweepResult, fh: IO[str]) -> None:
-    write_report_block(result.adaptive, fh, label="adaptive")
-    fh.write("\n")
-    write_report_block(result.fixed_sm64, fh, label="fixed-sm64")
-    fh.write("\n")
-    write_report_block(result.fixed_sd64, fh, label="fixed-sd64")
-    fh.write("\n")
-    fh.write(
-        "# average_eff_bshz adaptive={:.6f} fixed_sm64={:.6f} fixed_sd64={:.6f}\n".format(
-            result.averages["adaptive"],
-            result.averages["fixed_sm64"],
-            result.averages["fixed_sd64"],
-        )
-    )
+    """A block per run of `_BLOCKAGE_RUNS`, labelled by its name with `-` for
+    `_`, then a trailer of their averages in the table's order and p_total."""
+    for name, _ in _BLOCKAGE_RUNS:
+        write_report_block(getattr(result, name), fh, label=name.replace("_", "-"))
+        fh.write("\n")
+    averages = " ".join(f"{name}={result.averages[name]:.6f}" for name, _ in _BLOCKAGE_RUNS)
+    fh.write(f"# average_eff_bshz {averages}\n")
     fh.write(f"# p_total_db={10.0 * math.log10(result.p_total):.6f}\n")
 
 

@@ -549,6 +549,8 @@ class TestSharedFrontEnd:
         spec = cfg.frame_spec()
         assert head_reach(spec) > spec.layout().payload
         want, _ = reference_run_position(cfg, index, default_p_total)
-        counts = count_calls(monkeypatch, ("_frame_noise", "_run_frame", "synchronize"))
+        counts = count_calls(monkeypatch, ("_frame_noise", "_run_frame", "synchronize", "build_head"))
         assert run_position(cfg, index, p_total=default_p_total) == want
         assert counts["_frame_noise"] < counts["synchronize"] == counts["_run_frame"]
+        # every chain run has a head of its own, so the one front-end slot never drops a head it would reuse
+        assert counts["build_head"] == counts["_run_frame"]

@@ -104,3 +104,30 @@ def test_framing_has_one_tx_assembly_and_no_sample_rate_frame():
     for name in ("TxFrame", "build_frame", "build_symbols"):
         assert not hasattr(vlclink.framing, name)
         assert name not in vlclink.framing.__all__
+
+
+def unread_imports(path: Path) -> list[str]:
+    """Names the module at `path` imports and never reads, less those on a
+    line that carries `# noqa`."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}   # bound name -> line of its alias
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name.split(".")[0]): a.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({(a.asname or a.name): a.lineno for a in node.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name, line in imported.items() if name not in read and "# noqa" not in lines[line - 1])
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted((ROOT / "src" / "vlclink").glob("*.py")) if p.name != "__init__.py"]
+    + sorted((ROOT / "demos").glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_every_imported_name_is_read(path):
+    # `__init__.py` is left out: its imports are the package's re-exports
+    assert unread_imports(path) == []

@@ -30,6 +30,7 @@ from vlclink import (
 from vlclink import scenario
 from vlclink.adapt import predicted_ber
 from vlclink.framing import _PILOT_SHIFT, FrameSpec, _last_start
+from vlclink.metrics import LinkReport
 from vlclink.receiver import ChannelEstimate, stream_snrs
 from vlclink.scenario import (
     _KEY_FIELDS,
@@ -42,6 +43,7 @@ from vlclink.scenario import (
     MAX_TAP_MATRIX_BYTES,
     N0,
     TAIL_PAD,
+    BlockageSweepResult,
     _frame_bits,
     _grid,
     _grid_points,
@@ -624,6 +626,31 @@ class TestBlockageSweep:
         assert text.count("position_cm,mode_code") == 3
         assert "# run=adaptive" in text and "# run=fixed-sd64" in text
         assert "# average_eff_bshz" in text
+
+    def test_blocks_and_trailer_follow_the_run_table_not_the_averages_dict(self):
+        def rows(mode, eff):
+            return [LinkReport(x, mode, 1000, 0, 0.0, eff, (20.0,), 0.01) for x in (-5.0, 5.0)]
+
+        res = BlockageSweepResult(
+            positions=np.array([-5.0, 5.0]),
+            adaptive=rows(Mode("SM", 256), 16.0),
+            fixed_sm64=rows(Mode("SM", 64), 12.0),
+            fixed_sd64=rows(Mode("SD", 64), 6.0),
+            averages={"fixed_sd64": 6.0, "fixed_sm64": 12.0, "adaptive": 16.0},   # reversed
+            p_total=100.0,
+        )
+        buf = io.StringIO()
+        write_blockage_csv(res, buf)
+        lines = buf.getvalue().splitlines()
+        assert [line for line in lines if line.startswith("# run=")] == [
+            "# run=adaptive",
+            "# run=fixed-sm64",
+            "# run=fixed-sd64",
+        ]
+        assert lines[-2:] == [
+            "# average_eff_bshz adaptive=16.000000 fixed_sm64=12.000000 fixed_sd64=6.000000",
+            "# p_total_db=20.000000",
+        ]
 
     def test_byte_identical_reruns(self):
         cfg = parse_config(FAST_TEXT)
