@@ -16,7 +16,7 @@ from vlclink import ScenarioConfig, calibrate, channel_matrix, run_blockage_swee
 from vlclink.metrics import dump_constellation
 from vlclink.receiver import stream_snrs
 from vlclink.scenario import N0, P_TOTAL_REF, SETTLING_FRAMES, write_blockage_csv
-from vlclink.scenario import _bits_rng, _detect, _frame_bits, _FrontEnds, _packed_bits
+from vlclink.scenario import _detect, _frame_bits, _FrontEnds
 
 cfg = ScenarioConfig()
 p_total = calibrate(cfg)
@@ -45,8 +45,7 @@ h_norm, _ = channel_matrix(cfg.geometry(obstacle_x=float(result.positions[center
 spec = cfg.frame_spec()
 seed = (cfg.base_seed + center_index,)
 front_end = _FrontEnds(math.sqrt(p_total / 2.0) * h_norm, spec)
-front_end.draw(seed, SETTLING_FRAMES)
-bits = _packed_bits(_bits_rng(seed, SETTLING_FRAMES), _frame_bits(mode, spec))
+bits = front_end.draw(seed, SETTLING_FRAMES, _frame_bits(mode, spec))
 _, sent, detected, est, _ = _detect(mode, bits, front_end)
 snrs = stream_snrs(est, P_TOTAL_REF, N0, mode.scheme).snr
 print(f"\nx = 0 runs {mode.name}; estimated stream SNRs "

@@ -68,9 +68,9 @@ def format_report_row(report: LinkReport) -> str:
     )
 
 
-def write_report_block(reports: Iterable[LinkReport], fh: IO[str], label: str | None = None) -> None:
-    if label is not None:
-        fh.write(f"# run={label}\n")
+def write_report_block(reports: Iterable[LinkReport], fh: IO[str], label: str) -> None:
+    """One run's block: a `# run=<label>` line, the header, then a row per report."""
+    fh.write(f"# run={label}\n")
     fh.write(REPORT_HEADER + "\n")
     for report in reports:
         fh.write(format_report_row(report) + "\n")

@@ -82,11 +82,10 @@ def stream_snrs(est: ChannelEstimate, p_total: float, n0: float, scheme: str) ->
     The SM form is None when the Gram matrix H^H H fails `inv2`'s singularity
     test: a channel that cannot carry two streams has no SM SNRs, so the mode
     selector skips SM and the BER theory of SM is undefined.  The SD form is
-    total.
+    total.  `scheme` is exactly 'SM' or 'SD', as `Mode.scheme` holds it.
     """
     if not p_total > 0 or not n0 > 0:
         raise ParameterError("p_total and n0 must be positive")
-    scheme = scheme.upper()
     h = est.h_hat
     per_branch = p_total / 2.0
     if scheme == "SM":

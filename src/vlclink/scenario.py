@@ -67,7 +67,6 @@ __all__ = [
     "load_config",
     "calibrate",
     "run_blockage_sweep",
-    "run_position",
     "run_ber_sweep",
     "BlockageSweepResult",
     "BerSweepRow",
@@ -150,7 +149,7 @@ class ScenarioConfig:
     which check their own fields, then the frame's stream and tap-matrix caps
     and the pilot-preamble rule.  A failure raises `ValidationError` naming
     the key at fault.  The sweeps' grids and budgets are checked by the sweep
-    that reads them (`_grid`, `run_position`, `run_ber_sweep`).
+    that reads them (`_grid`, `run_blockage_sweep`, `run_ber_sweep`).
     """
 
     led_sep: float = _part("geometry.led_sep", Geometry, "led_sep")
@@ -349,12 +348,6 @@ def calibrate(config: ScenarioConfig) -> float:
     return 10.0 ** ((hi_db + config.calibrate_margin_db) / 10.0)
 
 
-def _transmit_p_total(config: ScenarioConfig) -> float:
-    if config.snr_db is not None:
-        return 10.0 ** (config.snr_db / 10.0)
-    return calibrate(config)
-
-
 @dataclass(frozen=True)
 class FrameResult:
     """The one record of a frame, always complete: its mode, payload bits,
@@ -370,11 +363,6 @@ class FrameResult:
     errors: int          # bit errors of the hard decisions on the detected payload
     err_power: float     # sum of |detected - sent|^2
     ref_power: float     # sum of |sent|^2
-
-
-def _bits_rng(seed: tuple[int, ...], frame_idx: int) -> np.random.Generator:
-    """Payload-bit source of frame `frame_idx`, shared by its chain runs."""
-    return make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_BITS)))
 
 
 def _frame_bits(mode: Mode, spec: FrameSpec) -> int:
@@ -401,19 +389,14 @@ def _stream_len(spec: FrameSpec) -> int:
     return LEAD_PAD + spec.n_samples + TAIL_PAD
 
 
-def _frame_noise(spec: FrameSpec, seed: tuple[int, ...], frame_idx: int, out=None) -> np.ndarray:
-    """Receiver noise of frame `frame_idx` over the (2, n) stream as `awgn` draws
-    it, (2, 2, n) real then imaginary parts; into the buffer `out` when given."""
-    rng = make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_NOISE)))
-    return awgn((2, _stream_len(spec)), N0, rng, out=out)
-
-
 class _FrontEnds:
     """The mode-independent part of the chain for one sweep task (a position or
     a BER point), which runs on one thread.
 
-    A frame's front end is its sync head through the channel, the sync start
-    and the matched-filtered noise.  It depends on the frame's symbols only
+    `draw` makes a frame index's two draws once for all its chain runs: the
+    noise, into the task's buffer, and the payload bits.  A frame's front end
+    is its sync head through the channel, the sync start and the
+    matched-filtered noise.  It depends on the frame's symbols only
     through the first `head_symbols` of them, the key.  One slot holds the
     last key, its shaped head and, until the next draw, its front end: the
     modes at a frame index share one key (the head holds only preamble and
@@ -433,10 +416,14 @@ class _FrontEnds:
         self._head: np.ndarray | None = None
         self._end: tuple[int, np.ndarray] | None = None
 
-    def draw(self, seed: tuple[int, ...], frame_idx: int) -> None:
-        """Draw the noise of frame `frame_idx` into the task's buffer."""
-        self.noise = _frame_noise(self.spec, seed, frame_idx, out=self.noise)
+    def draw(self, seed: tuple[int, ...], frame_idx: int, n_bits: int) -> np.ndarray:
+        """Draw frame `frame_idx`'s noise into the task's buffer, as `awgn` draws
+        it, and return its first `n_bits` payload bits, packed (`_packed_bits`);
+        each from its own generator, seeded `seed + (frame_idx, role)`."""
+        rng = make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_NOISE)))
+        self.noise = awgn((2, _stream_len(self.spec)), N0, rng, out=self.noise)
         self._end = None
+        return _packed_bits(make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_BITS))), n_bits)
 
     def __call__(self, tx_symbols: np.ndarray) -> tuple[int, np.ndarray]:
         """(sync start, matched-filtered noise) of the frame of `tx_symbols`."""
@@ -456,16 +443,17 @@ def _detect(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> tuple:
     """One frame's receive chain, shared by `_run_frame` and demo 05: (sent
     labels, sent symbols, detected payload, channel estimate, sync start).
 
-    `bits` holds the frame's payload bits packed into bytes (`_packed_bits`),
-    possibly followed by more.  `front_end` is the task's `_FrontEnds`: it
-    holds the effective channel, the frame spec and the frame's current
-    noise draw, which is read, not modified, so runs that share a frame index
-    share one draw and one sync front end.  `apply_channel` is the one
-    channel law at both rates: the front end passes the sample-rate sync head
-    through it, and this the frame's noise-free matched-filter output at its
-    symbol instants with the matched-filtered noise.  The chain is linear and
-    the channel memoryless, so that is the matched filter of y = Hx + w.  The
-    modem works on k-bit labels; a detector's `SingularMatrix` raises here.
+    `bits` holds the frame's payload bits packed into bytes, possibly
+    followed by more, as `_FrontEnds.draw` returns them.  `front_end` is the
+    task's `_FrontEnds`: it holds the effective channel, the frame spec and
+    the frame's current noise draw, which is read, not modified, so runs that
+    share a frame index share one draw and one sync front end.
+    `apply_channel` is the one channel law at both rates: the front end
+    passes the sample-rate sync head through it, and this the frame's
+    noise-free matched-filter output at its symbol instants with the
+    matched-filtered noise.  The chain is linear and the channel memoryless,
+    so that is the matched filter of y = Hx + w.  The modem works on k-bit
+    labels; a detector's `SingularMatrix` raises here.
     """
     spec, lay = front_end.spec, front_end.layout
     tx_labels = unpack_labels(bits, mode.order, mode.streams * spec.payload_len).reshape(mode.streams, -1)
@@ -500,34 +488,35 @@ def _lockstep(
     seed: tuple[int, ...],
     frame_limit: int,
 ) -> None:
-    """Step `runs` together by frame index, until every run stops or for
-    `frame_limit` indices.
+    """Step `runs` together by frame index, until no run that is not done
+    reads the next index, or for `frame_limit` indices.
 
     A run has `mode`, the mode of its next frame, a `done` flag,
     `reads(frame_idx)`, whether it reads that frame, and `record(frame_idx,
     result)`, which applies its own stop rule.  The runs share per-frame
     seeds, so frame index k carries the same noise and the same payload-bit
-    stream in each of them.  A frame index is simulated only for the active
-    runs that read it: its noise and payload bits are drawn once, the bits
-    as many as the most any of those runs needs, and the whole frame chain
-    runs once per distinct mode among them; its record, which depends only
-    on (mode, h_eff, spec, seeds), goes to every such run in that mode.  The
-    chain runs of a frame index share the task's one front-end slot (see
-    `_FrontEnds`).
+    stream in each of them.  A frame index is simulated for the runs that
+    are not done and read it: `_FrontEnds.draw` draws its noise and payload
+    bits once, the bits as many as the most any of those runs needs, and the
+    whole frame chain runs once per distinct mode among them; its record,
+    which depends only on (mode, h_eff, spec, seeds), goes to every such run
+    in that mode.  The chain runs of a frame index share the task's one
+    front-end slot (see `_FrontEnds`).
+
+    That stop cuts no run short in the run tables the sweeps build: a run
+    that is not done reads every index, save a fixed blockage run before
+    SETTLING_FRAMES, and at those indices the adaptive run is still active
+    (`tests/test_lockstep.py::TestLockstepStop` states that rule).
     """
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=obstacle_x))
     spec = config.frame_spec()
     front_end = _FrontEnds(math.sqrt(p_total / 2.0) * h_norm, spec)
     for frame_idx in range(frame_limit):
-        active = [run for run in runs if not run.done]
-        if not active:
-            break
-        readers = [run for run in active if run.reads(frame_idx)]
+        readers = [run for run in runs if not run.done and run.reads(frame_idx)]
         if not readers:
-            continue
-        front_end.draw(seed, frame_idx)
+            break
         modes = dict.fromkeys(run.mode for run in readers)
-        bits = _packed_bits(_bits_rng(seed, frame_idx), max(_frame_bits(mode, spec) for mode in modes))
+        bits = front_end.draw(seed, frame_idx, max(_frame_bits(mode, spec) for mode in modes))
         results = {mode: _run_frame(mode, bits, front_end) for mode in modes}
         for run in readers:
             run.record(frame_idx, results[run.mode])
@@ -636,37 +625,18 @@ class BlockageSweepResult:
     p_total: float
 
 
-def _blockage_positions(config: ScenarioConfig) -> np.ndarray:
-    """The blockage sweep's positions, once its bit budget is checked: a run
-    measures every frame index but the settling ones and may fall back to
-    SD-4, whose frames carry the fewest bits, so `sweep.payload_bits` may not
-    exceed what SD-4 frames carry in the rest of the frame budget."""
-    positions = config.positions()
-    most_bits = (_MAX_FRAMES_PER_POSITION - SETTLING_FRAMES) * _frame_bits(Mode("SD", 4), config.frame_spec())
-    if config.payload_bits > most_bits:
-        budget = f"the frame budget of {_MAX_FRAMES_PER_POSITION} frames"
-        raise ValidationError("sweep.payload_bits", f"exceeds the {most_bits} bits an SD-4 run measures in {budget}")
-    return positions
+def _run_position(config: ScenarioConfig, index: int, x: float, p_total: float) -> tuple[LinkReport, ...]:
+    """The blockage sweep's task for position `index`, at obstacle position
+    `x` and the sweep's `p_total`: the reports of the `_BLOCKAGE_RUNS` runs,
+    in order.
 
-
-def run_position(
-    config: ScenarioConfig, index: int, p_total: float | None = None
-) -> tuple[LinkReport, LinkReport, LinkReport]:
-    """Reports of the `_BLOCKAGE_RUNS` runs, in order, for one sweep position.
-
-    Seeded per position, so any single position reproduces its sweep rows
-    bit-exactly without running the others.  The three runs step in lockstep
-    (see `_lockstep`), so they see identical noise.  Every run, whatever modes
-    it sends, meets its budgets within _MAX_FRAMES_PER_POSITION frame indices:
-    the config bounds `frames_per_position`, and `_blockage_positions` checks
-    `payload_bits` and the grid before calibration or any frame.
+    Seeded by its index alone, so a position gives the same rows whatever
+    other positions run.  The three runs step in lockstep (see `_lockstep`),
+    so they see identical noise.  Every run, whatever modes it sends, meets
+    its budgets within _MAX_FRAMES_PER_POSITION frame indices: the config
+    bounds `frames_per_position`, and `run_blockage_sweep` checks
+    `payload_bits` before any task.
     """
-    positions = _blockage_positions(config)
-    if not 0 <= index < positions.size:
-        raise ParameterError(f"position index {index} outside sweep of {positions.size}")
-    if p_total is None:
-        p_total = _transmit_p_total(config)
-    x = float(positions[index])
     policy = config.policy()
     runs = [_Run(config, policy, mode, new_controller(policy) if mode is None else None) for _, mode in _BLOCKAGE_RUNS]
     _lockstep(runs, config, x, p_total, (config.base_seed + index,), _MAX_FRAMES_PER_POSITION)
@@ -713,8 +683,8 @@ def _map_tasks(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
     The tasks taken are a prefix of `tasks`, and each runs to its end.  After
     a failure or an interrupt no task starts and the running ones are
     joined; then the first failure in task order raises, as in a serial run.
-    It reaches the caller through a `Future`, imported only on failure:
-    importing `concurrent.futures` adds about 0.4 MB to a sweep's peak RSS.
+    That exception object is re-raised as it is, its traceback still
+    reaching into the task.
     """
     results = [None] * len(tasks)
     failures = {}   # task index -> its exception
@@ -748,11 +718,7 @@ def _map_tasks(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
             if helper.is_alive():   # a helper an interrupt kept from starting cannot be joined
                 helper.join()
     if failures:
-        from concurrent.futures import Future
-
-        outcome = Future()
-        outcome.set_exception(failures[min(failures)])
-        outcome.result()   # raises the exception, as the serial run would have
+        raise failures[min(failures)]
     return results
 
 
@@ -765,13 +731,22 @@ def run_blockage_sweep(config: ScenarioConfig, jobs: int | None = None) -> Block
     realisations.  Positions are seeded on their own and run on up to `jobs`
     threads, the calling thread plus `jobs` - 1 helpers (default: one thread
     per usable CPU; see `_map_tasks`); the result is the same for every
-    `jobs`.  The position grid and `sweep.payload_bits` are checked before
-    calibration (see `_blockage_positions`).
+    `jobs`.
+
+    The position grid and `sweep.payload_bits` are checked before
+    calibration: a run measures every frame index but the settling ones and
+    may fall back to SD-4, whose frames carry the fewest bits, so
+    `sweep.payload_bits` may not exceed what SD-4 frames carry in the rest
+    of the frame budget.
     """
-    positions = _blockage_positions(config)
+    positions = config.positions()
+    most_bits = (_MAX_FRAMES_PER_POSITION - SETTLING_FRAMES) * _frame_bits(Mode("SD", 4), config.frame_spec())
+    if config.payload_bits > most_bits:
+        budget = f"the frame budget of {_MAX_FRAMES_PER_POSITION} frames"
+        raise ValidationError("sweep.payload_bits", f"exceeds the {most_bits} bits an SD-4 run measures in {budget}")
     workers = _worker_count(jobs, positions.size, _usable_cpus())
-    p_total = _transmit_p_total(config)
-    reports = _map_tasks(run_position, [(config, index, p_total) for index in range(positions.size)], workers)
+    p_total = 10.0 ** (config.snr_db / 10.0) if config.snr_db is not None else calibrate(config)
+    reports = _map_tasks(_run_position, [(config, i, float(x), p_total) for i, x in enumerate(positions)], workers)
     runs = {name: list(rows) for (name, _), rows in zip(_BLOCKAGE_RUNS, zip(*reports))}
     averages = {name: float(np.mean([r.eff_bshz for r in rows])) for name, rows in runs.items()}
     return BlockageSweepResult(**runs, positions=positions, averages=averages, p_total=p_total)
@@ -781,7 +756,7 @@ def write_blockage_csv(result: BlockageSweepResult, fh: IO[str]) -> None:
     """A block per run of `_BLOCKAGE_RUNS`, labelled by its name with `-` for
     `_`, then a trailer of their averages in the table's order and p_total."""
     for name, _ in _BLOCKAGE_RUNS:
-        write_report_block(getattr(result, name), fh, label=name.replace("_", "-"))
+        write_report_block(getattr(result, name), fh, name.replace("_", "-"))
         fh.write("\n")
     averages = " ".join(f"{name}={result.averages[name]:.6f}" for name, _ in _BLOCKAGE_RUNS)
     fh.write(f"# average_eff_bshz {averages}\n")

@@ -1,6 +1,6 @@
 """BER points through the lockstep engine against the former per-point loop.
 
-`measure_mode_ber` is one run in the engine that `run_position` also uses,
+`measure_mode_ber` is one run in the engine that the blockage positions also use,
 with the stop rule "at least one frame, then `min_errors` errors or
 `max_bits` bits".  The reference below is the loop it replaced: frame after
 frame, each with its own noise drawn by the former complex formula, until
@@ -22,7 +22,6 @@ from vlclink.scenario import (
     _BER_SWEEP_TAG,
     _ROLE_BITS,
     _ROLE_NOISE,
-    _bits_rng,
     _FrontEnds,
     _frame_bits,
     _packed_bits,
@@ -124,7 +123,7 @@ class TestNoQualityReads:
                            "sweep.payload_bits = 4000\n")
         measure_mode_ber(cfg, Mode("SM", 16), 10.0 ** 2.4, SEED, 40, 20_000)
         assert calls == []
-        scenario.run_position(cfg, 0)   # the spies do see the blockage runs' quality reads
+        scenario._run_position(cfg, 0, 0.0, 10.0 ** 3)   # the spies do see the blockage runs' quality reads
         assert calls
 
     def test_ber_frames_carry_errors_and_both_powers(self, monkeypatch):
@@ -145,8 +144,7 @@ class TestNoQualityReads:
         assert all(r.err_power > 0.0 and r.ref_power > 0.0 for r in results)
         spec = cfg.frame_spec()
         front_end = _FrontEnds(math.sqrt(10.0 ** 1.6 / 2.0) * channel_matrix(cfg.geometry())[0], spec)
-        front_end.draw(SEED, 0)
-        alone = real(Mode("SD", 4), _packed_bits(_bits_rng(SEED, 0), _frame_bits(Mode("SD", 4), spec)), front_end)
+        alone = real(Mode("SD", 4), front_end.draw(SEED, 0, _frame_bits(Mode("SD", 4), spec)), front_end)
         assert (alone.errors, alone.err_power, alone.ref_power) == (
             results[0].errors, results[0].err_power, results[0].ref_power
         )

@@ -11,7 +11,7 @@ from test_lockstep import count_calls
 from vlclink import ScenarioConfig, ValidationError, cli, load_config, parse_config, run_ber_sweep, run_blockage_sweep
 from vlclink import scenario
 from vlclink.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from vlclink.scenario import _KEY_FIELDS, _MAX_CONFIG_BYTES, _MAX_ECHO_CHARS, run_position
+from vlclink.scenario import _KEY_FIELDS, _MAX_CONFIG_BYTES, _MAX_ECHO_CHARS
 
 COMMANDS = ["calibrate", "blockage-sweep", "ber-sweep"]
 INT_KEYS = sorted(key for key, f in _KEY_FIELDS.items() if f.metadata["parse"] is int)
@@ -359,16 +359,12 @@ SWEEP_RULES = [
 class TestSweepKeysCheckedBeforeWork:
     @pytest.mark.parametrize("text, command, line", SWEEP_RULES)
     def test_sweep_rejects_its_key_before_any_work(self, text, command, line, tmp_path, monkeypatch, capsys):
-        counts = count_calls(monkeypatch, ["calibrate", "_frame_noise"])
+        counts = count_calls(monkeypatch, ["calibrate", "awgn"])
         cfg = parse_config(text)   # the config itself parses
         sweep = run_blockage_sweep if command == "blockage-sweep" else run_ber_sweep
         with pytest.raises(ValidationError) as err:
             sweep(cfg, jobs=1)
         assert str(err.value) == line
-        if command == "blockage-sweep":
-            with pytest.raises(ValidationError) as err:
-                run_position(cfg, 0)
-            assert str(err.value) == line
         path, out = tmp_path / "bad.cfg", tmp_path / "out.csv"
         path.write_text(text)
         assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG

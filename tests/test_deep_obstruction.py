@@ -5,7 +5,8 @@ shadow and leaves every other key at its default, calibration included.
 Where the default obstacle shadows 3 of 27 positions and the adaptive run
 never leaves {SM-256, SM-64}, this one sends five modes as it crosses the
 link, so its averages and its worst BER depend on the noise.  Its seed-1
-CSV digest is pinned in `tests/test_golden.py`.
+CSV digest is pinned in `tests/test_golden.py`, which reads the same
+shared run of the sweep (`tests/conftest.py`).
 
 The adaptive run must match or beat both fixed baselines at every position,
 and step down the ladder SM-256 -> SM-64 -> SM-16 -> SD-16 -> SD-4 to the
@@ -20,15 +21,15 @@ from pathlib import Path
 
 import pytest
 
-from vlclink import load_config, run_blockage_sweep
+from vlclink import load_config
 
 DEEP_OBSTRUCTION_CFG = Path(__file__).resolve().parents[1] / "configs" / "deep-obstruction.cfg"
 LADDER = ["SM-256", "SM-64", "SM-16", "SD-16", "SD-4"]
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return run_blockage_sweep(load_config(DEEP_OBSTRUCTION_CFG))
+def sweep(blockage_sweep):
+    return blockage_sweep(load_config(DEEP_OBSTRUCTION_CFG))
 
 
 def test_adaptive_matches_or_beats_both_baselines_everywhere(sweep):

@@ -3,7 +3,9 @@
 `ParseError` and `ValidationError` are config errors, `ParameterError` is a
 broken call contract, and `SyncNotFound` and `SingularMatrix` are the only
 errors that mean one frame is lost.  Every `raise` in the package names one
-of them, so a caller that handles those five handles everything it raises.
+of them, so a caller that handles those five handles everything it raises;
+the one other `raise` is `_map_tasks`' re-raise of a sweep task's own
+exception, which the package did not originate.
 A channel that cannot carry two streams is not a lost frame: `stream_snrs`
 reads it as no SM SNRs, and is the one place that catches `SingularMatrix`.
 """
@@ -16,6 +18,7 @@ import vlclink
 from vlclink import errors
 
 FIVE = {"ParameterError", "ParseError", "ValidationError", "SyncNotFound", "SingularMatrix"}
+RERAISE = ("scenario.py", "failures[min(failures)]")   # `_map_tasks`: the first failed task's exception
 SRC = Path(vlclink.__file__).resolve().parent
 
 
@@ -42,8 +45,8 @@ def test_errors_defines_exactly_the_five_classes():
 def test_every_raise_names_one_of_the_five():
     raises = {path.name: raised_names(path) for path in sorted(SRC.glob("*.py"))}
     assert sum(len(found) for found in raises.values()) > 50
-    stray = [f"{name}:{line} raises {exc}" for name, found in raises.items() for line, exc in found if exc not in FIVE]
-    assert stray == []
+    stray = [(name, exc) for name, found in raises.items() for _, exc in found if exc not in FIVE]
+    assert stray == [RERAISE]
 
 
 def singular_matrix_handlers(path: Path) -> list[str]:

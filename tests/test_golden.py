@@ -13,7 +13,9 @@ the default blockage CSV and the received constellation at x = 0.  A
 change that alters any output must say why and re-baseline the digest here;
 the seed-1 digests of the default sweeps and of the short-frame sweep, and
 that sweep's config, are read from the benchmark's workload table
-(`bench/spec.py`), so a re-baseline of those is one edit there.
+(`bench/spec.py`), so a re-baseline of those is one edit there.  The
+blockage sweeps come from the shared runs of `tests/conftest.py`,
+which `tests/test_deep_obstruction.py` and `tests/test_oracle.py` read too.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from vlclink import load_config, parse_config, run_ber_sweep, run_blockage_sweep, write_ber_csv, write_blockage_csv
+from vlclink import load_config, parse_config, run_ber_sweep, write_ber_csv, write_blockage_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CFG = ROOT / "configs" / "default.cfg"
@@ -84,38 +86,30 @@ DEMO_FILES = {
     },
 }
 
-SWEEPS = {
-    "blockage-sweep": (run_blockage_sweep, write_blockage_csv),
-    "ber-sweep": (run_ber_sweep, write_ber_csv),
-}
+def csv_digest(command, config, blockage_sweep):
+    """sha256 of the CSV that `command` writes for `config`."""
+    run, write = (blockage_sweep, write_blockage_csv) if command == "blockage-sweep" else (run_ber_sweep, write_ber_csv)
+    buf = io.StringIO()
+    write(run(config), buf)
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_default_csv_digest(command):
-    run, write = SWEEPS[command]
-    buf = io.StringIO()
-    write(run(load_config(DEFAULT_CFG)), buf)
-    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == GOLDEN[command]
+def test_default_csv_digest(command, blockage_sweep):
+    assert csv_digest(command, load_config(DEFAULT_CFG), blockage_sweep) == GOLDEN[command]
 
 
-def test_short_frame_blockage_csv_digest():
-    buf = io.StringIO()
-    write_blockage_csv(run_blockage_sweep(parse_config(SHORT_FRAMES_TEXT)), buf)
-    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == SHORT_FRAMES_DIGEST
+def test_short_frame_blockage_csv_digest(blockage_sweep):
+    assert csv_digest("blockage-sweep", parse_config(SHORT_FRAMES_TEXT), blockage_sweep) == SHORT_FRAMES_DIGEST
 
 
-def test_deep_obstruction_blockage_csv_digest():
-    buf = io.StringIO()
-    write_blockage_csv(run_blockage_sweep(load_config(DEEP_OBSTRUCTION_CFG)), buf)
-    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == DEEP_OBSTRUCTION_DIGEST
+def test_deep_obstruction_blockage_csv_digest(blockage_sweep):
+    assert csv_digest("blockage-sweep", load_config(DEEP_OBSTRUCTION_CFG), blockage_sweep) == DEEP_OBSTRUCTION_DIGEST
 
 
 @pytest.mark.parametrize("command", sorted(PILOT8_GOLDEN))
-def test_pilot8_csv_digest(command):
-    run, write = SWEEPS[command]
-    buf = io.StringIO()
-    write(run(parse_config(PILOT8_TEXT)), buf)
-    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == PILOT8_GOLDEN[command]
+def test_pilot8_csv_digest(command, blockage_sweep):
+    assert csv_digest(command, parse_config(PILOT8_TEXT), blockage_sweep) == PILOT8_GOLDEN[command]
 
 
 @pytest.mark.parametrize("demo", sorted(DEMO_STDOUT))

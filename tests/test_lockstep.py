@@ -1,12 +1,13 @@
 """Lockstep blockage positions against the sequential three-run reference.
 
-`run_position` steps the adaptive, fixed SM-64 and fixed SD-64 runs together,
-draws each frame index's noise once and runs the whole frame chain once
-per distinct mode among the runs that read the index: the fixed runs skip
-their settling frames.  The reference below is the loop it replaced: each
-run on its own, frame after frame, simulating and decoding every frame and
-drawing its own noise with the former in-place formula.  Both must give
-identical reports, compared with exact equality.
+A blockage position's task, `_run_position`, steps the adaptive, fixed
+SM-64 and fixed SD-64 runs together, draws each frame index's noise once
+and runs the whole frame chain once per distinct mode among the runs that
+read the index: the fixed runs skip their settling frames.  The reference
+below is the loop it replaced: each run on its own, frame after frame,
+simulating and decoding every frame and drawing its own noise with the
+former in-place formula.  Both must give identical reports, compared with
+exact equality.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_modem import pack_labels
-from vlclink import Mode, ScenarioConfig, calibrate, channel_matrix, parse_config, run_blockage_sweep
+from vlclink import Mode, ScenarioConfig, calibrate, channel_matrix, parse_config, run_ber_sweep, run_blockage_sweep
 from vlclink import scenario
 from vlclink.adapt import controller_step, new_controller
 from vlclink.errors import SingularMatrix
@@ -36,12 +37,11 @@ from vlclink.scenario import (
     TAIL_PAD,
     _ROLE_BITS,
     _ROLE_NOISE,
-    _bits_rng,
     _FrontEnds,
     _frame_bits,
     _packed_bits,
     _run_frame,
-    run_position,
+    _run_position,
 )
 
 # Adaptive run alternates SM-16 and SM-64 inside its measured window.
@@ -69,6 +69,12 @@ frame.payload_len = 512
 frame.pilot_len = 8
 sweep.payload_bits = 4000
 """
+
+
+def reference_bits(seed, frame_idx, n_bits):
+    """The first `n_bits` payload bits of frame `frame_idx`, packed, from the
+    generator seeded `seed + (frame_idx, _ROLE_BITS)`."""
+    return _packed_bits(make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_BITS))), n_bits)
 
 
 def reference_noise(spec, pos_seed, frame_idx):
@@ -105,10 +111,9 @@ def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, 
     frame_idx = 0
     while True:
         mode = state.pending if state is not None else fixed_mode
-        bits_rng = make_rng(np.random.SeedSequence((pos_seed, frame_idx, _ROLE_BITS)))
         result = _run_frame(
             mode,
-            _packed_bits(bits_rng, _frame_bits(mode, spec)),
+            reference_bits((pos_seed,), frame_idx, _frame_bits(mode, spec)),
             _FrontEnds(h_eff, spec, reference_noise(spec, pos_seed, frame_idx)),
         )
         used.append((frame_idx, mode))
@@ -163,13 +168,18 @@ def reference_run_position(config, index, p_total):
     return tuple(reports), used
 
 
+def position_task(config, index, p_total):
+    """The blockage sweep's task for position `index` of `config`."""
+    return _run_position(config, index, float(config.positions()[index]), p_total)
+
+
 @pytest.fixture(scope="module")
 def default_p_total():
     return calibrate(ScenarioConfig())
 
 
 def assert_same_reports(config, index, p_total):
-    got = run_position(config, index, p_total=p_total)
+    got = position_task(config, index, p_total)
     want, used = reference_run_position(config, index, p_total)
     assert got == want   # LinkReport equality: every float compared exactly
     return want, used
@@ -257,7 +267,7 @@ class TestSharedWork:
         assert want_indices == {frame_idx for run in used for frame_idx, _ in run}   # the adaptive run reads them all
 
         noise_draws, chain_runs, _ = spy_frame_indices(monkeypatch, (cfg.base_seed + index,))
-        run_position(cfg, index, p_total=p_total)
+        position_task(cfg, index, p_total)
 
         assert sorted(noise_draws) == sorted(want_indices)
         assert sorted(chain_runs, key=lambda p: (p[0], p[1].name)) == sorted(
@@ -269,7 +279,7 @@ class TestSharedWork:
     def test_fixed_runs_skip_settling_and_every_chain_run_decodes_once(self, index, default_p_total, monkeypatch):
         cfg = ScenarioConfig()
         noise_draws, chain_runs, decodes = spy_frame_indices(monkeypatch, (cfg.base_seed + index,))
-        run_position(cfg, index, p_total=default_p_total)
+        position_task(cfg, index, default_p_total)
 
         settling = [(frame_idx, mode) for frame_idx, mode in chain_runs if frame_idx < SETTLING_FRAMES]
         assert [frame_idx for frame_idx, _ in settling] == list(range(SETTLING_FRAMES))   # the adaptive run alone
@@ -298,7 +308,42 @@ class TestSharedWork:
         assert len(res.adaptive) == 3
         for index in range(3):
             rows = (res.adaptive[index], res.fixed_sm64[index], res.fixed_sd64[index])
-            assert run_position(cfg, index) == rows
+            assert position_task(cfg, index, res.p_total) == rows
+
+
+class TestLockstepStop:
+    """`_lockstep` stops at the first frame index that no active run reads.
+    That cuts no run short only while a run that is not done reads every
+    index, save a fixed blockage run before SETTLING_FRAMES, where the
+    adaptive run is still active.  A new run kind or run table meets it here."""
+
+    def test_runs_read_every_index_but_a_fixed_runs_settling_frames(self):
+        cfg = ScenarioConfig()
+        policy = cfg.policy()
+        indices = range(scenario._MAX_FRAMES_PER_POSITION)
+        for _, mode in scenario._BLOCKAGE_RUNS:
+            run = scenario._Run(cfg, policy, mode, new_controller(policy) if mode is None else None)
+            skipped = [] if mode is None else list(range(SETTLING_FRAMES))
+            assert [k for k in indices if not run.reads(k)] == skipped
+        assert all(scenario._BerRun(Mode("SD", 4), 1, 1).reads(k) for k in range(scenario.MAX_BER_POINT_FRAMES))
+
+    @pytest.mark.parametrize("extra", ["", "sweep.frames_per_position = 3\nsweep.payload_bits = 1\n"])
+    def test_every_run_is_done_when_the_lockstep_stops(self, monkeypatch, extra):
+        """At the smallest budgets, too, the adaptive run outlasts the settling frames."""
+        tables = []
+        real = scenario._lockstep
+
+        def spy(runs, *args):
+            real(runs, *args)
+            tables.append(runs)
+
+        monkeypatch.setattr(scenario, "_lockstep", spy)
+        cfg = parse_config(SMALL_SWEEP_TEXT + extra + "bersweep.snr_start = 20\nbersweep.snr_stop = 20\n"
+                           "bersweep.max_bits = 4000\n")
+        run_blockage_sweep(cfg, jobs=1)
+        run_ber_sweep(cfg, jobs=1)
+        assert len(tables) == 3 + 8   # three positions, eight BER points
+        assert all(run.done for runs in tables for run in runs)
 
 
 class TestPayloadBits:
@@ -314,14 +359,16 @@ class TestPayloadBits:
 
     def test_frame_seeds_give_the_same_labels(self):
         spec = FrameSpec(payload_len=100)
+        bits = _FrontEnds(np.eye(2), spec).draw((7,), 3, 16 * 2 * 100)
         for mode in (Mode("SD", 4), Mode("SM", 64), Mode("SM", 256)):
-            want = pack_labels(_bits_rng((7,), 3).integers(0, 2, size=_frame_bits(mode, spec)), mode.order)
-            got = unpack_labels(_packed_bits(_bits_rng((7,), 3), 16 * 2 * 100), mode.order, mode.streams * 100)
-            assert np.array_equal(got, want)
+            rng = make_rng(np.random.SeedSequence((7, 3, _ROLE_BITS)))
+            want = pack_labels(rng.integers(0, 2, size=_frame_bits(mode, spec)), mode.order)
+            assert np.array_equal(unpack_labels(bits, mode.order, mode.streams * 100), want)
 
     @pytest.mark.parametrize("index", range(3))
     def test_one_bits_generator_per_frame_index(self, index, monkeypatch):
         cfg = parse_config(SMALL_SWEEP_TEXT)
+        p_total = calibrate(cfg)
         roles = Counter()
         real_make_rng = scenario.make_rng
 
@@ -331,7 +378,7 @@ class TestPayloadBits:
 
         monkeypatch.setattr(scenario, "make_rng", spy_make_rng)
         counts = count_calls(monkeypatch, ("_run_frame",))
-        run_position(cfg, index)
+        position_task(cfg, index, p_total)
         assert roles[_ROLE_BITS] == roles[_ROLE_NOISE] < counts["_run_frame"]
         roles.clear()
         scenario.measure_mode_ber(cfg, Mode("SM", 16), 10.0 ** 2.4, (3, 1), 40, 20_000)
@@ -342,8 +389,7 @@ class TestPayloadBits:
         spec = parse_config(SMALL_SWEEP_TEXT).frame_spec()
         h_eff = 30.0 * np.eye(2, dtype=complex)
         front_end = _FrontEnds(h_eff, spec)
-        front_end.draw((5,), 0)
-        bits = _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec))
+        bits = front_end.draw((5,), 0, _frame_bits(mode, spec))
         result = _run_frame(mode, bits, front_end)
         sent = map_labels(unpack_labels(bits, mode.order, mode.streams * spec.payload_len), mode.order)
         assert result.ref_power == float(np.sum(np.abs(sent.reshape(mode.streams, -1)) ** 2))
@@ -383,8 +429,7 @@ class TestDecodeInOnePlace:
         mode = fixed_mode or policy.initial
         spec = cfg.frame_spec()
         front_end = _FrontEnds(30.0 * np.eye(2, dtype=complex), spec)
-        front_end.draw((5,), SETTLING_FRAMES)
-        bits = _packed_bits(_bits_rng((5,), SETTLING_FRAMES), _frame_bits(mode, spec))
+        bits = front_end.draw((5,), SETTLING_FRAMES, _frame_bits(mode, spec))
         result = _run_frame(mode, bits, front_end)
         run = scenario._Run(cfg, policy, fixed_mode, None if fixed_mode else new_controller(policy))
         schemes = spy_stream_snrs(monkeypatch)
@@ -411,18 +456,19 @@ class TestDecodeInOnePlace:
         def singular(*args):
             raise SingularMatrix("injected singular estimate")
 
+        cfg = parse_config(SMALL_SWEEP_TEXT)
+        p_total = calibrate(cfg)
         monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
         monkeypatch.setattr(scenario, "detect_sm_zf", singular)
-        cfg = parse_config(SMALL_SWEEP_TEXT)
         with pytest.raises(SingularMatrix, match="injected"):
-            run_position(cfg, 0)
+            position_task(cfg, 0, p_total)
         # the first chain run raises: the adaptive run's frame 0, a settling frame
         assert calls == raised == [cfg.policy().initial]
 
 
 def switching_runs(monkeypatch):
     """(runs, chain runs, used) of SWITCHING_TEXT's one position: its adaptive, fixed
-    SM-64 and fixed SD-64 `_Run`s stepped by `_lockstep` as `run_position` steps them,
+    SM-64 and fixed SD-64 `_Run`s stepped by `_lockstep` as `_run_position` steps them,
     the (frame index, mode, record) of each `_run_frame` call, in call order, and the
     sequential reference's per-run lists of simulated (frame index, mode)."""
     cfg = parse_config(SWITCHING_TEXT)
@@ -434,18 +480,18 @@ def switching_runs(monkeypatch):
         for mode in (None, Mode("SM", 64), Mode("SD", 64))
     ]
     frame_indices, chain_runs = [], []
-    real_bits_rng, real_run_frame = scenario._bits_rng, scenario._run_frame
+    real_draw, real_run_frame = scenario._FrontEnds.draw, scenario._run_frame
 
-    def spy_bits_rng(seed, frame_idx):
+    def spy_draw(front_end, seed, frame_idx, n_bits):
         frame_indices.append(frame_idx)
-        return real_bits_rng(seed, frame_idx)
+        return real_draw(front_end, seed, frame_idx, n_bits)
 
     def spy_run_frame(mode, *args):
         result = real_run_frame(mode, *args)
         chain_runs.append((frame_indices[-1], mode, result))
         return result
 
-    monkeypatch.setattr(scenario, "_bits_rng", spy_bits_rng)
+    monkeypatch.setattr(scenario._FrontEnds, "draw", spy_draw)
     monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
     x = float(cfg.positions()[0])
     scenario._lockstep(runs, cfg, x, p_total, (cfg.base_seed,), scenario._MAX_FRAMES_PER_POSITION)
@@ -459,9 +505,8 @@ class TestFrameRecords:
     def test_record_is_frozen_and_holds_no_per_symbol_array(self):
         spec = parse_config(SMALL_SWEEP_TEXT).frame_spec()
         front_end = _FrontEnds(30.0 * np.eye(2, dtype=complex), spec)
-        front_end.draw((5,), 0)
         mode = Mode("SM", 16)
-        result = _run_frame(mode, _packed_bits(_bits_rng((5,), 0), _frame_bits(mode, spec)), front_end)
+        result = _run_frame(mode, front_end.draw((5,), 0, _frame_bits(mode, spec)), front_end)
         assert None not in (result.errors, result.err_power, result.ref_power)
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.errors = 0
@@ -479,7 +524,7 @@ class TestFrameRecords:
             real_record(run, frame_idx, result)
 
         monkeypatch.setattr(scenario._Run, "record", spy_record)
-        run_position(ScenarioConfig(), index, p_total=default_p_total)
+        position_task(ScenarioConfig(), index, default_p_total)
         assert {frame_idx for frame_idx, _ in handed} >= set(range(SETTLING_FRAMES))   # settling frames included
         for _, result in handed:
             assert all(getattr(result, f.name) is not None for f in dataclasses.fields(result))
@@ -534,9 +579,9 @@ class TestSharedFrontEnd:
         cfg = ScenarioConfig()
         assert head_reach(cfg.frame_spec()) <= cfg.frame_spec().layout().cp   # preamble and pilots only
         names = ("apply_channel", "synchronize", "matched_filter_downsample")
-        counts = count_calls(monkeypatch, ("_frame_noise", "_run_frame", "build_head") + names)
-        run_position(cfg, index, p_total=default_p_total)
-        draws = counts["_frame_noise"]
+        counts = count_calls(monkeypatch, ("awgn", "_run_frame", "build_head") + names)
+        position_task(cfg, index, default_p_total)
+        draws = counts["awgn"]
         assert counts["synchronize"] == counts["matched_filter_downsample"] == draws
         # the channel law runs once per draw on the sync head and once per chain run on the frame
         assert counts["apply_channel"] == draws + counts["_run_frame"]
@@ -549,8 +594,8 @@ class TestSharedFrontEnd:
         spec = cfg.frame_spec()
         assert head_reach(spec) > spec.layout().payload
         want, _ = reference_run_position(cfg, index, default_p_total)
-        counts = count_calls(monkeypatch, ("_frame_noise", "_run_frame", "synchronize", "build_head"))
-        assert run_position(cfg, index, p_total=default_p_total) == want
-        assert counts["_frame_noise"] < counts["synchronize"] == counts["_run_frame"]
+        counts = count_calls(monkeypatch, ("awgn", "_run_frame", "synchronize", "build_head"))
+        assert position_task(cfg, index, default_p_total) == want
+        assert counts["awgn"] < counts["synchronize"] == counts["_run_frame"]
         # every chain run has a head of its own, so the one front-end slot never drops a head it would reuse
         assert counts["build_head"] == counts["_run_frame"]

@@ -12,6 +12,7 @@ import math
 import sys
 import threading
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from vlclink import scenario
 from vlclink.errors import ParameterError, SyncNotFound
 from vlclink.framing import FrameSpec, _band_pair, mseq, pilot_symbols, rrc_taps
 from vlclink.modem import _FIELDS, _POPCOUNT, constellation
-from vlclink.scenario import _usable_cpus, _worker_count, run_position
+from vlclink.scenario import _run_position, _usable_cpus, _worker_count
 
 # The adaptive run at x = 1 (index 0, seed 14) alternates SM-16 and SM-64;
 # two more positions give the threads something to share out.
@@ -138,9 +139,9 @@ class TestFailure:
     def test_same_error_as_serial(self, three_cpus):
         cfg = parse_config(NO_SYNC_SWEEP_TEXT)
         messages = []
-        for index in range(cfg.positions().size):
+        for index, x in enumerate(cfg.positions()):
             with pytest.raises(SyncNotFound) as info:
-                run_position(cfg, index)
+                _run_position(cfg, index, float(x), 10.0 ** (cfg.snr_db / 10.0))
             messages.append(str(info.value))
         assert len(set(messages)) == len(messages)
         for jobs in (1, 2, 3):
@@ -301,11 +302,13 @@ class TestCallingThreadWorks:
     def test_helper_failure_surfaces_in_task_order(self, monkeypatch):
         """Both threads fail on their first task, the helper first: the
         sweep raises the failure of the lower position, whichever thread
-        ran it."""
+        ran it, as the very exception object the task raised, its traceback
+        still reaching the frame that raised it."""
         cfg = parse_config(EIGHT_POSITIONS_TEXT)
         keys = position_keys(cfg)
         caller = threading.get_ident()
         failed: dict[int, int] = {}   # position -> thread ident
+        raised: dict[int, RuntimeError] = {}   # position -> the exception its task raised
         caller_started, helper_failed = threading.Event(), threading.Event()
 
         def spy_run_frame(mode, bits, front_end, *args):
@@ -313,12 +316,14 @@ class TestCallingThreadWorks:
             if threading.get_ident() != caller:
                 assert caller_started.wait(timeout=10.0)
                 failed[position] = threading.get_ident()
+                raised[position] = RuntimeError(f"helper failure at position {position}")
                 helper_failed.set()
-                raise RuntimeError(f"helper failure at position {position}")
+                raise raised[position]
             caller_started.set()
             assert helper_failed.wait(timeout=10.0)
             failed[position] = caller
-            raise RuntimeError(f"caller failure at position {position}")
+            raised[position] = RuntimeError(f"caller failure at position {position}")
+            raise raised[position]
 
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
@@ -327,6 +332,11 @@ class TestCallingThreadWorks:
         assert sorted(failed) == [0, 1] and len(set(failed.values())) == 2
         thread = "caller" if failed[0] == caller else "helper"
         assert str(info.value) == f"{thread} failure at position 0"
+        assert info.value is raised[0]
+        frames = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
+        frames = [name for name in frames if name != "<dictcomp>"]   # from Python 3.12 comprehensions are inlined
+        assert frames[-2:] == ["_lockstep", "spy_run_frame"]
+        assert frames.index("_map_tasks") < frames.index("_run_position") < frames.index("_lockstep")
 
 
 class TestSharedCachesReadOnly:

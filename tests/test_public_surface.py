@@ -58,7 +58,7 @@ MOVED = {
     "modem": ["Constellation", "QAM_ORDERS", "constellation"],
     "numerics": ["Svd2", "inv2", "qfunc"],
     "receiver": ["ChannelEstimate", "combine_sd_mrc", "detect_sm_zf", "stream_snrs"],
-    "scenario": ["BerSweepRow", "BlockageSweepResult", "run_position"],
+    "scenario": ["BerSweepRow", "BlockageSweepResult"],
 }
 
 

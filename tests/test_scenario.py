@@ -47,8 +47,8 @@ from vlclink.scenario import (
     _frame_bits,
     _grid,
     _grid_points,
+    _run_position,
     _stream_len,
-    run_position,
 )
 
 # every proper dotted tail of a key, as `policy.ber_tgt` gives `ber_tgt`
@@ -197,16 +197,15 @@ class TestParseConfig:
     def test_payload_bits_capped_at_what_an_sd4_run_can_measure(self):
         # an adaptive run may fall back to SD-4: 254 measured frames of 64 symbols carry 254 * 2 * 64 = 32512 bits
         short = "frame.payload_len = 64\nsweep.positions.start = 0\nsweep.positions.stop = 0\n"
-        runs = run_position(parse_config(short + "sweep.payload_bits = 32512\n"), 0)
-        assert all(report.bits_sent >= 32512 for report in runs)
+        result = run_blockage_sweep(parse_config(short + "sweep.payload_bits = 32512\n"), jobs=1)
+        assert all(report.bits_sent >= 32512 for report in result.adaptive + result.fixed_sm64 + result.fixed_sd64)
         cfg = parse_config(short + "sweep.payload_bits = 32513\n")   # the config itself parses
-        for sweep in (lambda: run_position(cfg, 0), lambda: run_blockage_sweep(cfg, jobs=1)):
-            with pytest.raises(ValidationError) as err:
-                sweep()
-            assert err.value.key == "sweep.payload_bits"
-            assert str(err.value) == (
-                "sweep.payload_bits: exceeds the 32512 bits an SD-4 run measures in the frame budget of 256 frames"
-            )
+        with pytest.raises(ValidationError) as err:
+            run_blockage_sweep(cfg, jobs=1)
+        assert err.value.key == "sweep.payload_bits"
+        assert str(err.value) == (
+            "sweep.payload_bits: exceeds the 32512 bits an SD-4 run measures in the frame budget of 256 frames"
+        )
 
     @pytest.mark.parametrize(
         "line", ["frame.payload_len = 1000000000", "frame.sps = 1000000", "frame.pilot_len = 100000000"]
@@ -509,7 +508,7 @@ def _commands(cfg):
         "ber-sweep": lambda: run_ber_sweep(cfg, jobs=1),
     }
     outcomes = {}
-    with mock.patch.object(scenario, "run_position", lambda *task: (report, report, report)), \
+    with mock.patch.object(scenario, "_run_position", lambda *task: (report, report, report)), \
             mock.patch.object(scenario, "measure_mode_ber", lambda *task: (0, 1)):
         for name, command in commands.items():
             try:
@@ -593,14 +592,15 @@ class TestCalibrate:
 class TestRunPosition:
     def test_rerun_reproduces_bit_exactly(self):
         cfg = parse_config(FAST_TEXT)
-        first = run_position(cfg, 0)
-        second = run_position(cfg, 0)
+        p_total = calibrate(cfg)
+        first = _run_position(cfg, 0, 0.0, p_total)
+        second = _run_position(cfg, 0, 0.0, p_total)
         for a, b in zip(first, second):
             assert a == b
 
     def test_reports_well_formed(self):
         cfg = parse_config(FAST_TEXT)
-        adaptive, sm64, sd64 = run_position(cfg, 0)
+        adaptive, sm64, sd64 = _run_position(cfg, 0, 0.0, calibrate(cfg))
         assert sm64.mode == Mode("SM", 64)
         assert sd64.mode == Mode("SD", 64)
         assert adaptive.bits_sent >= cfg.payload_bits

@@ -23,6 +23,7 @@ from reference_chain import (
     stream_len,
 )
 
+from test_lockstep import reference_bits
 from vlclink import MODES, Mode, ScenarioConfig, channel_matrix, estimate_channel, make_rng
 from vlclink import scenario
 from vlclink.errors import ParameterError, SyncNotFound
@@ -39,11 +40,8 @@ from vlclink.scenario import (
     N0,
     TAIL_PAD,
     _ROLE_NOISE,
-    _bits_rng,
     _frame_bits,
-    _frame_noise,
     _FrontEnds,
-    _packed_bits,
     _run_frame,
 )
 
@@ -88,7 +86,9 @@ class TestRunFrameMatchesSampleRateChain:
     def test_symbols_estimate_and_sync_index(self, spec, scheme, seed):
         rng = make_rng(seed)
         h_eff = 30.0 * (np.eye(2) + 0.2 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
-        noise = _frame_noise(spec, (seed,), 0)
+        mode = Mode(scheme, 4)
+        front_end = _FrontEnds(h_eff, spec)
+        bits = front_end.draw((seed,), 0, _frame_bits(mode, spec))
         seen = {}
 
         def spy(name, fn):
@@ -100,10 +100,8 @@ class TestRunFrameMatchesSampleRateChain:
         with pytest.MonkeyPatch.context() as mp:
             for name in ("build_tx_symbols", "estimate_channel", "detect_sm_zf", "combine_sd_mrc"):
                 mp.setattr(scenario, name, spy(name, getattr(scenario, name)))
-            mode = Mode(scheme, 4)
-            bits = _packed_bits(_bits_rng((seed,), 0), _frame_bits(mode, spec))
             try:
-                result = _run_frame(mode, bits, _FrontEnds(h_eff, spec, noise))   # the chain calls the detector
+                result = _run_frame(mode, bits, front_end)   # the chain calls the detector
             except SyncNotFound:
                 result = None
 
@@ -112,9 +110,9 @@ class TestRunFrameMatchesSampleRateChain:
         if result is None:
             # the mixing channel can keep a short preamble under the threshold; the reference must lose it too
             with pytest.raises(AssertionError, match="the reference finds no frame"):
-                reference_chain(payload, h_eff, spec, noise)
+                reference_chain(payload, h_eff, spec, front_end.noise)
             return
-        start, symbols = reference_chain(payload, h_eff, spec, noise)
+        start, symbols = reference_chain(payload, h_eff, spec, front_end.noise)
         assert result.sync_index == start
         n_p = spec.pilot_len
         want_segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
@@ -135,10 +133,14 @@ class TestFrameNoise:
         former.imag = sigma * rng.standard_normal(shape)
 
         buf = np.full((2,) + shape, np.nan)
-        assert _frame_noise(spec, (5,), 3, out=buf) is buf
+        front_end = _FrontEnds(np.eye(2), spec, buf)
+        front_end.draw((5,), 3, 0)
+        assert front_end.noise is buf
         assert np.array_equal(buf[0], former.real)
         assert np.array_equal(buf[1], former.imag)
-        assert np.array_equal(_frame_noise(spec, (5,), 3), buf)
+        fresh = _FrontEnds(np.eye(2), spec)
+        fresh.draw((5,), 3, 0)
+        assert np.array_equal(fresh.noise, buf)
 
 
 class TestZeroNoise:
@@ -149,7 +151,7 @@ class TestZeroNoise:
         spec = cfg.frame_spec()
         h_norm, _ = channel_matrix(cfg.geometry(obstacle_x=None))
         front_end = _FrontEnds(h_norm, spec, np.zeros((2, 2, stream_len(spec))))
-        result = _run_frame(mode, _packed_bits(_bits_rng((7,), 0), _frame_bits(mode, spec)), front_end)
+        result = _run_frame(mode, reference_bits((7,), 0, _frame_bits(mode, spec)), front_end)
         assert result.sync_index == LEAD_PAD
         assert result.bits == _frame_bits(mode, spec)
         assert result.errors == 0
