@@ -35,9 +35,8 @@ acf = [int(round(float(np.sum(seq * np.roll(seq, lag))))) for lag in (0, 1, 7, 3
 print(f"length-63 m-sequence, circular autocorrelation at lags 0,1,7,31: {acf}")
 
 print("\n=== Frame layout (symbol offsets) ===")
-lay = spec.layout()
-print(f"preamble @ {lay.preamble}, pilot1 @ {lay.pilot1}, pilot2 @ {lay.pilot2}, "
-      f"cp @ {lay.cp}, payload @ {lay.payload}, end @ {lay.end}")
+print(f"preamble @ 0, pilot1 @ {spec.pilot1}, pilot2 @ {spec.pilot2}, "
+      f"cp @ {spec.cp}, payload @ {spec.payload}, end @ {spec.n_symbols}")
 print(f"{spec.n_symbols} symbols -> {spec.n_samples} samples at {spec.sps} samples/symbol")
 
 print("\n=== Loopback, no channel and no noise ===")
@@ -46,7 +45,7 @@ bits = rng.integers(0, 2, size=(2, 8 * spec.payload_len))
 payload = np.stack([qam_map(bits[0], 256), qam_map(bits[1], 256)])
 tx = build_tx_symbols(payload, spec)
 symbols = matched_filter_frame(tx[0], spec, 0)
-got = symbols[lay.payload : lay.end]
+got = symbols[spec.payload :]
 err = np.abs(got - payload[0])
 evm = math.sqrt(float(np.sum(err**2) / np.sum(np.abs(payload[0]) ** 2)))
 print(f"payload peak error {err.max():.2e}, EVM {evm:.2e} "

@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from vlclink import ScenarioConfig, calibrate, channel_matrix, run_blockage_sweep
-from vlclink.metrics import dump_constellation
 from vlclink.receiver import stream_snrs
-from vlclink.scenario import N0, P_TOTAL_REF, SETTLING_FRAMES, write_blockage_csv
+from vlclink.scenario import N0, P_TOTAL_REF, SETTLING_FRAMES, dump_constellation, write_blockage_csv
 from vlclink.scenario import _detect, _frame_bits, _FrontEnds
 
 cfg = ScenarioConfig()

@@ -39,7 +39,6 @@ from .errors import ParameterError, SyncNotFound
 
 __all__ = [
     "FrameSpec",
-    "FrameLayout",
     "mseq",
     "pilot_symbols",
     "rrc_taps",
@@ -64,7 +63,8 @@ _PILOT_SHIFT = 17
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """Frame geometry and pulse-shaping parameters."""
+    """Frame geometry and pulse-shaping parameters.  `pilot1`, `pilot2`, `cp`
+    and `payload` are the symbol offsets at which those segments start."""
 
     preamble_len: int = 63
     pilot_len: int = 32
@@ -94,7 +94,7 @@ class FrameSpec:
 
     @property
     def n_symbols(self) -> int:
-        return self.preamble_len + 2 * self.pilot_len + self.cp_len + self.payload_len
+        return self.payload + self.payload_len
 
     @property
     def ntaps(self) -> int:
@@ -105,29 +105,21 @@ class FrameSpec:
         # Full convolution of the zero-stuffed stream with the RRC taps.
         return self.n_symbols * self.sps + self.ntaps - 1
 
-    def layout(self) -> "FrameLayout":
-        p = self.preamble_len
-        n = self.pilot_len
-        return FrameLayout(
-            preamble=0,
-            pilot1=p,
-            pilot2=p + n,
-            cp=p + 2 * n,
-            payload=p + 2 * n + self.cp_len,
-            end=self.n_symbols,
-        )
+    @property
+    def pilot1(self) -> int:
+        return self.preamble_len
 
+    @property
+    def pilot2(self) -> int:
+        return self.pilot1 + self.pilot_len
 
-@dataclass(frozen=True)
-class FrameLayout:
-    """Symbol offsets of each frame segment."""
+    @property
+    def cp(self) -> int:
+        return self.pilot2 + self.pilot_len
 
-    preamble: int
-    pilot1: int
-    pilot2: int
-    cp: int
-    payload: int
-    end: int
+    @property
+    def payload(self) -> int:
+        return self.cp + self.cp_len
 
 
 @lru_cache(maxsize=None)
@@ -250,15 +242,14 @@ def build_tx_symbols(payload_syms: np.ndarray, spec: FrameSpec) -> np.ndarray:
     slot and silence in the other's, the cyclic prefix (the last cp_len
     payload symbols) and the payload.
     """
-    lay = spec.layout()
     symbols = np.empty((2, spec.n_symbols), dtype=np.complex128)
-    symbols[:, : lay.pilot1] = mseq(spec.preamble_len)
-    symbols[0, lay.pilot1 : lay.pilot2] = pilot_symbols(spec)
-    symbols[1, lay.pilot1 : lay.pilot2] = 0.0
-    symbols[0, lay.pilot2 : lay.cp] = 0.0
-    symbols[1, lay.pilot2 : lay.cp] = pilot_symbols(spec)
-    symbols[:, lay.cp : lay.payload] = payload_syms[:, spec.payload_len - spec.cp_len :]
-    symbols[:, lay.payload :] = payload_syms
+    symbols[:, : spec.pilot1] = mseq(spec.preamble_len)
+    symbols[0, spec.pilot1 : spec.pilot2] = pilot_symbols(spec)
+    symbols[1, spec.pilot1 : spec.pilot2] = 0.0
+    symbols[0, spec.pilot2 : spec.cp] = 0.0
+    symbols[1, spec.pilot2 : spec.cp] = pilot_symbols(spec)
+    symbols[:, spec.cp : spec.payload] = payload_syms[:, spec.payload_len - spec.cp_len :]
+    symbols[:, spec.payload :] = payload_syms
     return symbols
 
 

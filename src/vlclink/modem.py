@@ -142,14 +142,13 @@ def map_labels(labels: np.ndarray, order: int) -> np.ndarray:
 def _axis_indices(x: np.ndarray, c: Constellation) -> np.ndarray:
     # Level index grows as amplitude falls; round-half-up picks the larger
     # index at an exact decision boundary, i.e. the smaller coordinate.
-    # Evaluates np.clip(np.floor((side - 1 - x / scale) / 2.0 + 0.5), 0, side - 1)
-    # step by step in one float64 temporary.
+    # Evaluates floor(clip((side - 1 - x / scale) / 2.0 + 0.5, 0, side - 1)) in
+    # one float64 temporary; the uint8 cast floors the clipped, non-negative value.
     side = 1 << (c.bits_per_symbol // 2)
     raw = np.divide(x, c.scale)
     np.subtract(side - 1, raw, out=raw)
     np.divide(raw, 2.0, out=raw)
     np.add(raw, 0.5, out=raw)
-    np.floor(raw, out=raw)
     np.clip(raw, 0, side - 1, out=raw)
     return raw.astype(np.uint8)
 
@@ -210,8 +209,6 @@ def ber_theoretical(order: int, snr: float) -> float:
     c = constellation(order)
     if not snr >= 0.0:
         raise ParameterError(f"snr must be >= 0, got {snr}")
-    if math.isinf(snr):
-        return 0.0
     k = c.bits_per_symbol
     coeff = (4.0 / k) * (1.0 - 1.0 / math.sqrt(order))
     return coeff * qfunc(math.sqrt(3.0 * snr / (order - 1)))

@@ -1,4 +1,4 @@
-"""Experiment orchestration: config parsing, calibration, and the sweeps.
+"""Experiment orchestration: config parsing, calibration, the sweeps and their CSV output.
 
 Transmit-power convention of the simulated chain: frames are built from
 unit-reference symbols (unit-average-energy payload, unit-power pilots) and
@@ -18,6 +18,12 @@ is built, so text, a file, direct construction and `dataclasses.replace`
 all give the same guarantee.  The rules that tie a sweep's own keys
 together (its grid and its frame budget) run where that sweep builds what
 they guard, before any frame, so no command rejects a key it never reads.
+
+CSV schemas (comma separated, '.' decimal, header row mandatory):
+
+* constellation dump:  I,Q  with 6 decimal digits per field;
+* link report:  position_cm,mode_code,mode_name,ber,eff_bshz,snr1_db,snr2_db,evm
+  where snr2_db is empty for single-stream (SD) records.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, field, fields
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +44,7 @@ from .adapt import (
     ControllerState,
     Mode,
     controller_step,
+    encode_mode,
     new_controller,
     parse_mode,
     predicted_ber,
@@ -56,7 +63,6 @@ from .framing import (
     pilot_symbols,
     synchronize,
 )
-from .metrics import LinkReport, error_free_efficiency, write_report_block
 from .modem import demap_labels, label_bit_errors, map_labels, unpack_labels
 from .numerics import make_rng
 from .receiver import ChannelEstimate, combine_sd_mrc, detect_sm_zf, estimate_channel, stream_snrs
@@ -72,6 +78,12 @@ __all__ = [
     "BerSweepRow",
     "write_blockage_csv",
     "write_ber_csv",
+    "LinkReport",
+    "REPORT_HEADER",
+    "error_free_efficiency",
+    "format_report_row",
+    "write_report_block",
+    "dump_constellation",
 ]
 
 SETTLING_FRAMES = 2
@@ -337,8 +349,6 @@ def calibrate(config: ScenarioConfig) -> float:
     lo_db, hi_db = -20.0, 120.0
     if not feasible(10.0 ** (hi_db / 10.0)):
         raise ValidationError("snr_db", "SM-256 infeasible even at 120 dB transmit SNR; the sweeps need snr_db set")
-    if feasible(10.0 ** (lo_db / 10.0)):
-        hi_db = lo_db
     for _ in range(80):
         mid = 0.5 * (lo_db + hi_db)
         if feasible(10.0 ** (mid / 10.0)):
@@ -402,13 +412,12 @@ class _FrontEnds:
     modes at a frame index share one key (the head holds only preamble and
     pilots, as at the defaults, for every frame) or have one each (it reaches
     the CP, which copies payload), so no older key is asked for again.  It
-    also holds the frame layout and the pilots, which every chain run reads.
+    also holds the pilots, which every chain run reads.
     """
 
     def __init__(self, h_eff: np.ndarray, spec: FrameSpec, noise: np.ndarray | None = None):
         self.h = h_eff
         self.spec = spec
-        self.layout = spec.layout()
         self.pilots = pilot_symbols(spec)
         self.noise = noise
         self.used = head_symbols(spec, LEAD_PAD, _stream_len(spec))
@@ -455,7 +464,7 @@ def _detect(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> tuple:
     so that is the matched filter of y = Hx + w.  The modem works on k-bit
     labels; a detector's `SingularMatrix` raises here.
     """
-    spec, lay = front_end.spec, front_end.layout
+    spec = front_end.spec
     tx_labels = unpack_labels(bits, mode.order, mode.streams * spec.payload_len).reshape(mode.streams, -1)
     sent = map_labels(tx_labels, mode.order)
     tx_symbols = build_tx_symbols(sent, spec)
@@ -464,9 +473,9 @@ def _detect(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> tuple:
     symbols = apply_channel(matched_filter_frame(tx_symbols, spec, start - LEAD_PAD), front_end.h, mf_noise)
 
     n_p = spec.pilot_len
-    segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
+    segments = symbols[:, spec.pilot1 : spec.pilot1 + 2 * n_p].reshape(2, 2, n_p)
     est = estimate_channel(segments, front_end.pilots)
-    received = symbols[:, lay.payload :]
+    received = symbols[:, spec.payload :]
     detected = detect_sm_zf(received, est) if mode.scheme == "SM" else combine_sd_mrc(received, est)[None, :]
     return tx_labels, sent, detected, est, start
 
@@ -481,15 +490,10 @@ def _run_frame(mode: Mode, bits: np.ndarray, front_end: _FrontEnds) -> FrameResu
 
 
 def _lockstep(
-    runs: Sequence,
-    config: ScenarioConfig,
-    obstacle_x: float | None,
-    p_total: float,
-    seed: tuple[int, ...],
-    frame_limit: int,
+    runs: Sequence, config: ScenarioConfig, obstacle_x: float | None, p_total: float, seed: tuple[int, ...]
 ) -> None:
-    """Step `runs` together by frame index, until no run that is not done
-    reads the next index, or for `frame_limit` indices.
+    """Step `runs` together by frame index, and stop at the first index that
+    no run that is not done reads: the runs' own stop rules alone end it.
 
     A run has `mode`, the mode of its next frame, a `done` flag,
     `reads(frame_idx)`, whether it reads that frame, and `record(frame_idx,
@@ -506,12 +510,13 @@ def _lockstep(
     That stop cuts no run short in the run tables the sweeps build: a run
     that is not done reads every index, save a fixed blockage run before
     SETTLING_FRAMES, and at those indices the adaptive run is still active
-    (`tests/test_lockstep.py::TestLockstepStop` states that rule).
+    (`tests/test_lockstep.py::TestLockstepStop` states that rule).  Each
+    frame adds bits to every run that reads it, so its bit budget ends a run.
     """
     h_norm, _ = channel_matrix(config.geometry(obstacle_x=obstacle_x))
     spec = config.frame_spec()
     front_end = _FrontEnds(math.sqrt(p_total / 2.0) * h_norm, spec)
-    for frame_idx in range(frame_limit):
+    for frame_idx in itertools.count():
         readers = [run for run in runs if not run.done and run.reads(frame_idx)]
         if not readers:
             break
@@ -520,6 +525,30 @@ def _lockstep(
         results = {mode: _run_frame(mode, bits, front_end) for mode in modes}
         for run in readers:
             run.record(frame_idx, results[run.mode])
+
+
+REPORT_HEADER = "position_cm,mode_code,mode_name,ber,eff_bshz,snr1_db,snr2_db,evm"
+
+
+@dataclass(frozen=True)
+class LinkReport:
+    """Steady-state record for one obstacle position."""
+
+    position_cm: float
+    mode: Mode
+    bits_sent: int
+    bit_errors: int
+    ber: float
+    eff_bshz: float
+    snrs_db: tuple[float, ...]
+    evm: float
+
+
+def error_free_efficiency(mode: Mode, measured_ber: float, ber_tgt: float) -> float:
+    """Efficiency credited only when the measured BER meets the target."""
+    if not 0.0 <= measured_ber <= 1.0:
+        raise ParameterError(f"measured_ber must be in [0, 1], got {measured_ber}")
+    return mode.efficiency if measured_ber <= ber_tgt else 0.0
 
 
 @dataclass
@@ -625,21 +654,23 @@ class BlockageSweepResult:
     p_total: float
 
 
-def _run_position(config: ScenarioConfig, index: int, x: float, p_total: float) -> tuple[LinkReport, ...]:
-    """The blockage sweep's task for position `index`, at obstacle position
-    `x` and the sweep's `p_total`: the reports of the `_BLOCKAGE_RUNS` runs,
-    in order.
+def _run_position(config: ScenarioConfig, index: int, p_total: float) -> tuple[LinkReport, ...]:
+    """The blockage sweep's task for position `index` of `config.positions()`,
+    at the sweep's `p_total`: the reports of the `_BLOCKAGE_RUNS` runs, in
+    order.
 
-    Seeded by its index alone, so a position gives the same rows whatever
-    other positions run.  The three runs step in lockstep (see `_lockstep`),
-    so they see identical noise.  Every run, whatever modes it sends, meets
-    its budgets within _MAX_FRAMES_PER_POSITION frame indices: the config
-    bounds `frames_per_position`, and `run_blockage_sweep` checks
-    `payload_bits` before any task.
+    The task reads its obstacle position and its seed from its index alone, so
+    a position gives the same rows whatever other positions run.  The three
+    runs step in lockstep (see `_lockstep`), so they see identical noise.
+    Every run, whatever modes it sends, meets its budgets within
+    _MAX_FRAMES_PER_POSITION frame indices: the config bounds
+    `frames_per_position`, and `run_blockage_sweep` checks `payload_bits`
+    before any task.
     """
+    x = float(config.positions()[index])
     policy = config.policy()
     runs = [_Run(config, policy, mode, new_controller(policy) if mode is None else None) for _, mode in _BLOCKAGE_RUNS]
-    _lockstep(runs, config, x, p_total, (config.base_seed + index,), _MAX_FRAMES_PER_POSITION)
+    _lockstep(runs, config, x, p_total, (config.base_seed + index,))
     return tuple(run.report(x) for run in runs)
 
 
@@ -746,10 +777,27 @@ def run_blockage_sweep(config: ScenarioConfig, jobs: int | None = None) -> Block
         raise ValidationError("sweep.payload_bits", f"exceeds the {most_bits} bits an SD-4 run measures in {budget}")
     workers = _worker_count(jobs, positions.size, _usable_cpus())
     p_total = 10.0 ** (config.snr_db / 10.0) if config.snr_db is not None else calibrate(config)
-    reports = _map_tasks(_run_position, [(config, i, float(x), p_total) for i, x in enumerate(positions)], workers)
+    reports = _map_tasks(_run_position, [(config, i, p_total) for i in range(positions.size)], workers)
     runs = {name: list(rows) for (name, _), rows in zip(_BLOCKAGE_RUNS, zip(*reports))}
     averages = {name: float(np.mean([r.eff_bshz for r in rows])) for name, rows in runs.items()}
     return BlockageSweepResult(**runs, positions=positions, averages=averages, p_total=p_total)
+
+
+def format_report_row(report: LinkReport) -> str:
+    snr1 = f"{report.snrs_db[0]:.2f}" if report.snrs_db else ""
+    snr2 = f"{report.snrs_db[1]:.2f}" if len(report.snrs_db) > 1 else ""
+    return (
+        f"{report.position_cm:g},{encode_mode(report.mode)},{report.mode.name},"
+        f"{report.ber:.6e},{report.eff_bshz:g},{snr1},{snr2},{report.evm:.6f}"
+    )
+
+
+def write_report_block(reports: Iterable[LinkReport], fh: IO[str], label: str) -> None:
+    """One run's block: a `# run=<label>` line, the header, then a row per report."""
+    fh.write(f"# run={label}\n")
+    fh.write(REPORT_HEADER + "\n")
+    for report in reports:
+        fh.write(format_report_row(report) + "\n")
 
 
 def write_blockage_csv(result: BlockageSweepResult, fh: IO[str]) -> None:
@@ -786,11 +834,10 @@ def measure_mode_ber(
     """Monte-Carlo (errors, bits) for one fixed mode through the full chain.
 
     One run through `_lockstep` that stops after at least one frame, once it
-    has `min_errors` errors or `max_bits` bits.  Its frame limit is never
-    reached: the bit count passes `max_bits` first.
+    has `min_errors` errors or `max_bits` bits.
     """
     run = _BerRun(mode, min_errors, max_bits)
-    _lockstep([run], config, None, p_total, seed_tuple, max_bits // _frame_bits(mode, config.frame_spec()) + 1)
+    _lockstep([run], config, None, p_total, seed_tuple)
     return run.errors, run.bits
 
 
@@ -849,3 +896,12 @@ def write_ber_csv(rows: list[BerSweepRow], fh: IO[str]) -> None:
             f"{r.scheme},{r.order},{r.snr_db:.2f},{r.ber_mc:.6e},{theory},"
             f"{r.bits},{r.errors},{r.eff_bshz:g}\n"
         )
+
+
+def dump_constellation(symbols, path) -> None:
+    """Write received symbols as an I,Q CSV with 6 decimal digits."""
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("I,Q\n")
+        for s in symbols:
+            fh.write(f"{s.real:.6f},{s.imag:.6f}\n")

@@ -123,7 +123,7 @@ class TestNoQualityReads:
                            "sweep.payload_bits = 4000\n")
         measure_mode_ber(cfg, Mode("SM", 16), 10.0 ** 2.4, SEED, 40, 20_000)
         assert calls == []
-        scenario._run_position(cfg, 0, 0.0, 10.0 ** 3)   # the spies do see the blockage runs' quality reads
+        scenario._run_position(cfg, 0, 10.0 ** 3)   # the spies do see the blockage runs' quality reads
         assert calls
 
     def test_ber_frames_carry_errors_and_both_powers(self, monkeypatch):

@@ -62,6 +62,25 @@ class TestRrcTaps:
         assert np.all(np.isfinite(taps))
         assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("rolloff, sps", [(0.25, 4), (0.5, 2), (1.0, 4)])
+    def test_singular_taps_are_the_limit_of_the_regular_formula(self, rolloff, sps):
+        # a tap falls on t = +-1/(4 rolloff), where the regular formula is 0/0: the closed form
+        # there must be its two-sided limit, scaled as the zero tap is
+        spec = FrameSpec(rolloff=rolloff, sps=sps)
+        taps = rrc_taps(spec)
+        t = (np.arange(taps.size) - (taps.size - 1) / 2.0) / sps
+        scale = taps[taps.size // 2] / (1.0 - rolloff + 4.0 * rolloff / np.pi)
+
+        def regular(t):
+            num = np.sin(np.pi * t * (1 - rolloff)) + 4 * rolloff * t * np.cos(np.pi * t * (1 + rolloff))
+            return num / (np.pi * t * (1 - (4 * rolloff * t) ** 2))
+
+        singular = np.flatnonzero(np.isclose(np.abs(t), 1.0 / (4.0 * rolloff)))
+        assert singular.size == 2
+        for k in singular:
+            limit = 0.5 * (regular(t[k] - 1e-6) + regular(t[k] + 1e-6))
+            assert taps[k] == pytest.approx(scale * limit, rel=1e-6)
+
     def test_parameter_errors(self):
         # the taps' parameters are a FrameSpec's, which checks them and names the one at fault
         for attr, value in (("rolloff", 0.0), ("sps", 1), ("rrc_span", 2)):
@@ -107,7 +126,7 @@ def cp_and_payload(payload: np.ndarray, cp_len: int) -> np.ndarray:
     """The CP and payload segments of the frame `build_tx_symbols` assembles
     from one payload row."""
     spec = FrameSpec(payload_len=payload.size, cp_len=cp_len)
-    return build_tx_symbols(payload[None, :], spec)[0, spec.layout().cp :]
+    return build_tx_symbols(payload[None, :], spec)[0, spec.cp :]
 
 
 class TestCyclicPrefix:
@@ -136,45 +155,40 @@ class TestCyclicPrefix:
 
 class TestBuildFrame:
     def test_layout_offsets_closed_form(self):
-        lay = SPEC.layout()
-        assert lay.preamble == 0
-        assert lay.pilot1 == SPEC.preamble_len
-        assert lay.pilot2 == SPEC.preamble_len + SPEC.pilot_len
-        assert lay.cp == SPEC.preamble_len + 2 * SPEC.pilot_len
-        assert lay.payload == lay.cp + SPEC.cp_len
-        assert lay.end == SPEC.n_symbols
+        assert SPEC.pilot1 == SPEC.preamble_len
+        assert SPEC.pilot2 == SPEC.preamble_len + SPEC.pilot_len
+        assert SPEC.cp == SPEC.preamble_len + 2 * SPEC.pilot_len
+        assert SPEC.payload == SPEC.cp + SPEC.cp_len
+        assert SPEC.n_symbols == SPEC.preamble_len + 2 * SPEC.pilot_len + SPEC.cp_len + SPEC.payload_len
 
     def test_pilot_slots_time_orthogonal(self):
         symbols = build_tx_symbols(make_payload(make_rng(1), 16, SPEC, "SM")[1], SPEC)
-        lay = SPEC.layout()
         n = SPEC.pilot_len
         b1 = symbols[0]
         b2 = symbols[1]
-        assert np.all(b2[lay.pilot1 : lay.pilot1 + n] == 0)
-        assert np.all(b1[lay.pilot2 : lay.pilot2 + n] == 0)
-        seg1 = symbols[0, lay.pilot1 : lay.pilot2 + n]
-        seg2 = symbols[1, lay.pilot1 : lay.pilot2 + n]
+        assert np.all(b2[SPEC.pilot1 : SPEC.pilot1 + n] == 0)
+        assert np.all(b1[SPEC.pilot2 : SPEC.pilot2 + n] == 0)
+        seg1 = symbols[0, SPEC.pilot1 : SPEC.pilot2 + n]
+        seg2 = symbols[1, SPEC.pilot1 : SPEC.pilot2 + n]
         assert np.vdot(seg1, seg2) == 0.0  # exact, time multiplexed
 
     def test_cp_copies_payload_tail(self):
         bits, payload = make_payload(make_rng(2), 64, SPEC, "SM")
         symbols = build_tx_symbols(payload, SPEC)
-        lay = SPEC.layout()
         for b in range(2):
-            cp = symbols[b, lay.cp : lay.cp + SPEC.cp_len]
+            cp = symbols[b, SPEC.cp : SPEC.cp + SPEC.cp_len]
             assert np.array_equal(cp, payload[b, -SPEC.cp_len :])
 
 
 def ref_symbols(payload: np.ndarray, spec: FrameSpec) -> np.ndarray:
     """Frame symbols assembled segment by segment from a (2, payload_len)
     payload, as the layout table in the README reads."""
-    lay = spec.layout()
     symbols = np.zeros((2, spec.n_symbols), dtype=complex)
-    symbols[:, : lay.pilot1] = mseq(spec.preamble_len).astype(np.complex128)
-    symbols[0, lay.pilot1 : lay.pilot2] = pilot_symbols(spec)
-    symbols[1, lay.pilot2 : lay.cp] = pilot_symbols(spec)
+    symbols[:, : spec.pilot1] = mseq(spec.preamble_len).astype(np.complex128)
+    symbols[0, spec.pilot1 : spec.pilot2] = pilot_symbols(spec)
+    symbols[1, spec.pilot2 : spec.cp] = pilot_symbols(spec)
     for b in range(2):
-        symbols[b, lay.cp :] = np.concatenate([payload[b, spec.payload_len - spec.cp_len :], payload[b]])
+        symbols[b, spec.cp :] = np.concatenate([payload[b, spec.payload_len - spec.cp_len :], payload[b]])
     return symbols
 
 
@@ -217,10 +231,9 @@ class TestLoopback:
         # measured near 2e-2 peak / 8e-3 rms at the default span of 10.
         bits, payload = make_payload(make_rng(4), 256, SPEC, "SM")
         samples = rrc_shape(build_tx_symbols(payload, SPEC), SPEC)
-        lay = SPEC.layout()
         for b in range(2):
             syms = ref_matched_filter(samples[b], SPEC, 0, SPEC.n_symbols)
-            got = syms[lay.payload : lay.end]
+            got = syms[SPEC.payload : SPEC.n_symbols]
             err = np.abs(got - payload[b])
             assert err.max() < 0.03
             rms = math.sqrt(float(np.mean(err**2)) / float(np.mean(np.abs(payload[b]) ** 2)))
@@ -233,9 +246,8 @@ class TestLoopback:
     def test_mistimed_by_half_symbol_degrades(self):
         _, payload = make_payload(make_rng(5), 4, SPEC, "SM")
         samples = rrc_shape(build_tx_symbols(payload, SPEC), SPEC)
-        lay = SPEC.layout()
         syms = ref_matched_filter(samples[0], SPEC, SPEC.sps // 2, SPEC.n_symbols - 1)
-        got = syms[lay.payload : lay.end - 1]
+        got = syms[SPEC.payload : SPEC.n_symbols - 1]
         ref = payload[0][: got.size]
         err = math.sqrt(float(np.sum(np.abs(got - ref) ** 2) / np.sum(np.abs(ref) ** 2)))
         assert err > 0.1
@@ -438,6 +450,29 @@ class TestSyncDifferential:
                     synchronize(stream, spec)
             else:
                 assert synchronize(stream, spec) == (i0 if m0 >= m1 else i1)
+
+    def test_stream_short_of_the_filter_reach_matches_reference(self):
+        # the matched filter at the last admissible start reaches past the stream's end, so
+        # `_best_start` pads the stream with zeros: sync reads 102 samples of these 96
+        spec = FrameSpec(preamble_len=7, pilot_len=4, payload_len=1, cp_len=0, sps=2, rrc_span=12)
+        n = spec.n_samples + 40
+        last = admissible_last(spec, n)
+        assert last + (spec.preamble_len - 1) * spec.sps + spec.ntaps == 102 > n == 96
+        rng = make_rng(12)
+        _, payload = make_payload(rng, 4, spec, "SM")
+        shaped = rrc_shape(build_tx_symbols(payload, spec), spec)
+        tx = np.concatenate([np.zeros((2, 20)), shaped, np.zeros((2, 20))], axis=1)
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rx = h @ tx + 0.1 * (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape))
+        assert rx.shape == (2, n)
+        for branch in rx:
+            peak, metric = ref_sync_metric(branch, spec, last)
+            got_peak, got_metric = _best_start(branch, spec, last)
+            assert got_peak == peak
+            assert got_metric == pytest.approx(metric, rel=1e-9)
+        want = ref_synchronize(rx, spec, last)
+        assert want is not None
+        assert synchronize(rx, spec) == want
 
     @given(frame_specs(), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)

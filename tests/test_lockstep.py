@@ -25,7 +25,6 @@ from vlclink import scenario
 from vlclink.adapt import controller_step, new_controller
 from vlclink.errors import SingularMatrix
 from vlclink.framing import FrameSpec, head_symbols
-from vlclink.metrics import LinkReport, error_free_efficiency
 from vlclink.modem import map_labels, unpack_labels
 from vlclink.numerics import make_rng
 from vlclink.receiver import ChannelEstimate, stream_snrs
@@ -37,11 +36,13 @@ from vlclink.scenario import (
     TAIL_PAD,
     _ROLE_BITS,
     _ROLE_NOISE,
+    LinkReport,
     _FrontEnds,
     _frame_bits,
     _packed_bits,
     _run_frame,
     _run_position,
+    error_free_efficiency,
 )
 
 # Adaptive run alternates SM-16 and SM-64 inside its measured window.
@@ -168,18 +169,13 @@ def reference_run_position(config, index, p_total):
     return tuple(reports), used
 
 
-def position_task(config, index, p_total):
-    """The blockage sweep's task for position `index` of `config`."""
-    return _run_position(config, index, float(config.positions()[index]), p_total)
-
-
 @pytest.fixture(scope="module")
 def default_p_total():
     return calibrate(ScenarioConfig())
 
 
 def assert_same_reports(config, index, p_total):
-    got = position_task(config, index, p_total)
+    got = _run_position(config, index, p_total)
     want, used = reference_run_position(config, index, p_total)
     assert got == want   # LinkReport equality: every float compared exactly
     return want, used
@@ -267,7 +263,7 @@ class TestSharedWork:
         assert want_indices == {frame_idx for run in used for frame_idx, _ in run}   # the adaptive run reads them all
 
         noise_draws, chain_runs, _ = spy_frame_indices(monkeypatch, (cfg.base_seed + index,))
-        position_task(cfg, index, p_total)
+        _run_position(cfg, index, p_total)
 
         assert sorted(noise_draws) == sorted(want_indices)
         assert sorted(chain_runs, key=lambda p: (p[0], p[1].name)) == sorted(
@@ -279,7 +275,7 @@ class TestSharedWork:
     def test_fixed_runs_skip_settling_and_every_chain_run_decodes_once(self, index, default_p_total, monkeypatch):
         cfg = ScenarioConfig()
         noise_draws, chain_runs, decodes = spy_frame_indices(monkeypatch, (cfg.base_seed + index,))
-        position_task(cfg, index, default_p_total)
+        _run_position(cfg, index, default_p_total)
 
         settling = [(frame_idx, mode) for frame_idx, mode in chain_runs if frame_idx < SETTLING_FRAMES]
         assert [frame_idx for frame_idx, _ in settling] == list(range(SETTLING_FRAMES))   # the adaptive run alone
@@ -308,7 +304,7 @@ class TestSharedWork:
         assert len(res.adaptive) == 3
         for index in range(3):
             rows = (res.adaptive[index], res.fixed_sm64[index], res.fixed_sd64[index])
-            assert position_task(cfg, index, res.p_total) == rows
+            assert _run_position(cfg, index, res.p_total) == rows
 
 
 class TestLockstepStop:
@@ -378,7 +374,7 @@ class TestPayloadBits:
 
         monkeypatch.setattr(scenario, "make_rng", spy_make_rng)
         counts = count_calls(monkeypatch, ("_run_frame",))
-        position_task(cfg, index, p_total)
+        _run_position(cfg, index, p_total)
         assert roles[_ROLE_BITS] == roles[_ROLE_NOISE] < counts["_run_frame"]
         roles.clear()
         scenario.measure_mode_ber(cfg, Mode("SM", 16), 10.0 ** 2.4, (3, 1), 40, 20_000)
@@ -414,9 +410,10 @@ class TestDecodeInOnePlace:
     def test_stream_snrs_calls_of_the_default_sweep(self, monkeypatch):
         schemes = spy_stream_snrs(monkeypatch)
         run_blockage_sweep(ScenarioConfig(), jobs=1)
-        # 82 for calibration, both schemes for each of the controller's 111 frames, and in the
-        # reports one for each of the adaptive run's 57 and the fixed runs' 216 measured frames
-        assert len(schemes) == 82 + 2 * 111 + 57 + 216
+        # 81 for calibration (the 120 dB check and 80 bisection steps), both schemes for each of the
+        # controller's 111 frames, and in the reports one for each of the adaptive run's 57 and the
+        # fixed runs' 216 measured frames
+        assert len(schemes) == 81 + 2 * 111 + 57 + 216
 
     @pytest.mark.parametrize(
         "fixed_mode, want",
@@ -461,7 +458,7 @@ class TestDecodeInOnePlace:
         monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
         monkeypatch.setattr(scenario, "detect_sm_zf", singular)
         with pytest.raises(SingularMatrix, match="injected"):
-            position_task(cfg, 0, p_total)
+            _run_position(cfg, 0, p_total)
         # the first chain run raises: the adaptive run's frame 0, a settling frame
         assert calls == raised == [cfg.policy().initial]
 
@@ -494,7 +491,7 @@ def switching_runs(monkeypatch):
     monkeypatch.setattr(scenario._FrontEnds, "draw", spy_draw)
     monkeypatch.setattr(scenario, "_run_frame", spy_run_frame)
     x = float(cfg.positions()[0])
-    scenario._lockstep(runs, cfg, x, p_total, (cfg.base_seed,), scenario._MAX_FRAMES_PER_POSITION)
+    scenario._lockstep(runs, cfg, x, p_total, (cfg.base_seed,))
     return runs, chain_runs, used
 
 
@@ -524,7 +521,7 @@ class TestFrameRecords:
             real_record(run, frame_idx, result)
 
         monkeypatch.setattr(scenario._Run, "record", spy_record)
-        position_task(ScenarioConfig(), index, default_p_total)
+        _run_position(ScenarioConfig(), index, default_p_total)
         assert {frame_idx for frame_idx, _ in handed} >= set(range(SETTLING_FRAMES))   # settling frames included
         for _, result in handed:
             assert all(getattr(result, f.name) is not None for f in dataclasses.fields(result))
@@ -577,10 +574,10 @@ class TestSharedFrontEnd:
     @pytest.mark.parametrize("index", [13, 0], ids=["shadowed-x0", "clear-x-65"])
     def test_one_front_end_per_noise_draw_at_defaults(self, index, default_p_total, monkeypatch):
         cfg = ScenarioConfig()
-        assert head_reach(cfg.frame_spec()) <= cfg.frame_spec().layout().cp   # preamble and pilots only
+        assert head_reach(cfg.frame_spec()) <= cfg.frame_spec().cp   # preamble and pilots only
         names = ("apply_channel", "synchronize", "matched_filter_downsample")
         counts = count_calls(monkeypatch, ("awgn", "_run_frame", "build_head") + names)
-        position_task(cfg, index, default_p_total)
+        _run_position(cfg, index, default_p_total)
         draws = counts["awgn"]
         assert counts["synchronize"] == counts["matched_filter_downsample"] == draws
         # the channel law runs once per draw on the sync head and once per chain run on the frame
@@ -592,10 +589,10 @@ class TestSharedFrontEnd:
     def test_head_reaching_the_payload_matches_the_reference(self, index, default_p_total, monkeypatch):
         cfg = parse_config(PILOT8_TEXT)
         spec = cfg.frame_spec()
-        assert head_reach(spec) > spec.layout().payload
+        assert head_reach(spec) > spec.payload
         want, _ = reference_run_position(cfg, index, default_p_total)
         counts = count_calls(monkeypatch, ("awgn", "_run_frame", "synchronize", "build_head"))
-        assert position_task(cfg, index, default_p_total) == want
+        assert _run_position(cfg, index, default_p_total) == want
         assert counts["awgn"] < counts["synchronize"] == counts["_run_frame"]
         # every chain run has a head of its own, so the one front-end slot never drops a head it would reuse
         assert counts["build_head"] == counts["_run_frame"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vlclink import Mode, make_rng, qam_map
-from vlclink.metrics import REPORT_HEADER, LinkReport, dump_constellation, error_free_efficiency, format_report_row
+from vlclink.scenario import REPORT_HEADER, LinkReport, dump_constellation, error_free_efficiency, format_report_row
 
 
 class TestEfficiency:

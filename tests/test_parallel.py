@@ -139,9 +139,9 @@ class TestFailure:
     def test_same_error_as_serial(self, three_cpus):
         cfg = parse_config(NO_SYNC_SWEEP_TEXT)
         messages = []
-        for index, x in enumerate(cfg.positions()):
+        for index in range(cfg.positions().size):
             with pytest.raises(SyncNotFound) as info:
-                _run_position(cfg, index, float(x), 10.0 ** (cfg.snr_db / 10.0))
+                _run_position(cfg, index, 10.0 ** (cfg.snr_db / 10.0))
             messages.append(str(info.value))
         assert len(set(messages)) == len(messages)
         for jobs in (1, 2, 3):

@@ -46,7 +46,7 @@ COMMAND_LINE = {
     "ValidationError",
 }
 EXPORTED = ACCEPTANCE | BENCHMARK | COMMAND_LINE
-SUBMODULES = {"adapt", "channel", "errors", "framing", "metrics", "modem", "numerics", "receiver", "scenario"}
+SUBMODULES = {"adapt", "channel", "errors", "framing", "modem", "numerics", "receiver", "scenario"}
 
 # Names the package exported before its surface was cut, by defining module.
 MOVED = {
@@ -54,11 +54,10 @@ MOVED = {
     "channel": ["Geometry", "Obstacle", "apply_channel", "los_gain", "occlusion_factor"],
     "errors": ["ParameterError", "SingularMatrix", "SyncNotFound"],
     "framing": ["FrameSpec", "matched_filter_downsample", "mseq", "pilot_symbols", "rrc_taps", "synchronize"],
-    "metrics": ["LinkReport", "dump_constellation", "error_free_efficiency"],
     "modem": ["Constellation", "QAM_ORDERS", "constellation"],
     "numerics": ["Svd2", "inv2", "qfunc"],
     "receiver": ["ChannelEstimate", "combine_sd_mrc", "detect_sm_zf", "stream_snrs"],
-    "scenario": ["BerSweepRow", "BlockageSweepResult"],
+    "scenario": ["BerSweepRow", "BlockageSweepResult", "LinkReport", "dump_constellation", "error_free_efficiency"],
 }
 
 

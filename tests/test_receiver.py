@@ -224,7 +224,7 @@ class TestCombineSdMrc:
         rng = make_rng(seed)
         spec = FrameSpec()
         frame = rng.standard_normal((2, spec.n_symbols)) + 1j * rng.standard_normal((2, spec.n_symbols))
-        y = frame[:, spec.layout().payload :]   # a strided payload slice, as the chain passes it
+        y = frame[:, spec.payload :]   # a strided payload slice, as the chain passes it
         want = (np.conj(g) @ y) / norm2
         scale = (np.abs(g[0]) * np.abs(y[0]) + np.abs(g[1]) * np.abs(y[1])) / norm2
         assert np.all(np.abs(combine_sd_mrc(y, true_est(h)) - want) <= 8 * np.finfo(float).eps * scale)

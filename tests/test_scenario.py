@@ -30,7 +30,6 @@ from vlclink import (
 from vlclink import scenario
 from vlclink.adapt import predicted_ber
 from vlclink.framing import _PILOT_SHIFT, FrameSpec, _last_start
-from vlclink.metrics import LinkReport
 from vlclink.receiver import ChannelEstimate, stream_snrs
 from vlclink.scenario import (
     _KEY_FIELDS,
@@ -44,6 +43,7 @@ from vlclink.scenario import (
     N0,
     TAIL_PAD,
     BlockageSweepResult,
+    LinkReport,
     _frame_bits,
     _grid,
     _grid_points,
@@ -593,14 +593,14 @@ class TestRunPosition:
     def test_rerun_reproduces_bit_exactly(self):
         cfg = parse_config(FAST_TEXT)
         p_total = calibrate(cfg)
-        first = _run_position(cfg, 0, 0.0, p_total)
-        second = _run_position(cfg, 0, 0.0, p_total)
+        first = _run_position(cfg, 0, p_total)
+        second = _run_position(cfg, 0, p_total)
         for a, b in zip(first, second):
             assert a == b
 
     def test_reports_well_formed(self):
         cfg = parse_config(FAST_TEXT)
-        adaptive, sm64, sd64 = _run_position(cfg, 0, 0.0, calibrate(cfg))
+        adaptive, sm64, sd64 = _run_position(cfg, 0, calibrate(cfg))
         assert sm64.mode == Mode("SM", 64)
         assert sd64.mode == Mode("SD", 64)
         assert adaptive.bits_sent >= cfg.payload_bits

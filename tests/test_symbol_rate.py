@@ -105,7 +105,6 @@ class TestRunFrameMatchesSampleRateChain:
             except SyncNotFound:
                 result = None
 
-        lay = spec.layout()
         payload = np.broadcast_to(seen["build_tx_symbols"][0], (2, spec.payload_len))
         if result is None:
             # the mixing channel can keep a short preamble under the threshold; the reference must lose it too
@@ -115,9 +114,9 @@ class TestRunFrameMatchesSampleRateChain:
         start, symbols = reference_chain(payload, h_eff, spec, front_end.noise)
         assert result.sync_index == start
         n_p = spec.pilot_len
-        want_segments = symbols[:, lay.pilot1 : lay.pilot1 + 2 * n_p].reshape(2, 2, n_p)
+        want_segments = symbols[:, spec.pilot1 : spec.pilot1 + 2 * n_p].reshape(2, 2, n_p)
         assert_close(seen["estimate_channel"][0], want_segments)
-        assert_close(seen["detect_sm_zf" if scheme == "SM" else "combine_sd_mrc"][0], symbols[:, lay.payload :])
+        assert_close(seen["detect_sm_zf" if scheme == "SM" else "combine_sd_mrc"][0], symbols[:, spec.payload :])
         want_est = estimate_channel(want_segments, pilot_symbols(spec))
         assert_close(result.est.h_hat, want_est.h_hat)
 
