@@ -34,7 +34,7 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, field, fields
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .errors import ParameterError, ParseError, ValidationError
 from .framing import (
     _PILOT_SHIFT,
     FrameSpec,
-    _last_start,
     build_head,
     build_tx_symbols,
     head_symbols,
@@ -79,10 +78,6 @@ __all__ = [
     "write_blockage_csv",
     "write_ber_csv",
     "LinkReport",
-    "REPORT_HEADER",
-    "error_free_efficiency",
-    "format_report_row",
-    "write_report_block",
     "dump_constellation",
 ]
 
@@ -189,7 +184,9 @@ class ScenarioConfig:
     positions_start: float = _key("sweep.positions.start", -65.0)
     positions_step: float = _key("sweep.positions.step", 5.0, _positive)
     positions_stop: float = _key("sweep.positions.stop", 65.0)
-    frames_per_position: int = _key("sweep.frames_per_position", 4, lambda v: 3 <= v <= _MAX_FRAMES_PER_POSITION)
+    frames_per_position: int = _key(
+        "sweep.frames_per_position", 4, lambda v: SETTLING_FRAMES < v <= _MAX_FRAMES_PER_POSITION
+    )
     payload_bits: int = _key("sweep.payload_bits", 100_000, _positive)
 
     snr_db: float | None = _key("snr_db", None, _db, parse=float)
@@ -228,10 +225,10 @@ class ScenarioConfig:
             raise ValidationError(
                 "frame", f"stream of {_clip(str(samples))} samples per branch exceeds the cap of {MAX_STREAM_SAMPLES}"
             )
-        # the pilots are the preamble shifted by _PILOT_SHIFT and tiled, so pilot symbol j starts a whole
-        # copy of it; sync searches up to its last admissible start, that less LEAD_PAD past the true one
+        # the pilots are the preamble shifted by _PILOT_SHIFT and tiled, so pilot symbol j starts a whole copy of
+        # it; sync searches the starts that leave a whole frame, up to ntaps + TAIL_PAD + sps - 2 past the true one
         p, j = spec.preamble_len, -_PILOT_SHIFT % spec.preamble_len
-        if spec.pilot_len >= j + p and (p + j) * spec.sps <= _last_start(spec, samples) - LEAD_PAD:
+        if spec.pilot_len >= j + p and (p + j) * spec.sps <= spec.ntaps + TAIL_PAD + spec.sps - 2:
             msg = f"pilot symbols {j}-{j + p - 1} repeat the whole preamble inside sync's search window"
             raise ValidationError("frame.pilot_len", msg)
         tap_bytes = 16 * (self.rrc_span + 1) ** 2 * self.sps
@@ -404,22 +401,22 @@ class _FrontEnds:
     a BER point), which runs on one thread.
 
     `draw` makes a frame index's two draws once for all its chain runs: the
-    noise, into the task's buffer, and the payload bits.  A frame's front end
-    is its sync head through the channel, the sync start and the
-    matched-filtered noise.  It depends on the frame's symbols only
-    through the first `head_symbols` of them, the key.  One slot holds the
-    last key, its shaped head and, until the next draw, its front end: the
-    modes at a frame index share one key (the head holds only preamble and
-    pilots, as at the defaults, for every frame) or have one each (it reaches
-    the CP, which copies payload), so no older key is asked for again.  It
-    also holds the pilots, which every chain run reads.
+    noise, into the task's buffer `noise` that the first draw allocates, and
+    the payload bits.  A frame's front end is its sync head through the
+    channel, the sync start and the matched-filtered noise.  It depends on
+    the frame's symbols only through the first `head_symbols` of them, the
+    key.  One slot holds the last key, its shaped head and, until the next
+    draw, its front end: the modes at a frame index share one key (the head
+    holds only preamble and pilots, as at the defaults, for every frame) or
+    have one each (it reaches the CP, which copies payload), so no older key
+    is asked for again.  It also holds the pilots, which every chain run reads.
     """
 
-    def __init__(self, h_eff: np.ndarray, spec: FrameSpec, noise: np.ndarray | None = None):
+    def __init__(self, h_eff: np.ndarray, spec: FrameSpec):
         self.h = h_eff
         self.spec = spec
         self.pilots = pilot_symbols(spec)
-        self.noise = noise
+        self.noise: np.ndarray | None = None
         self.used = head_symbols(spec, LEAD_PAD, _stream_len(spec))
         self._key: bytes | None = None
         self._head: np.ndarray | None = None
@@ -527,9 +524,6 @@ def _lockstep(
             run.record(frame_idx, results[run.mode])
 
 
-REPORT_HEADER = "position_cm,mode_code,mode_name,ber,eff_bshz,snr1_db,snr2_db,evm"
-
-
 @dataclass(frozen=True)
 class LinkReport:
     """Steady-state record for one obstacle position."""
@@ -542,13 +536,6 @@ class LinkReport:
     eff_bshz: float
     snrs_db: tuple[float, ...]
     evm: float
-
-
-def error_free_efficiency(mode: Mode, measured_ber: float, ber_tgt: float) -> float:
-    """Efficiency credited only when the measured BER meets the target."""
-    if not 0.0 <= measured_ber <= 1.0:
-        raise ParameterError(f"measured_ber must be in [0, 1], got {measured_ber}")
-    return mode.efficiency if measured_ber <= ber_tgt else 0.0
 
 
 @dataclass
@@ -590,9 +577,9 @@ class _Run:
         )
 
     def report(self, position_cm: float) -> LinkReport:
-        """The row of the kept frames: their bit, error and EVM-power sums, the
-        last frame's mode, and the mean stream SNRs of the frames sent in that
-        mode's scheme, each from the frame's own estimate."""
+        """The row of the kept frames: their bit, error and EVM-power sums, the last frame's mode,
+        credited its efficiency only where their pooled BER meets the target, and the mean stream
+        SNRs of the frames sent in that mode's scheme, each from the frame's own estimate."""
         bits = errors = 0
         err_power = ref_power = 0.0
         for frame in self.frames:   # `+` in frame order: from Python 3.12 sum() compensates float sums
@@ -611,9 +598,9 @@ class _Run:
             bits_sent=bits,
             bit_errors=errors,
             ber=ber,
-            eff_bshz=error_free_efficiency(mode, ber, self.policy.ber_tgt),
+            eff_bshz=mode.efficiency if ber <= self.policy.ber_tgt else 0.0,
             snrs_db=snrs_db,
-            evm=math.sqrt(err_power / ref_power) if ref_power > 0 else 0.0,
+            evm=math.sqrt(err_power / ref_power),
         )
 
 
@@ -783,28 +770,20 @@ def run_blockage_sweep(config: ScenarioConfig, jobs: int | None = None) -> Block
     return BlockageSweepResult(**runs, positions=positions, averages=averages, p_total=p_total)
 
 
-def format_report_row(report: LinkReport) -> str:
-    snr1 = f"{report.snrs_db[0]:.2f}" if report.snrs_db else ""
-    snr2 = f"{report.snrs_db[1]:.2f}" if len(report.snrs_db) > 1 else ""
-    return (
-        f"{report.position_cm:g},{encode_mode(report.mode)},{report.mode.name},"
-        f"{report.ber:.6e},{report.eff_bshz:g},{snr1},{snr2},{report.evm:.6f}"
-    )
-
-
-def write_report_block(reports: Iterable[LinkReport], fh: IO[str], label: str) -> None:
-    """One run's block: a `# run=<label>` line, the header, then a row per report."""
-    fh.write(f"# run={label}\n")
-    fh.write(REPORT_HEADER + "\n")
-    for report in reports:
-        fh.write(format_report_row(report) + "\n")
-
-
 def write_blockage_csv(result: BlockageSweepResult, fh: IO[str]) -> None:
-    """A block per run of `_BLOCKAGE_RUNS`, labelled by its name with `-` for
-    `_`, then a trailer of their averages in the table's order and p_total."""
+    """The whole link-report schema: per run of `_BLOCKAGE_RUNS`, a `# run=` line (its name, `-` for
+    `_`), the header, a row per position and a blank line; then a trailer of the runs' averages in
+    the table's order and p_total."""
     for name, _ in _BLOCKAGE_RUNS:
-        write_report_block(getattr(result, name), fh, name.replace("_", "-"))
+        fh.write(f"# run={name.replace('_', '-')}\n")
+        fh.write("position_cm,mode_code,mode_name,ber,eff_bshz,snr1_db,snr2_db,evm\n")
+        for r in getattr(result, name):
+            snr1 = f"{r.snrs_db[0]:.2f}" if r.snrs_db else ""
+            snr2 = f"{r.snrs_db[1]:.2f}" if len(r.snrs_db) > 1 else ""   # empty under SD
+            fh.write(
+                f"{r.position_cm:g},{encode_mode(r.mode)},{r.mode.name},"
+                f"{r.ber:.6e},{r.eff_bshz:g},{snr1},{snr2},{r.evm:.6f}\n"
+            )
         fh.write("\n")
     averages = " ".join(f"{name}={result.averages[name]:.6f}" for name, _ in _BLOCKAGE_RUNS)
     fh.write(f"# average_eff_bshz {averages}\n")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from vlclink import make_rng, qam_map
 from vlclink.channel import apply_channel, awgn
 from vlclink.framing import SYNC_THRESHOLD, FrameSpec, build_tx_symbols, mseq, rrc_taps
-from vlclink.scenario import LEAD_PAD, TAIL_PAD
+from vlclink.scenario import _ROLE_NOISE, LEAD_PAD, N0, TAIL_PAD, _FrontEnds
 
 
 @st.composite
@@ -60,6 +60,27 @@ def shaped_stream(symbols, spec):
     stream = np.zeros((2, stream_len(spec)), dtype=np.complex128)
     stream[:, LEAD_PAD : LEAD_PAD + spec.n_samples] = rrc_shape(symbols, spec)
     return stream
+
+
+def reference_noise(spec, seed, frame_idx):
+    """The former draw of frame `frame_idx`'s noise, from the generator seeded
+    `seed + (frame_idx, _ROLE_NOISE)`: all real parts, then all imaginary
+    parts, each times sigma, handed over as the (2, 2, n) real and imaginary
+    parts that the chain reads."""
+    rng = make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_NOISE)))
+    shape = (2, stream_len(spec))
+    sigma = math.sqrt(N0 / 2.0)
+    w = np.empty(shape, dtype=np.complex128)
+    w.real = sigma * rng.standard_normal(shape)
+    w.imag = sigma * rng.standard_normal(shape)
+    return np.stack([w.real, w.imag])
+
+
+def reference_front_end(h_eff, spec, noise):
+    """A task's `_FrontEnds` holding an outside noise draw in place of its own."""
+    front_end = _FrontEnds(h_eff, spec)
+    front_end.noise = noise
+    return front_end
 
 
 def ref_matched_filter(samples, spec, start, n_symbols):

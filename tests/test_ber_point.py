@@ -12,16 +12,13 @@ import math
 import numpy as np
 import pytest
 
+from reference_chain import reference_front_end, reference_noise
 from vlclink import Mode, channel_matrix, parse_config, run_ber_sweep
 from vlclink import scenario
 from vlclink.numerics import make_rng
 from vlclink.scenario import (
-    LEAD_PAD,
-    N0,
-    TAIL_PAD,
     _BER_SWEEP_TAG,
     _ROLE_BITS,
-    _ROLE_NOISE,
     _FrontEnds,
     _frame_bits,
     _packed_bits,
@@ -37,17 +34,6 @@ frame.pilot_len = 16
 SEED = (3, _BER_SWEEP_TAG, 1, 2)
 
 
-def reference_noise(spec, seed, frame_idx):
-    """The former draw: all real parts, then all imaginary parts, each times sigma."""
-    rng = make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_NOISE)))
-    shape = (2, LEAD_PAD + spec.n_samples + TAIL_PAD)
-    sigma = math.sqrt(N0 / 2.0)
-    w = np.empty(shape, dtype=np.complex128)
-    w.real = sigma * rng.standard_normal(shape)
-    w.imag = sigma * rng.standard_normal(shape)
-    return np.stack([w.real, w.imag])
-
-
 def reference_measure_mode_ber(config, mode, p_total, seed, min_errors, max_bits):
     """The former `while` loop; (errors, bits, frames run)."""
     spec = config.frame_spec()
@@ -61,7 +47,7 @@ def reference_measure_mode_ber(config, mode, p_total, seed, min_errors, max_bits
         result = _run_frame(
             mode,
             _packed_bits(bits_rng, _frame_bits(mode, spec)),
-            _FrontEnds(h_eff, spec, reference_noise(spec, seed, frame_idx)),
+            reference_front_end(h_eff, spec, reference_noise(spec, seed, frame_idx)),
         )
         errors += result.errors
         bits += result.bits

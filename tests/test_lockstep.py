@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_chain import reference_front_end, reference_noise
 from test_modem import pack_labels
 from vlclink import Mode, ScenarioConfig, calibrate, channel_matrix, parse_config, run_ber_sweep, run_blockage_sweep
 from vlclink import scenario
@@ -42,7 +43,6 @@ from vlclink.scenario import (
     _packed_bits,
     _run_frame,
     _run_position,
-    error_free_efficiency,
 )
 
 # Adaptive run alternates SM-16 and SM-64 inside its measured window.
@@ -78,21 +78,6 @@ def reference_bits(seed, frame_idx, n_bits):
     return _packed_bits(make_rng(np.random.SeedSequence(seed + (frame_idx, _ROLE_BITS))), n_bits)
 
 
-def reference_noise(spec, pos_seed, frame_idx):
-    """The former draw: all real parts, then all imaginary parts, each times sigma.
-
-    Drawn as complex noise, then handed over as the (2, 2, n) real and
-    imaginary parts that `_run_frame` reads.
-    """
-    rng = make_rng(np.random.SeedSequence((pos_seed, frame_idx, _ROLE_NOISE)))
-    shape = (2, LEAD_PAD + spec.n_samples + TAIL_PAD)
-    sigma = math.sqrt(N0 / 2.0)
-    w = np.empty(shape, dtype=np.complex128)
-    w.real = sigma * rng.standard_normal(shape)
-    w.imag = sigma * rng.standard_normal(shape)
-    return np.stack([w.real, w.imag])
-
-
 def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, fixed_mode, used):
     """The sequential single-run loop; appends each simulated (frame index, mode) to `used`."""
     spec = config.frame_spec()
@@ -115,7 +100,7 @@ def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, 
         result = _run_frame(
             mode,
             reference_bits((pos_seed,), frame_idx, _frame_bits(mode, spec)),
-            _FrontEnds(h_eff, spec, reference_noise(spec, pos_seed, frame_idx)),
+            reference_front_end(h_eff, spec, reference_noise(spec, (pos_seed,), frame_idx)),
         )
         used.append((frame_idx, mode))
         sm_snrs, sd_snrs = (stream_snrs(result.est, P_TOTAL_REF, N0, scheme) for scheme in ("SM", "SD"))
@@ -151,7 +136,7 @@ def reference_simulate_position(config, h_norm, p_total, position_cm, pos_seed, 
         bits_sent=bits_total,
         bit_errors=errors_total,
         ber=ber,
-        eff_bshz=error_free_efficiency(last_mode, ber, policy.ber_tgt),
+        eff_bshz=last_mode.efficiency if ber <= policy.ber_tgt else 0.0,
         snrs_db=snrs_db,
         evm=math.sqrt(err_power / ref_power) if ref_power > 0 else 0.0,
     )

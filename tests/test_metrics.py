@@ -1,31 +1,34 @@
 """Metrics tests: BER accounting, efficiencies, CSV dumps."""
 
+import io
+
 import numpy as np
 import pytest
 
-from vlclink import Mode, make_rng, qam_map
-from vlclink.scenario import REPORT_HEADER, LinkReport, dump_constellation, error_free_efficiency, format_report_row
+from vlclink import Mode, ScenarioConfig, make_rng, qam_map, write_blockage_csv
+from vlclink.receiver import ChannelEstimate
+from vlclink.scenario import BlockageSweepResult, FrameResult, LinkReport, _Run, dump_constellation
 
 
 class TestEfficiency:
-    def test_values(self):
-        assert Mode("SM", 64).efficiency == 12
-        assert Mode("SD", 64).efficiency == 6
-        assert Mode("SM", 256).efficiency == 16
-
     def test_doubling_identity(self):
         for order in (4, 16, 64, 256):
             assert Mode("SM", order).efficiency == 2 * Mode("SD", order).efficiency
 
-    def test_error_free_thresholding(self):
-        assert error_free_efficiency(Mode("SM", 64), 0.0, 1e-3) == 12
-        assert error_free_efficiency(Mode("SM", 64), 0.02, 1e-3) == 0
-        assert error_free_efficiency(Mode("SM", 64), 1e-3, 1e-3) == 12
-
-    def test_monotone_in_measured_ber(self):
-        grid = np.linspace(0, 1, 101)
-        effs = [error_free_efficiency(Mode("SD", 16), float(b), 1e-3) for b in grid]
-        assert all(a >= b for a, b in zip(effs, effs[1:]))
+    def test_report_credits_the_last_mode_only_where_the_pooled_ber_meets_the_target(self):
+        config = ScenarioConfig()
+        est = ChannelEstimate(30.0 * np.eye(2, dtype=complex))
+        assert 2 / 2000 == config.ber_tgt
+        for errors, credited in ((2, 12.0), (3, 0.0)):   # at the target, then one error more
+            run = _Run(config, config.policy(), Mode("SM", 64))
+            run.frames = [
+                FrameResult(Mode("SD", 16), 1000, est, 0, 1, 0.02, 1.0),
+                FrameResult(Mode("SM", 64), 1000, est, 0, errors - 1, 0.02, 1.0),
+            ]
+            report = run.report(0.0)
+            assert (report.bits_sent, report.bit_errors, report.ber) == (2000, errors, errors / 2000)
+            assert report.mode == Mode("SM", 64)
+            assert report.eff_bshz == credited
 
     def test_sweep_average_is_position_order_invariant(self):
         rng = make_rng(3)
@@ -65,18 +68,28 @@ class TestDumpConstellation:
 
 
 class TestReportRow:
-    def test_formats_both_schemes(self):
+    def test_writes_both_schemes(self):
         sm = LinkReport(
             position_cm=-65.0, mode=Mode("SM", 256), bits_sent=131072, bit_errors=77,
             ber=77 / 131072, eff_bshz=16.0, snrs_db=(29.41, 29.44), evm=0.0338,
         )
-        row = format_report_row(sm)
-        assert row.startswith("-65,7,SM-256,")
-        assert row.count(",") == REPORT_HEADER.count(",")
         sd = LinkReport(
             position_cm=0.0, mode=Mode("SD", 64), bits_sent=122880, bit_errors=0,
             ber=0.0, eff_bshz=6.0, snrs_db=(26.9,), evm=0.02,
         )
-        fields = format_report_row(sd).split(",")
-        assert fields[1] == "2" and fields[2] == "SD-64"
-        assert fields[6] == ""  # no second stream under SD
+        result = BlockageSweepResult(
+            positions=np.array([0.0]), adaptive=[sm], fixed_sm64=[sm], fixed_sd64=[sd],
+            averages={"adaptive": 16.0, "fixed_sm64": 16.0, "fixed_sd64": 6.0}, p_total=100.0,
+        )
+        out = io.StringIO()
+        write_blockage_csv(result, out)
+        header = "position_cm,mode_code,mode_name,ber,eff_bshz,snr1_db,snr2_db,evm"
+        sm_row = "-65,7,SM-256,5.874634e-04,16,29.41,29.44,0.033800"
+        sd_row = "0,2,SD-64,0.000000e+00,6,26.90,,0.020000"   # no second stream under SD
+        assert out.getvalue().splitlines() == [
+            "# run=adaptive", header, sm_row, "",
+            "# run=fixed-sm64", header, sm_row, "",
+            "# run=fixed-sd64", header, sd_row, "",
+            "# average_eff_bshz adaptive=16.000000 fixed_sm64=16.000000 fixed_sd64=6.000000",
+            "# p_total_db=20.000000",
+        ]

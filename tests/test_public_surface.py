@@ -3,7 +3,8 @@
 `vlclink` re-exports the names `tests/test_acceptance.py` imports from it,
 the mode encoder the benchmark reads, the entry points and config errors of
 the command line, and its submodules.  Every other name is imported from the
-module that defines it, and only from there.
+module that defines it, and only from there.  A module's private names stay
+inside it: no module imports a sibling's, save one listed exception.
 """
 
 import ast
@@ -57,7 +58,7 @@ MOVED = {
     "modem": ["Constellation", "QAM_ORDERS", "constellation"],
     "numerics": ["Svd2", "inv2", "qfunc"],
     "receiver": ["ChannelEstimate", "combine_sd_mrc", "detect_sm_zf", "stream_snrs"],
-    "scenario": ["BerSweepRow", "BlockageSweepResult", "LinkReport", "dump_constellation", "error_free_efficiency"],
+    "scenario": ["BerSweepRow", "BlockageSweepResult", "LinkReport", "dump_constellation"],
 }
 
 
@@ -130,3 +131,17 @@ def unread_imports(path: Path) -> list[str]:
 def test_every_imported_name_is_read(path):
     # `__init__.py` is left out: its imports are the package's re-exports
     assert unread_imports(path) == []
+
+
+# (module, sibling, private name) of each private name a module may import from a sibling: the
+# pilot-preamble config rule reads framing's pilot shift
+PRIVATE_IMPORTS = {("scenario", "framing", "_PILOT_SHIFT")}
+
+
+def test_no_module_imports_a_siblings_private_name():
+    found = set()
+    for path in sorted((ROOT / "src" / "vlclink").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found.update((path.stem, node.module, a.name) for a in node.names if a.name.startswith("_"))
+    assert found == PRIVATE_IMPORTS

@@ -41,6 +41,7 @@ from vlclink.scenario import (
     MAX_STREAM_SAMPLES,
     MAX_TAP_MATRIX_BYTES,
     N0,
+    SETTLING_FRAMES,
     TAIL_PAD,
     BlockageSweepResult,
     LinkReport,
@@ -189,6 +190,7 @@ class TestParseConfig:
 
     def test_frames_per_position_capped_at_the_frame_budget(self):
         assert parse_config("sweep.frames_per_position = 256\n").frames_per_position == 256
+        assert parse_config(f"sweep.frames_per_position = {SETTLING_FRAMES + 1}\n").frames_per_position == 3
         for value in (257, 2):
             with pytest.raises(ValidationError) as err:
                 parse_config(f"sweep.frames_per_position = {value}\n")
@@ -389,7 +391,8 @@ class TestConfigChecksItself:
         assert f"cap of {MAX_STREAM_SAMPLES}" in str(err.value)
 
     def test_pilot_rule_keeps_the_verdicts_of_the_reach_it_restated(self):
-        # the rule once wrote sync's reach past the true start as ntaps + TAIL_PAD + sps - 2
+        # the rule writes sync's reach past the true start as ntaps + TAIL_PAD + sps - 2, which must stay
+        # the last start synchronize admits in the frame's stream, less LEAD_PAD
         assert ScenarioConfig(preamble_len=7, pilot_len=10).pilot_len == 10
         with pytest.raises(ValidationError) as err:
             ScenarioConfig(preamble_len=7, pilot_len=11)

@@ -8,8 +8,6 @@ whole frame, pad it, mix it and add complex noise at every sample, sync on
 the whole stream and matched-filter it.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +17,8 @@ from reference_chain import (
     frame_specs,
     ref_matched_filter,
     reference_chain,
+    reference_front_end,
+    reference_noise,
     shaped_stream,
     stream_len,
 )
@@ -37,9 +37,7 @@ from vlclink.framing import (
 )
 from vlclink.scenario import (
     LEAD_PAD,
-    N0,
     TAIL_PAD,
-    _ROLE_NOISE,
     _frame_bits,
     _FrontEnds,
     _run_frame,
@@ -124,19 +122,11 @@ class TestRunFrameMatchesSampleRateChain:
 class TestFrameNoise:
     def test_draws_into_the_buffer_bit_identical_to_the_complex_draw(self):
         spec = FrameSpec(payload_len=256)
-        shape = (2, stream_len(spec))
-        rng = make_rng(np.random.SeedSequence((5, 3, _ROLE_NOISE)))
-        sigma = math.sqrt(N0 / 2.0)
-        former = np.empty(shape, dtype=np.complex128)
-        former.real = sigma * rng.standard_normal(shape)
-        former.imag = sigma * rng.standard_normal(shape)
-
-        buf = np.full((2,) + shape, np.nan)
-        front_end = _FrontEnds(np.eye(2), spec, buf)
+        buf = np.full((2, 2, stream_len(spec)), np.nan)
+        front_end = reference_front_end(np.eye(2), spec, buf)
         front_end.draw((5,), 3, 0)
         assert front_end.noise is buf
-        assert np.array_equal(buf[0], former.real)
-        assert np.array_equal(buf[1], former.imag)
+        assert np.array_equal(buf, reference_noise(spec, (5,), 3))
         fresh = _FrontEnds(np.eye(2), spec)
         fresh.draw((5,), 3, 0)
         assert np.array_equal(fresh.noise, buf)
@@ -149,7 +139,7 @@ class TestZeroNoise:
         cfg = ScenarioConfig(pilot_len=pilot_len)
         spec = cfg.frame_spec()
         h_norm, _ = channel_matrix(cfg.geometry(obstacle_x=None))
-        front_end = _FrontEnds(h_norm, spec, np.zeros((2, 2, stream_len(spec))))
+        front_end = reference_front_end(h_norm, spec, np.zeros((2, 2, stream_len(spec))))
         result = _run_frame(mode, reference_bits((7,), 0, _frame_bits(mode, spec)), front_end)
         assert result.sync_index == LEAD_PAD
         assert result.bits == _frame_bits(mode, spec)
