@@ -10,25 +10,42 @@ from vlclink.receiver import ChannelEstimate
 from vlclink.scenario import BlockageSweepResult, FrameResult, LinkReport, _Run, dump_constellation
 
 
+def credited_report(mode, errors):
+    """The report of a run whose last frame is in `mode`: 2000 bits, `errors` of them wrong."""
+    config = ScenarioConfig()
+    est = ChannelEstimate(30.0 * np.eye(2, dtype=complex))
+    run = _Run(config, config.policy(), mode)
+    first = min(errors, 1000)
+    run.frames = [
+        FrameResult(Mode("SD", 16), 1000, est, 0, first, 0.02, 1.0),
+        FrameResult(mode, 1000, est, 0, errors - first, 0.02, 1.0),
+    ]
+    return run.report(0.0)
+
+
 class TestEfficiency:
+    def test_values(self):
+        assert Mode("SM", 64).efficiency == 12
+        assert Mode("SD", 64).efficiency == 6
+        assert Mode("SM", 256).efficiency == 16
+
     def test_doubling_identity(self):
         for order in (4, 16, 64, 256):
             assert Mode("SM", order).efficiency == 2 * Mode("SD", order).efficiency
 
-    def test_report_credits_the_last_mode_only_where_the_pooled_ber_meets_the_target(self):
-        config = ScenarioConfig()
-        est = ChannelEstimate(30.0 * np.eye(2, dtype=complex))
-        assert 2 / 2000 == config.ber_tgt
-        for errors, credited in ((2, 12.0), (3, 0.0)):   # at the target, then one error more
-            run = _Run(config, config.policy(), Mode("SM", 64))
-            run.frames = [
-                FrameResult(Mode("SD", 16), 1000, est, 0, 1, 0.02, 1.0),
-                FrameResult(Mode("SM", 64), 1000, est, 0, errors - 1, 0.02, 1.0),
-            ]
-            report = run.report(0.0)
+    def test_error_free_thresholding(self):
+        # the report credits the last mode only where the pooled BER meets the target
+        assert 2 / 2000 == ScenarioConfig().ber_tgt
+        for errors, credited in ((0, 12.0), (2, 12.0), (3, 0.0), (40, 0.0)):   # 2 is at the target
+            report = credited_report(Mode("SM", 64), errors)
             assert (report.bits_sent, report.bit_errors, report.ber) == (2000, errors, errors / 2000)
             assert report.mode == Mode("SM", 64)
             assert report.eff_bshz == credited
+
+    def test_monotone_in_measured_ber(self):
+        effs = [credited_report(Mode("SD", 16), errors).eff_bshz for errors in range(0, 2001, 20)]
+        assert all(a >= b for a, b in zip(effs, effs[1:]))
+        assert effs[0] == 4.0 and effs[-1] == 0.0
 
     def test_sweep_average_is_position_order_invariant(self):
         rng = make_rng(3)
@@ -68,7 +85,7 @@ class TestDumpConstellation:
 
 
 class TestReportRow:
-    def test_writes_both_schemes(self):
+    def test_formats_both_schemes(self):
         sm = LinkReport(
             position_cm=-65.0, mode=Mode("SM", 256), bits_sent=131072, bit_errors=77,
             ber=77 / 131072, eff_bshz=16.0, snrs_db=(29.41, 29.44), evm=0.0338,
